@@ -39,7 +39,6 @@ from .ngram import (
 from .spectral import (
     FeatureMatrix,
     ablate_spectrum,
-    alpha_req,
     center_features,
     covariance_spectrum,
     rankme,
@@ -86,8 +85,8 @@ def _cmd_rankme(args) -> int:
 def _cmd_alphareq(args) -> int:
     fm = _load_features(args.matrix, not args.no_center)
     window = tuple(args.window) if args.window else None
-    alpha, r2 = alpha_req(covariance_spectrum(fm), window)
     metrics = spectral_metrics(fm, window)
+    alpha, r2 = metrics.alpha_req, metrics.fit_r2
     _emit(
         args,
         {"alpha_req": alpha, "fit_r2": r2, "fit_window": list(metrics.fit_window)},

@@ -1,9 +1,9 @@
 """Sampling-based evaluation estimators.
 
 pass@k: probability that at least one of k draws (without replacement)
-from N generated samples is correct, given c correct among the N.  The
-binomial ratio C(N-c, k) / C(N, k) is evaluated as an exact telescoping
-rational product, so operating points like N=512, k=256 cost nothing in
+from N generated samples is correct, given c correct among the N, that
+is 1 - C(N-c, k) / C(N, k).  The ratio is an exact Fraction of integer
+binomials, so operating points like N=512, k=256 cost nothing in
 precision and cannot overflow.
 
 DPO loss: mean of -log sigmoid(r_w - r_l) over preference pairs, with a
@@ -35,13 +35,10 @@ class PreferenceTriple:
 
     r_w: float
     r_l: float
-    beta: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.r_w) and math.isfinite(self.r_l)):
             raise ValueError("rewards must be finite")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
 
 
 def _validate_counts(n: int, c: int, k: int) -> None:
@@ -56,12 +53,8 @@ def _validate_counts(n: int, c: int, k: int) -> None:
 def pass_at_k_exact(n: int, c: int, k: int) -> Fraction:
     """Exact rational pass@k for one problem."""
     _validate_counts(n, c, k)
-    if n - c < k:
-        return Fraction(1)
-    miss = Fraction(1)
-    for j in range(k):
-        miss *= Fraction(n - c - j, n - j)
-    return 1 - miss
+    # comb(n - c, k) is 0 when fewer than k samples are wrong
+    return 1 - Fraction(math.comb(n - c, k), math.comb(n, k))
 
 
 def pass_at_k_single(n: int, c: int, k: int) -> float:

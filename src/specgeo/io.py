@@ -21,10 +21,8 @@ does not sink a long run.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,12 +32,13 @@ import numpy as np
 
 from . import __version__
 from .spectral import (
+    EigenSpectrum,
     FeatureMatrix,
-    ablate_spectrum,
+    _check_ablation,
+    _metrics_of_spectrum,
     center_features,
     covariance_spectrum,
     rankme,
-    spectral_metrics,
 )
 
 __all__ = [
@@ -95,7 +94,11 @@ def write_matrix(f: FeatureMatrix, path, dtype: str = "f64") -> None:
 def read_matrix(path) -> FeatureMatrix:
     """Read a matrix file, widening float32 payloads to float64 exactly."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return _parse_matrix(fh.read())
+
+
+def _parse_matrix(raw: bytes) -> FeatureMatrix:
+    """Decode the bytes of a matrix file; see the module docstring."""
     if len(raw) < _HEADER.size:
         raise SizeMismatchError(f"file is shorter than the {_HEADER.size}-byte header")
     magic, code, rows, cols = _HEADER.unpack_from(raw)
@@ -214,72 +217,44 @@ def _sweep_entry(entry: ManifestEntry, options: SweepOptions, base: Path) -> dic
     path = Path(entry.path)
     if not path.is_absolute():
         path = base / path
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    fm = read_matrix(path)
+    raw = path.read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    fm = _parse_matrix(raw)
+    del raw  # fm holds its own copy; free the file bytes before the solve
     if options.center:
         fm = center_features(fm)
-    metrics = spectral_metrics(fm, options.alpha_window)
+    spec = covariance_spectrum(fm)
+    metrics = _metrics_of_spectrum(spec, fm.m, options.alpha_window)
     record = {"label": entry.label, "sha256": digest, **metrics.to_record()}
     if options.ablation_k is not None:
-        ablated = ablate_spectrum(fm, options.ablation_k, options.ablation_mode)
-        spec_full = covariance_spectrum(fm)
-        spec_abl = covariance_spectrum(ablated)
-        total = float(spec_full.values.sum())
+        # projecting onto or off the top-k eigenvectors keeps exactly
+        # those eigenpairs, so the ablated spectrum is a slice of this one
+        k, mode = options.ablation_k, options.ablation_mode
+        _check_ablation(fm, k, mode)
+        kept = spec.values[:k] if mode == "retain_top" else spec.values[k:]
+        total = float(spec.values.sum())
         record["ablation"] = {
-            "k": options.ablation_k,
-            "mode": options.ablation_mode,
-            "retained_energy": float(spec_abl.values.sum()) / total if total else 0.0,
-            "rankme": rankme(spec_abl) if spec_abl.values.sum() > 0 else None,
+            "k": k,
+            "mode": mode,
+            "retained_energy": float(kept.sum()) / total if total else 0.0,
+            "rankme": rankme(EigenSpectrum(values=kept)) if kept.sum() > 0 else None,
         }
     return record
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("SPECGEO_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
 
 
 def sweep(manifest: RunManifest, base_dir=".") -> MetricsReport:
     """Compute spectral metrics for every manifest entry.
 
-    Entries are processed in parallel up to SPECGEO_THREADS workers, but
-    the report is assembled in manifest order, so output bytes do not
-    depend on scheduling.  Per-entry failures become error records and
-    processing continues.
+    Entries run one at a time in manifest order (BLAS parallelises each
+    eigensolve), so output bytes are fixed.  Per-entry failures become
+    error records and processing continues.
     """
     base = Path(base_dir)
-    workers = min(_max_workers(), len(manifest.entries))
-    results: list = [None] * len(manifest.entries)
-    if workers == 1:
-        for i, entry in enumerate(manifest.entries):
-            results[i] = _run_one(entry, manifest.options, base)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_one, entry, manifest.options, base): i
-                for i, entry in enumerate(manifest.entries)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-
     records, errors = [], []
-    for entry, outcome in zip(manifest.entries, results):
-        kind, payload = outcome
-        if kind == "ok":
-            records.append(payload)
-        else:
-            errors.append({"label": entry.label, "error": payload})
+    for entry in manifest.entries:
+        try:
+            records.append(_sweep_entry(entry, manifest.options, base))
+        except Exception as exc:  # recorded, sweep continues
+            error = f"{type(exc).__name__}: {exc}"
+            errors.append({"label": entry.label, "error": error})
     return MetricsReport(records=records, errors=errors)
-
-
-def _run_one(entry: ManifestEntry, options: SweepOptions, base: Path):
-    try:
-        return "ok", _sweep_entry(entry, options, base)
-    except Exception as exc:  # recorded, sweep continues
-        return "error", f"{type(exc).__name__}: {exc}"

@@ -87,7 +87,6 @@ class SuffixIndex:
     corpus: TokenCorpus
     sa: np.ndarray
     doc_end: np.ndarray
-    built_at: int
 
     def __post_init__(self):
         # plain-int copies: scalar indexing in the binary search hot path
@@ -119,14 +118,26 @@ class ProbTrace:
         mod = np.asarray(self.p_model, dtype=np.float64)
         if ref.shape != mod.shape or ref.ndim != 1:
             raise ValueError("probability traces must be equal-length 1-D arrays")
-        for name, arr in (("p_ref", ref), ("p_model", mod)):
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-                raise ValueError(f"{name} has entries outside [0, 1]")
+        _check_probs("p_ref", ref)
+        _check_probs("p_model", mod)
         object.__setattr__(self, "p_ref", ref)
         object.__setattr__(self, "p_model", mod)
 
     def __len__(self) -> int:
         return int(self.p_ref.size)
+
+
+def _check_probs(name: str, arr: np.ndarray) -> None:
+    # written so that NaN fails too: every comparison with NaN is false
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError(f"{name} has entries that are NaN or outside [0, 1]")
+
+
+def _token_ids(seq: Sequence[int], name: str) -> np.ndarray:
+    ids = np.asarray(seq, dtype=np.int64)
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"{name} has negative token id {ids.min()}")
+    return ids
 
 
 def _suffix_array(tokens: np.ndarray) -> np.ndarray:
@@ -164,7 +175,7 @@ def build_index(corpus: TokenCorpus) -> SuffixIndex:
     for b in bounds:
         doc_end[start:b] = b
         start = int(b)
-    return SuffixIndex(corpus=corpus, sa=sa, doc_end=doc_end, built_at=n)
+    return SuffixIndex(corpus=corpus, sa=sa, doc_end=doc_end)
 
 
 def _sa_range(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, int]:
@@ -206,7 +217,7 @@ def _sa_range(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, int]:
 
 def pattern_count(index: SuffixIndex, pattern: Sequence[int]) -> int:
     """Number of in-document occurrences of ``pattern`` (0 if unseen)."""
-    pat = np.asarray(pattern, dtype=np.int64)
+    pat = _token_ids(pattern, "pattern")
     if pat.size == 0:
         raise ValueError("pattern must be nonempty")
     lo, hi = _sa_range(index, pat)
@@ -233,7 +244,7 @@ def _continuations(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, np.nda
 def infty_gram_next(index: SuffixIndex, context: Sequence[int]) -> NgramPrediction:
     """Next-token distribution from the longest context suffix with a
     continuation; falls back to the corpus unigram distribution."""
-    ctx = np.asarray(context, dtype=np.int64)
+    ctx = _token_ids(context, "context")
     n = len(index.corpus)
     for length in range(min(ctx.size, n), 0, -1):
         suffix = ctx[ctx.size - length :]
@@ -258,11 +269,13 @@ def joint_loglik(
 
     Returns (loglik, per-token probabilities).  Zero probabilities stay raw
     in the returned trace but are floored at LOG_PROB_FLOOR inside the log.
+    A target id at or above the vocabulary size has probability 0; a
+    negative id in either sequence raises ValueError.
     """
-    tgt = np.asarray(target, dtype=np.int64)
+    tgt = _token_ids(target, "target")
     if tgt.size == 0:
         raise ValueError("target must be nonempty")
-    pre = np.asarray(prefix, dtype=np.int64)
+    pre = _token_ids(prefix, "prefix")
     probs = np.empty(tgt.size)
     total = 0.0
     for i, tok in enumerate(tgt):
@@ -321,7 +334,8 @@ def distributional_memorization(
     ``example_ids`` assigns every token to its example.  Each example's
     likelihood is the product of its token probabilities; the correlation
     runs over examples.  With ``per_token`` the correlation runs directly
-    over token probabilities instead.
+    over token probabilities instead.  A NaN or a probability outside
+    [0, 1] raises ValueError.
 
     Floors each token probability at LOG_PROB_FLOOR before taking the
     product (a zero anywhere would collapse the example to an uninformative
@@ -332,6 +346,8 @@ def distributional_memorization(
     ids = np.asarray(example_ids)
     if not (ref.shape == mod.shape == ids.shape) or ref.ndim != 1:
         raise ValueError("ref, model, and example ids must be aligned 1-D arrays")
+    _check_probs("ref_probs", ref)
+    _check_probs("model_probs", mod)
     if per_token:
         return _spearman(ref, mod)
     uniq = np.unique(ids)

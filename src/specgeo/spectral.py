@@ -90,7 +90,6 @@ class EigenSpectrum:
 
     values: np.ndarray
     vectors: Optional[np.ndarray] = None
-    source_dims: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -172,8 +171,7 @@ def covariance_spectrum(f: FeatureMatrix, want_vectors: bool = False) -> EigenSp
         vectors = None
 
     values = _clamp_eigenvalues(values)
-    return EigenSpectrum(values=values, vectors=vectors if want_vectors else None,
-                         source_dims=(m, d))
+    return EigenSpectrum(values=values, vectors=vectors if want_vectors else None)
 
 
 def _clamp_eigenvalues(values: np.ndarray) -> np.ndarray:
@@ -243,7 +241,13 @@ def spectral_metrics(
     f: FeatureMatrix, window: Optional[tuple[int, int]] = None
 ) -> SpectralMetrics:
     """Convenience wrapper: spectrum, RankMe and power-law fit of one matrix."""
-    spec = covariance_spectrum(f)
+    return _metrics_of_spectrum(covariance_spectrum(f), f.m, window)
+
+
+def _metrics_of_spectrum(
+    spec: EigenSpectrum, m: int, window: Optional[tuple[int, int]]
+) -> SpectralMetrics:
+    """RankMe and power-law fit of an already solved M-row spectrum."""
     alpha, r2 = alpha_req(spec, window)
     if window is None:
         usable = spec.values > _ALPHA_FLOOR_RTOL * spec.values[0]
@@ -253,9 +257,18 @@ def spectral_metrics(
         alpha_req=alpha,
         fit_window=(int(window[0]), int(window[1])),
         fit_r2=r2,
-        m=f.m,
-        d=f.d,
+        m=m,
+        d=spec.d,
     )
+
+
+def _check_ablation(f: FeatureMatrix, k: int, mode: str) -> None:
+    if mode not in ("retain_top", "remove_top"):
+        raise ValueError(f"mode must be retain_top or remove_top, got {mode!r}")
+    if not f.centered:
+        raise ValueError("ablate_spectrum requires centered features")
+    if not 1 <= k <= f.d:
+        raise ValueError(f"k must be in [1, {f.d}], got {k}")
 
 
 def ablate_spectrum(f: FeatureMatrix, k: int, mode: str) -> FeatureMatrix:
@@ -264,14 +277,11 @@ def ablate_spectrum(f: FeatureMatrix, k: int, mode: str) -> FeatureMatrix:
 
     Ties at the k-th eigenvalue are broken by ascending position in the
     descending-sorted spectrum, which makes the split deterministic.
+    The projection keeps exactly the retained eigenpairs, so the ablated
+    spectrum is ``values[:k]`` (retain_top) or ``values[k:]`` (remove_top)
+    of the input's, padded with zeros.
     """
-    if mode not in ("retain_top", "remove_top"):
-        raise ValueError(f"mode must be retain_top or remove_top, got {mode!r}")
-    if not f.centered:
-        raise ValueError("ablate_spectrum requires centered features")
-    d = f.d
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
+    _check_ablation(f, k, mode)
     spec = covariance_spectrum(f, want_vectors=True)
     v_top = spec.vectors[:, :k]
     retained = (f.data @ v_top) @ v_top.T

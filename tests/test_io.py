@@ -11,13 +11,21 @@ from specgeo.io import (
     BadMagicError,
     MatrixFormatError,
     MetricsReport,
+    RunManifest,
     SizeMismatchError,
+    SweepOptions,
     load_manifest,
     read_matrix,
     sweep,
     write_matrix,
 )
-from specgeo.spectral import FeatureMatrix
+from specgeo.spectral import (
+    FeatureMatrix,
+    ablate_spectrum,
+    center_features,
+    covariance_spectrum,
+    rankme,
+)
 
 
 def random_matrix(rng, m=3, d=2):
@@ -180,15 +188,6 @@ class TestSweep:
         assert a.to_json() == b.to_json()
         assert a.to_csv() == b.to_csv()
 
-    def test_serial_equals_parallel(self, tmp_path, monkeypatch):
-        path = self.build(tmp_path, [0.4, 0.9, 1.7, 2.0])
-        manifest = load_manifest(path)
-        monkeypatch.setenv("SPECGEO_THREADS", "1")
-        serial = sweep(manifest, base_dir=tmp_path).to_json()
-        monkeypatch.setenv("SPECGEO_THREADS", "4")
-        parallel = sweep(manifest, base_dir=tmp_path).to_json()
-        assert serial == parallel
-
     def test_ablation_option(self, tmp_path):
         rng = np.random.default_rng(9)
         fm = synthetic_power_law_matrix(rng, 1.0)
@@ -204,3 +203,80 @@ class TestSweep:
         lam = np.arange(1, 25, dtype=float) ** -1.0
         expected = lam[:4].sum() / lam.sum()
         assert rec["retained_energy"] == pytest.approx(expected, abs=1e-8)
+
+
+def ablation_manifest(tmp_path, shapes, k, mode, rng):
+    """Manifest of random matrices of the given shapes, all ablated."""
+    entries = []
+    for i, (m, d) in enumerate(shapes):
+        scale = np.arange(1, d + 1, dtype=float) ** -0.7
+        fm = FeatureMatrix(rng.normal(size=(m, d)) * scale)
+        write_matrix(fm, tmp_path / f"{i}.mat")
+        entries.append({"label": f"e{i}", "path": f"{i}.mat"})
+    doc = {"entries": entries,
+           "options": {"center": True, "ablation": {"k": k, "mode": mode}}}
+    path = tmp_path / f"ablate_{mode}_{k}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_manifest(path)
+
+
+class TestSweepAblation:
+    SHAPES = [(64, 24), (20, 40)]  # the second takes the Gram path (m < d)
+
+    @pytest.mark.parametrize("mode", ["retain_top", "remove_top"])
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_matches_projected_matrix(self, tmp_path, mode, k):
+        rng = np.random.default_rng(31)
+        manifest = ablation_manifest(tmp_path, self.SHAPES, k, mode, rng)
+        report = sweep(manifest, base_dir=tmp_path)
+        assert report.ok
+        for entry, rec in zip(manifest.entries, report.records):
+            fm = center_features(read_matrix(tmp_path / entry.path))
+            # reference: project the matrix, then solve the projection anew
+            full = covariance_spectrum(fm).values
+            ablated = covariance_spectrum(ablate_spectrum(fm, k, mode))
+            got = rec["ablation"]
+            assert (got["k"], got["mode"]) == (k, mode)
+            assert got["retained_energy"] == pytest.approx(
+                ablated.values.sum() / full.sum(), rel=1e-12)
+            assert got["rankme"] == pytest.approx(rankme(ablated), rel=1e-12)
+
+    @pytest.mark.parametrize("k, mode", [(0, "retain_top"), (25, "remove_top"),
+                                         (3, "keep_top")])
+    def test_bad_k_or_mode_is_an_error_record(self, tmp_path, k, mode):
+        rng = np.random.default_rng(32)
+        manifest = ablation_manifest(tmp_path, [(64, 24), (30, 24)], k, mode, rng)
+        report = sweep(manifest, base_dir=tmp_path)
+        assert report.records == []
+        fm = center_features(read_matrix(tmp_path / manifest.entries[0].path))
+        with pytest.raises(ValueError) as direct:
+            ablate_spectrum(fm, k, mode)
+        assert report.errors == [
+            {"label": e.label, "error": f"ValueError: {direct.value}"}
+            for e in manifest.entries
+        ]
+
+    @pytest.mark.parametrize("ablation", [None, {"k": 3, "mode": "retain_top"},
+                                          {"k": 3, "mode": "remove_top"}])
+    def test_one_eigensolve_per_entry(self, tmp_path, monkeypatch, ablation):
+        rng = np.random.default_rng(33)
+        manifest = ablation_manifest(tmp_path, [(64, 24), (20, 40), (40, 40)],
+                                     3, "retain_top", rng)
+        if ablation is None:
+            options = SweepOptions(center=True)
+        else:
+            options = SweepOptions(center=True, ablation_k=ablation["k"],
+                                   ablation_mode=ablation["mode"])
+        manifest = RunManifest(entries=manifest.entries, options=options)
+        calls = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = sweep(manifest, base_dir=tmp_path)
+        assert report.ok
+        assert len(calls) == len(manifest.entries)

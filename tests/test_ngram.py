@@ -223,6 +223,35 @@ class TestJointLoglik:
         with pytest.raises(ValueError):
             joint_loglik(idx, [0], [])
 
+    def test_negative_target_id_rejected(self):
+        # -1 must not wrap around to the last vocabulary entry
+        idx = build_index(make_corpus([0, 1, 0, 1, 2]))
+        with pytest.raises(ValueError, match="negative token id"):
+            joint_loglik(idx, [0, 1], [-1])
+
+    def test_negative_prefix_id_rejected(self):
+        idx = build_index(make_corpus([0, 1, 0, 1, 2]))
+        with pytest.raises(ValueError, match="negative token id"):
+            joint_loglik(idx, [0, -2], [1])
+
+    def test_out_of_vocab_target_has_zero_prob(self):
+        idx = build_index(make_corpus([0, 1, 0, 1, 2]))
+        ll, probs = joint_loglik(idx, [0, 1], [3])
+        assert probs.tolist() == [0.0]
+        assert ll == pytest.approx(np.log(1e-12))
+
+
+class TestNegativeIds:
+    def test_infty_gram_context(self):
+        idx = build_index(make_corpus([0, 1, 0, 1, 2]))
+        with pytest.raises(ValueError, match="negative token id"):
+            infty_gram_next(idx, [0, -1])
+
+    def test_pattern_count(self):
+        idx = build_index(make_corpus([0, 1, 0, 1, 2]))
+        with pytest.raises(ValueError, match="negative token id"):
+            pattern_count(idx, [-1])
+
 
 class TestSpearman:
     def test_monotone(self):
@@ -259,6 +288,14 @@ class TestSpearman:
         tr = ProbTrace(p_ref=np.array([0.5]), p_model=np.array([0.1]))
         with pytest.raises(ValueError):
             spearman_rho(tr)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.7, -0.2])
+    def test_trace_rejects_nan_and_out_of_range(self, bad):
+        good = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="NaN or outside"):
+            ProbTrace(p_ref=np.array([0.1, bad, 0.3]), p_model=good)
+        with pytest.raises(ValueError, match="NaN or outside"):
+            ProbTrace(p_ref=good, p_model=np.array([0.1, bad, 0.3]))
 
     @given(st.lists(st.integers(1, 97), min_size=3, max_size=20, unique=True),
            st.floats(0.1, 1.0))
@@ -316,3 +353,14 @@ class TestMemorization:
     def test_misaligned_errors(self):
         with pytest.raises(ValueError):
             distributional_memorization([0.1, 0.2], [0.2], [0, 1])
+
+    @pytest.mark.parametrize("per_token", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, 1.7, -0.2])
+    def test_rejects_nan_and_out_of_range(self, bad, per_token):
+        good = [0.5, 0.25, 0.125, 0.4, 0.6]
+        probs = [0.5, 0.25, bad, 0.4, 0.6]
+        ids = [0, 0, 1, 1, 2]
+        with pytest.raises(ValueError, match="NaN or outside"):
+            distributional_memorization(probs, good, ids, per_token=per_token)
+        with pytest.raises(ValueError, match="NaN or outside"):
+            distributional_memorization(good, probs, ids, per_token=per_token)

@@ -14,6 +14,7 @@ import io as _io
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +29,24 @@ from .dynamics import (
     run_trajectory,
 )
 from .evalmetrics import PreferenceTriple, dpo_loss, dpo_nce_identity, pass_at_k
-from .io import MatrixFormatError, load_manifest, read_matrix, sweep, write_matrix
+from .io import (
+    MatrixFormatError,
+    _centered,
+    load_manifest,
+    read_matrix,
+    sweep,
+    write_matrix,
+)
 from .ngram import (
     SuffixIndex,
     TokenCorpus,
+    _doc_ends,
     build_index,
     distributional_memorization,
     infty_gram_next,
 )
 from .spectral import (
-    FeatureMatrix,
     ablate_spectrum,
-    center_features,
     covariance_spectrum,
     rankme,
     spectral_metrics,
@@ -57,11 +64,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_features(path, center: bool):
-    fm = read_matrix(path)
-    if center:
-        return center_features(fm)
-    # caller asserts the file is already centered; the flag validates it
-    return FeatureMatrix(fm.data, centered=True)
+    return _centered(read_matrix(path), center)
 
 
 # ---------------------------------------------------------------- spectral
@@ -174,15 +177,26 @@ def _cmd_ngram_build(args) -> int:
     return 0
 
 
+_INDEX_KEYS = ("tokens", "doc_boundaries", "vocab_size", "sa")
+
+
 def _load_index(path) -> SuffixIndex:
-    with np.load(path) as doc:
-        corpus = TokenCorpus(
-            tokens=doc["tokens"],
-            doc_boundaries=doc["doc_boundaries"],
-            vocab_size=int(doc["vocab_size"]),
-        )
-    # rebuilding the derived arrays is cheap and keeps one code path
-    return build_index(corpus)
+    """The index ``ngram-build`` wrote; SuffixIndex verifies the stored
+    suffix array against the tokens instead of rebuilding it."""
+    try:
+        with np.load(path) as doc:
+            missing = [key for key in _INDEX_KEYS if key not in doc.files]
+            if missing:
+                raise ValueError(f"{path}: index file has no {missing[0]!r} array")
+            corpus = TokenCorpus(
+                tokens=doc["tokens"],
+                doc_boundaries=doc["doc_boundaries"],
+                vocab_size=int(doc["vocab_size"]),
+            )
+            sa = doc["sa"]
+    except (zipfile.BadZipFile, EOFError) as exc:  # truncated or damaged archive
+        raise ValueError(f"{path}: damaged index file: {exc}") from exc
+    return SuffixIndex(corpus=corpus, sa=sa, doc_end=_doc_ends(corpus))
 
 
 def _cmd_ngram_query(args) -> int:

@@ -91,6 +91,14 @@ def write_matrix(f: FeatureMatrix, path, dtype: str = "f64") -> None:
         fh.write(data.tobytes())
 
 
+def _centered(fm: FeatureMatrix, center: bool) -> FeatureMatrix:
+    """Centre the columns, or with ``center`` false take the data as
+    already centred; FeatureMatrix then checks the column means."""
+    if center:
+        return center_features(fm)
+    return FeatureMatrix(fm.data, centered=True)
+
+
 def read_matrix(path) -> FeatureMatrix:
     """Read a matrix file, widening float32 payloads to float64 exactly."""
     with open(path, "rb") as fh:
@@ -221,8 +229,7 @@ def _sweep_entry(entry: ManifestEntry, options: SweepOptions, base: Path) -> dic
     digest = hashlib.sha256(raw).hexdigest()
     fm = _parse_matrix(raw)
     del raw  # fm holds its own copy; free the file bytes before the solve
-    if options.center:
-        fm = center_features(fm)
+    fm = _centered(fm, options.center)
     spec = covariance_spectrum(fm)
     metrics = _metrics_of_spectrum(spec, fm.m, options.alpha_window)
     record = {"label": entry.label, "sha256": digest, **metrics.to_record()}

@@ -82,6 +82,10 @@ class SuffixIndex:
     sequence lexicographically.  ``doc_end[p]`` is the end position of the
     document containing position p; a match of length L starting at p is
     valid only when p + L <= doc_end[p].
+
+    Construction checks the suffix order in O(n), however the index was
+    made, and raises ValueError when ``sa`` is not the corpus's suffix
+    array: an index loaded from disk is trusted only after this check.
     """
 
     corpus: TokenCorpus
@@ -89,12 +93,51 @@ class SuffixIndex:
     doc_end: np.ndarray
 
     def __post_init__(self):
+        tokens = self.corpus.tokens
+        n = tokens.size
+        if n == 0:
+            raise ValueError("cannot index an empty corpus")
+        sa = np.asarray(self.sa)
+        if sa.shape != (n,) or not np.issubdtype(sa.dtype, np.integer):
+            raise ValueError(
+                f"suffix array must be an integer array of shape ({n},), "
+                f"got {sa.dtype} {sa.shape}"
+            )
+        if sa.min() < 0 or sa.max() >= n:
+            raise ValueError("suffix array has entries outside 0..n-1")
+        sa = sa.astype(np.int64, copy=False)
+        _check_suffix_order(tokens, sa)
+        doc_end = np.asarray(self.doc_end, dtype=np.int64)
+        if doc_end.shape != (n,):
+            raise ValueError(f"doc_end must have shape ({n},), got {doc_end.shape}")
+        object.__setattr__(self, "sa", sa)
+        object.__setattr__(self, "doc_end", doc_end)
         # plain-int copies: scalar indexing in the binary search hot path
-        object.__setattr__(self, "_tokens_list", self.corpus.tokens.tolist())
-        object.__setattr__(self, "_sa_list", self.sa.tolist())
+        object.__setattr__(self, "_tokens_list", tokens.tolist())
+        object.__setattr__(self, "_sa_list", sa.tolist())
 
     def __len__(self) -> int:
         return int(self.sa.size)
+
+
+def _check_suffix_order(tokens: np.ndarray, sa: np.ndarray) -> None:
+    """Raise ValueError unless ``sa`` (entries in 0..n-1) is the suffix
+    array of ``tokens``; O(n)."""
+    n = tokens.size
+    # rank[p] = position of suffix p in sa; rank[n] = -1 ranks the empty
+    # suffix first, so a proper prefix sorts before its extensions
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[sa] = np.arange(n)
+    if np.any(rank[:n] < 0):
+        raise ValueError("suffix array is not a permutation")
+    # adjacent suffixes are ordered by first token, then by the order of
+    # what follows it, which rank already states
+    first, rest = tokens[sa], rank[sa + 1]
+    ordered = (first[:-1] < first[1:]) | (
+        (first[:-1] == first[1:]) & (rest[:-1] < rest[1:])
+    )
+    if not ordered.all():
+        raise ValueError("suffix array is not in suffix order")
 
 
 @dataclass(frozen=True)
@@ -141,41 +184,49 @@ def _token_ids(seq: Sequence[int], name: str) -> np.ndarray:
 
 
 def _suffix_array(tokens: np.ndarray) -> np.ndarray:
-    """Prefix-doubling suffix array; deterministic for given input."""
+    """Prefix-doubling suffix array; deterministic for given input.
+
+    Each round sorts one packed int64 key, rank * (n+1) + next rank + 1,
+    where the empty suffix past the end has next rank -1.  The new ranks
+    depend only on the key values, and the last round's keys are all
+    distinct, so the order a sort gives equal keys never reaches the
+    result: an unstable sort returns the same array, faster.
+    """
     n = tokens.size
-    rank = np.asarray(tokens, dtype=np.int64)
-    sa = np.arange(n, dtype=np.int64)
+    if (n + 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"corpus of {n} tokens is too long to pack rank pairs")
+    rank = np.unique(tokens, return_inverse=True)[1].reshape(-1).astype(np.int64)
     k = 1
     while True:
-        second = np.full(n, -1, dtype=np.int64)
+        key = rank * (n + 1)
         if k < n:
-            second[:-k] = rank[k:]
-        sa = np.lexsort((second, rank))
-        paired = np.stack([rank[sa], second[sa]], axis=1)
-        new_rank = np.zeros(n, dtype=np.int64)
-        changed = np.any(paired[1:] != paired[:-1], axis=1)
-        new_rank[sa[1:]] = np.cumsum(changed)
-        rank = new_rank
+            key[: n - k] += rank[k:] + 1
+        sa = np.argsort(key)
+        sorted_key = key[sa]
+        rank = np.empty(n, dtype=np.int64)
+        rank[sa[0]] = 0
+        rank[sa[1:]] = np.cumsum(sorted_key[1:] != sorted_key[:-1])
         if rank[sa[-1]] == n - 1:
             return sa
         k *= 2
 
 
+def _doc_ends(corpus: TokenCorpus) -> np.ndarray:
+    """End position of the document containing each token."""
+    bounds = corpus.doc_boundaries
+    if bounds.size == 0 or bounds[-1] < len(corpus):
+        # trailing tokens form a final document
+        bounds = np.append(bounds, len(corpus))
+    return np.repeat(bounds, np.diff(bounds, prepend=0))
+
+
 def build_index(corpus: TokenCorpus) -> SuffixIndex:
     """Build the suffix array plus per-position document-end lookup."""
-    n = len(corpus)
-    if n == 0:
+    if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    sa = _suffix_array(corpus.tokens)
-    bounds = corpus.doc_boundaries
-    if bounds.size == 0 or bounds[-1] < n:
-        bounds = np.append(bounds, n)  # trailing tokens form a final document
-    doc_end = np.empty(n, dtype=np.int64)
-    start = 0
-    for b in bounds:
-        doc_end[start:b] = b
-        start = int(b)
-    return SuffixIndex(corpus=corpus, sa=sa, doc_end=doc_end)
+    return SuffixIndex(
+        corpus=corpus, sa=_suffix_array(corpus.tokens), doc_end=_doc_ends(corpus)
+    )
 
 
 def _sa_range(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, int]:
@@ -227,38 +278,37 @@ def pattern_count(index: SuffixIndex, pattern: Sequence[int]) -> int:
     return int(np.count_nonzero(index.doc_end[pos] - pos >= pat.size))
 
 
-def _continuations(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, np.ndarray]:
-    """(in-document occurrence count, continuation token tallies)."""
-    lo, hi = _sa_range(index, pattern)
-    vocab = index.corpus.vocab_size
-    if lo == hi:
-        return 0, np.zeros(vocab, dtype=np.int64)
-    pos = index.sa[lo:hi]
-    rem = index.doc_end[pos] - pos
-    count = int(np.count_nonzero(rem >= pattern.size))
-    follow = pos[rem >= pattern.size + 1] + pattern.size
-    tally = np.bincount(index.corpus.tokens[follow], minlength=vocab)
-    return count, tally
+def _backoff(
+    index: SuffixIndex, ctx: np.ndarray, upper: int
+) -> tuple[int, int, np.ndarray]:
+    """Longest suffix of ``ctx``, at most ``upper`` long, that occurs in a
+    document and is followed there by at least one token.
+
+    Returns (suffix length, in-document occurrence count, the tokens that
+    follow its occurrences).  When no suffix qualifies: (0, n, every
+    corpus token), the unigram fallback.
+    """
+    tokens = index.corpus.tokens
+    for length in range(min(upper, ctx.size, tokens.size), 0, -1):
+        lo, hi = _sa_range(index, ctx[ctx.size - length :])
+        if lo == hi:
+            continue
+        pos = index.sa[lo:hi]
+        rem = index.doc_end[pos] - pos
+        follow = pos[rem > length] + length
+        if follow.size:
+            return length, int(np.count_nonzero(rem >= length)), tokens[follow]
+    return 0, int(tokens.size), tokens
 
 
 def infty_gram_next(index: SuffixIndex, context: Sequence[int]) -> NgramPrediction:
     """Next-token distribution from the longest context suffix with a
     continuation; falls back to the corpus unigram distribution."""
     ctx = _token_ids(context, "context")
-    n = len(index.corpus)
-    for length in range(min(ctx.size, n), 0, -1):
-        suffix = ctx[ctx.size - length :]
-        count, tally = _continuations(index, suffix)
-        total = tally.sum()
-        if count > 0 and total > 0:
-            return NgramPrediction(
-                token_probs=tally / total,
-                suffix_len_used=length,
-                context_count=count,
-            )
-    tally = np.bincount(index.corpus.tokens, minlength=index.corpus.vocab_size)
+    length, count, nexts = _backoff(index, ctx, ctx.size)
+    tally = np.bincount(nexts, minlength=index.corpus.vocab_size)
     return NgramPrediction(
-        token_probs=tally / n, suffix_len_used=0, context_count=n
+        token_probs=tally / nexts.size, suffix_len_used=length, context_count=count
     )
 
 
@@ -270,35 +320,37 @@ def joint_loglik(
     Returns (loglik, per-token probabilities).  Zero probabilities stay raw
     in the returned trace but are floored at LOG_PROB_FLOOR inside the log.
     A target id at or above the vocabulary size has probability 0; a
-    negative id in either sequence raises ValueError.
+    negative id in either sequence raises ValueError.  Each probability
+    equals ``infty_gram_next(index, prefix + target[:i])``'s entry.
     """
     tgt = _token_ids(target, "target")
     if tgt.size == 0:
         raise ValueError("target must be nonempty")
     pre = _token_ids(prefix, "prefix")
+    full = np.concatenate([pre, tgt])
     probs = np.empty(tgt.size)
     total = 0.0
-    for i, tok in enumerate(tgt):
-        ctx = np.concatenate([pre, tgt[:i]])
-        pred = infty_gram_next(index, ctx)
-        p = float(pred.token_probs[tok]) if tok < pred.token_probs.size else 0.0
+    upper = pre.size
+    for i, tok in enumerate(tgt.tolist()):
+        length, _, nexts = _backoff(index, full[: pre.size + i], upper)
+        p = np.count_nonzero(nexts == tok) / nexts.size
         probs[i] = p
         total += float(np.log(max(p, LOG_PROB_FLOOR)))
+        # a match of length L at the next step ends in one of length L-1
+        # here, so the next match is at most one token longer than this one
+        upper = length + 1
     return total, probs
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the average of their positions."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    new_run = np.concatenate([[True], sx[1:] != sx[:-1]])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], x.size) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(new_run) - 1]
     return ranks
 
 
@@ -350,15 +402,10 @@ def distributional_memorization(
     _check_probs("model_probs", mod)
     if per_token:
         return _spearman(ref, mod)
-    uniq = np.unique(ids)
+    uniq, inv = np.unique(ids, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("need at least 2 examples to correlate")
-    ref_ll = np.empty(uniq.size)
-    mod_ll = np.empty(uniq.size)
-    log_ref = np.log(np.maximum(ref, LOG_PROB_FLOOR))
-    log_mod = np.log(np.maximum(mod, LOG_PROB_FLOOR))
-    for k, eid in enumerate(uniq):
-        mask = ids == eid
-        ref_ll[k] = log_ref[mask].sum()
-        mod_ll[k] = log_mod[mask].sum()
+    inv = inv.reshape(-1)
+    ref_ll = np.bincount(inv, weights=np.log(np.maximum(ref, LOG_PROB_FLOOR)))
+    mod_ll = np.bincount(inv, weights=np.log(np.maximum(mod, LOG_PROB_FLOOR)))
     return _spearman(ref_ll, mod_ll)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from specgeo import cli
 from specgeo.cli import cli_dispatch
 from specgeo.io import read_matrix, write_matrix
+from specgeo.ngram import TokenCorpus, build_index
 from specgeo.spectral import FeatureMatrix
 
 from test_io import synthetic_power_law_matrix
@@ -98,6 +100,74 @@ class TestNgramCommands:
         assert code == 0
         # "0 1" occurs once (doc 1), followed by 0
         assert doc["probs"] == [1.0, 0.0, 0.0]
+
+    @pytest.fixture()
+    def built_index(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(
+            " ".join(map(str, rng.integers(0, 6, size=int(rng.integers(5, 60)))))
+            for _ in range(8)) + "\n", encoding="utf-8")
+        index = tmp_path / "index.npz"
+        assert cli_dispatch(["ngram-build", "--corpus", str(corpus),
+                             "-o", str(index)]) == 0
+        capsys.readouterr()
+        return index
+
+    def test_query_from_stored_sa_equals_rebuilt(self, built_index, capsys,
+                                                 monkeypatch):
+        def query(context, *flags):
+            assert cli_dispatch(["ngram-query", "--index", str(built_index),
+                                 "--context", context, *flags]) == 0
+            return capsys.readouterr().out
+
+        contexts = ["", "0", "3 1", "1 2 3 4 5 0", "5 5 5 5 5 5 5 5", "9"]
+        loaded = [query(c, *f) for c in contexts for f in ([], ["--json"])]
+
+        def rebuild(path):
+            with np.load(path) as doc:
+                return build_index(TokenCorpus(
+                    tokens=doc["tokens"], doc_boundaries=doc["doc_boundaries"],
+                    vocab_size=int(doc["vocab_size"])))
+
+        monkeypatch.setattr(cli, "_load_index", rebuild)
+        assert loaded == [query(c, *f) for c in contexts for f in ([], ["--json"])]
+
+    @pytest.mark.parametrize("key", ["tokens", "doc_boundaries", "vocab_size", "sa"])
+    def test_index_missing_key_is_compute_error(self, built_index, tmp_path,
+                                                capsys, key):
+        with np.load(built_index) as doc:
+            arrays = {k: doc[k] for k in doc.files if k != key}
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        code = cli_dispatch(["ngram-query", "--index", str(broken), "--context", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("specgeo: error:")
+        assert repr(key) in err and str(broken) in err
+
+    def test_truncated_index_is_compute_error(self, built_index, tmp_path, capsys):
+        raw = built_index.read_bytes()
+        broken = tmp_path / "truncated.npz"
+        for cut in (10, len(raw) // 2, len(raw) - 10):
+            broken.write_bytes(raw[:cut])
+            code = cli_dispatch(["ngram-query", "--index", str(broken),
+                                 "--context", "0"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1
+            assert err.startswith(f"specgeo: error: {broken}: damaged index file")
+
+    def test_tampered_sa_is_compute_error(self, built_index, tmp_path, capsys):
+        with np.load(built_index) as doc:
+            arrays = {k: doc[k] for k in doc.files}
+        arrays["sa"][[10, 11]] = arrays["sa"][[11, 10]]
+        broken = tmp_path / "tampered.npz"
+        np.savez(broken, **arrays)
+        code = cli_dispatch(["ngram-query", "--index", str(broken), "--context", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "specgeo: error: suffix array is not in suffix order\n"
 
     def test_memorize(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"

@@ -205,6 +205,39 @@ class TestSweep:
         assert rec["retained_energy"] == pytest.approx(expected, abs=1e-8)
 
 
+class TestSweepNoCenter:
+    def manifest(self, tmp_path, fm):
+        write_matrix(fm, tmp_path / "a.mat")
+        doc = {"entries": [{"label": "x", "path": "a.mat"}],
+               "options": {"center": False}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return load_manifest(path)
+
+    def test_centred_matrix_matches_cli(self, tmp_path, capsys):
+        from specgeo.cli import cli_dispatch
+
+        fm = synthetic_power_law_matrix(np.random.default_rng(34), 1.2)
+        report = sweep(self.manifest(tmp_path, fm), base_dir=tmp_path)
+        assert report.ok
+        rec = report.records[0]
+        path = str(tmp_path / "a.mat")
+        assert cli_dispatch(["rankme", path, "--no-center", "--json"]) == 0
+        assert cli_dispatch(["alphareq", path, "--no-center", "--json"]) == 0
+        rank_doc, alpha_doc = map(json.loads, capsys.readouterr().out.splitlines())
+        assert rec["rankme"] == rank_doc["rankme"]
+        assert rec["alpha_req"] == alpha_doc["alpha_req"]
+        assert rec["fit_r2"] == alpha_doc["fit_r2"]
+        assert rec["fit_window"] == alpha_doc["fit_window"]
+
+    def test_uncentred_matrix_is_an_error_record(self, tmp_path):
+        fm = FeatureMatrix(np.random.default_rng(35).normal(size=(20, 4)) + 3.0)
+        report = sweep(self.manifest(tmp_path, fm), base_dir=tmp_path)
+        assert report.records == []
+        assert report.errors[0]["label"] == "x"
+        assert "centered flag set but column" in report.errors[0]["error"]
+
+
 def ablation_manifest(tmp_path, shapes, k, mode, rng):
     """Manifest of random matrices of the given shapes, all ablated."""
     entries = []

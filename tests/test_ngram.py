@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from specgeo.ngram import (
     ProbTrace,
+    SuffixIndex,
     TokenCorpus,
+    _average_ranks,
+    _suffix_array,
     build_index,
     distributional_memorization,
     infty_gram_next,
@@ -80,6 +83,94 @@ class TestBuildIndex:
         a = build_index(corpus)
         b = build_index(corpus)
         np.testing.assert_array_equal(a.sa, b.sa)
+
+
+def sorted_suffixes(tokens):
+    """Suffix array by sorting the suffixes themselves."""
+    return sorted(range(len(tokens)), key=lambda p: tokens[p:])
+
+
+class TestSuffixArray:
+    def test_matches_sorted_suffixes(self):
+        rng = np.random.default_rng(40)
+        for n in range(1, 61):
+            for vocab in range(1, 5):
+                tokens = rng.integers(0, vocab, size=n)
+                cuts = np.sort(rng.choice(np.arange(1, n + 1),
+                                          size=int(rng.integers(1, min(n, 4) + 1)),
+                                          replace=False))
+                corpus = make_corpus(tokens.tolist(), cuts.tolist(), vocab)
+                want = sorted_suffixes(tokens.tolist())
+                assert _suffix_array(corpus.tokens).tolist() == want
+                # document ends limit matches, not the order of suffixes
+                assert build_index(corpus).sa.tolist() == want
+
+    def test_sparse_token_ids(self):
+        # ids far above the corpus length still give dense packed ranks
+        tokens = [10**12, 3, 10**12, 3, 7]
+        corpus = make_corpus(tokens, vocab=10**12 + 1)
+        assert build_index(corpus).sa.tolist() == sorted_suffixes(tokens)
+
+    def test_overflowing_length_rejected(self):
+        # a zero-stride view: the length is real, the memory is not
+        huge = np.broadcast_to(np.int64(0), (3_100_000_000,))
+        with pytest.raises(ValueError, match="too long"):
+            _suffix_array(huge)
+
+
+class TestSuffixIndexCheck:
+    def setup_method(self):
+        self.corpus = make_corpus([2, 0, 1, 0, 1, 2, 0], boundaries=[3, 7])
+        self.good = build_index(self.corpus)
+
+    def make(self, sa):
+        return SuffixIndex(corpus=self.corpus, sa=sa, doc_end=self.good.doc_end)
+
+    def test_accepts_true_suffix_array(self):
+        idx = self.make(self.good.sa.astype(np.int32))
+        assert idx.sa.dtype == np.int64
+        np.testing.assert_array_equal(idx.sa, self.good.sa)
+
+    def test_rejects_swapped_pair(self):
+        for i in range(len(self.good) - 1):
+            sa = self.good.sa.copy()
+            sa[[i, i + 1]] = sa[[i + 1, i]]
+            with pytest.raises(ValueError, match="suffix order"):
+                self.make(sa)
+
+    def test_rejects_duplicate(self):
+        sa = self.good.sa.copy()
+        sa[3] = sa[4]
+        with pytest.raises(ValueError, match="permutation"):
+            self.make(sa)
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_rejects_out_of_range(self, bad):
+        sa = self.good.sa.copy()
+        sa[2] = bad
+        with pytest.raises(ValueError, match="outside"):
+            self.make(sa)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            self.make(self.good.sa[:-1])
+        with pytest.raises(ValueError, match="shape"):
+            self.make(np.append(self.good.sa, 0))
+
+    def test_rejects_float_dtype(self):
+        with pytest.raises(ValueError, match="integer"):
+            self.make(self.good.sa.astype(np.float64))
+
+    def test_rejects_wrong_doc_end(self):
+        with pytest.raises(ValueError, match="doc_end"):
+            SuffixIndex(corpus=self.corpus, sa=self.good.sa,
+                        doc_end=self.good.doc_end[:-1])
+
+    def test_rejects_empty_corpus(self):
+        corpus = make_corpus([], boundaries=[], vocab=1)
+        with pytest.raises(ValueError, match="empty"):
+            SuffixIndex(corpus=corpus, sa=np.zeros(0, dtype=np.int64),
+                        doc_end=np.zeros(0, dtype=np.int64))
 
 
 class TestPatternCount:
@@ -241,6 +332,62 @@ class TestJointLoglik:
         assert ll == pytest.approx(np.log(1e-12))
 
 
+class TestBackoffParity:
+    """joint_loglik's amortised backoff against one infty_gram_next per step."""
+
+    @staticmethod
+    def stepwise(idx, prefix, target):
+        probs, total = [], 0.0
+        for i, tok in enumerate(target):
+            pred = infty_gram_next(idx, list(prefix) + list(target[:i]))
+            p = float(pred.token_probs[tok]) if tok < pred.token_probs.size else 0.0
+            probs.append(p)
+            total += float(np.log(max(p, 1e-12)))
+        return total, np.asarray(probs)
+
+    def test_random_corpora(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            corpus = random_corpus(rng, max_len=150, max_vocab=6)
+            idx = build_index(corpus)
+            toks = corpus.tokens.tolist()
+            vocab = corpus.vocab_size
+            for _ in range(6):
+                start = int(rng.integers(0, len(toks)))
+                prefix = toks[start : start + int(rng.integers(0, 8))]
+                target = toks[start + len(prefix) : start + len(prefix) + 12]
+                # out-of-vocab ids (vocab, vocab + 2) and a jump back to
+                # the corpus start break the match mid-target
+                extra = rng.choice([0, vocab - 1, vocab, vocab + 2],
+                                   size=int(rng.integers(1, 6))).tolist()
+                target = (target + extra + toks[:5])[:20]
+                ll, probs = joint_loglik(idx, prefix, target)
+                want_ll, want_probs = self.stepwise(idx, prefix, target)
+                assert np.array_equal(probs, want_probs)
+                assert ll == want_ll
+
+    def test_unigram_fallback_and_regrowth(self):
+        # token 3 never occurs, so the match collapses to the unigram
+        # fallback and must grow back one token per step afterwards
+        idx = build_index(make_corpus([0, 1, 2, 0, 1, 2, 0, 1], vocab=4))
+        prefix, target = [0, 1, 2, 0], [1, 3, 0, 1, 2, 0, 1, 2, 5]
+        ll, probs = joint_loglik(idx, prefix, target)
+        want_ll, want_probs = self.stepwise(idx, prefix, target)
+        assert np.array_equal(probs, want_probs)
+        assert ll == want_ll
+        assert infty_gram_next(idx, prefix + target[:2]).suffix_len_used == 0
+        assert probs[-1] == 0.0  # out of vocab
+
+    def test_document_end_fallback(self):
+        # "1" only ends documents: no continuation, so the context falls
+        # back to the unigram distribution although the token occurs
+        idx = build_index(make_corpus([0, 1, 0, 0, 1], boundaries=[2, 5]))
+        ll, probs = joint_loglik(idx, [0], [1, 0, 0, 1, 1])
+        want_ll, want_probs = self.stepwise(idx, [0], [1, 0, 0, 1, 1])
+        assert np.array_equal(probs, want_probs)
+        assert ll == want_ll
+
+
 class TestNegativeIds:
     def test_infty_gram_context(self):
         idx = build_index(make_corpus([0, 1, 0, 1, 2]))
@@ -313,7 +460,81 @@ class TestSpearman:
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
+def average_ranks_loop(x):
+    """Tie-run average ranks, one run at a time."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def memorization_masked(ref, model, ids):
+    """Per-example log-likelihood sums by one mask per example."""
+    uniq = np.unique(ids)
+    log_ref = np.log(np.maximum(ref, 1e-12))
+    log_mod = np.log(np.maximum(model, 1e-12))
+    ref_ll = np.array([log_ref[ids == e].sum() for e in uniq])
+    mod_ll = np.array([log_mod[ids == e].sum() for e in uniq])
+    return spearman_naive(ref_ll, mod_ll)
+
+
+class TestAverageRanks:
+    def test_matches_loop_on_heavy_ties(self):
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 3, 17, 200):
+            for levels in (1, 2, 3, 10):
+                x = rng.integers(0, levels, size=n) / 4.0
+                assert np.array_equal(_average_ranks(x), average_ranks_loop(x))
+
+    def test_signed_zero_ties(self):
+        x = np.array([0.0, -0.0, 0.5, 0.0])
+        assert np.array_equal(_average_ranks(x), average_ranks_loop(x))
+
+
 class TestMemorization:
+    def test_matches_masked_grouping(self):
+        # Sums of different tokens differ by far more than round-off, and
+        # repeated examples tie exactly, so the two summation orders (one
+        # pass over all tokens, one masked sum per example) rank alike.
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            count = int(rng.integers(3, 40))
+            lengths = rng.integers(1, 12, size=count)
+            ref_ex = [rng.uniform(0.0, 1.0, size=k) for k in lengths]
+            mod_ex = [rng.uniform(0.0, 1.0, size=k) for k in lengths]
+            for a, b in rng.integers(0, count, size=(count // 3, 2)):
+                if lengths[a] == lengths[b]:
+                    ref_ex[b], mod_ex[b] = ref_ex[a], mod_ex[a].copy()
+                    mod_ex[b][0] = 0.0  # floored zeros tie as well
+                    mod_ex[a] = mod_ex[b]
+            # non-contiguous labels; the examples' tokens interleave at
+            # random, each example keeping its own token order
+            labels = np.repeat(rng.choice(10_000, size=count, replace=False), lengths)
+            slots = rng.permutation(labels.size)
+            bounds = np.cumsum(lengths)[:-1]
+            slots = np.concatenate([np.sort(c) for c in np.split(slots, bounds)])
+            ids, ref, model = (np.empty(labels.size), np.empty(labels.size),
+                               np.empty(labels.size))
+            ids[slots], ref[slots] = labels, np.concatenate(ref_ex)
+            model[slots] = np.concatenate(mod_ex)
+            got = distributional_memorization(ref, model, ids)
+            assert got == pytest.approx(memorization_masked(ref, model, ids),
+                                        abs=1e-12)
+
+    def test_string_ids(self):
+        ids = np.array(["b", "a", "c", "a", "b", "c"])
+        ref = np.array([0.5, 0.2, 0.9, 0.4, 0.3, 0.8])
+        model = np.array([0.6, 0.1, 0.7, 0.5, 0.2, 0.9])
+        got = distributional_memorization(ref, model, ids)
+        assert got == pytest.approx(memorization_masked(ref, model, ids), abs=1e-12)
+
     def test_identical_probs(self):
         probs = np.array([0.5, 0.25, 0.125, 0.4, 0.6, 0.1])
         ids = np.array([0, 0, 0, 1, 1, 2])

@@ -214,21 +214,35 @@ def _cmd_ngram_query(args) -> int:
     return 0
 
 
-def _read_trace_csv(path) -> dict:
-    """CSV of (example_id, token_index, prob); header row optional."""
-    rows = []
+def _read_csv_rows(path, fields: int, parse) -> list:
+    """``parse(row)`` of each non-blank CSV row of ``path``.  Only the first
+    non-blank row may be short or fail to parse (a header); any other such
+    row, or a file without data rows, is an error naming the file."""
+    out, first = [], True
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
+        reader = csv.reader(fh)
+        for row in reader:
+            if not "".join(row).strip():
                 continue
             try:
-                rows.append((row[0].strip(), int(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                if not rows:  # tolerate one header line
-                    continue
-                raise ValueError(f"malformed trace row in {path}: {row}")
-    if not rows:
+                if len(row) < fields:
+                    raise ValueError(f"{len(row)} of {fields} fields")
+                out.append(parse(row))
+            except ValueError as exc:
+                if not first:
+                    raise ValueError(f"{path}: malformed row at line "
+                                     f"{reader.line_num} ({exc}): {row}") from None
+            first = False
+    if not out:
         raise ValueError(f"no data rows in {path}")
+    return out
+
+
+def _read_trace_csv(path) -> dict:
+    """CSV of (example_id, token_index, prob); header row optional."""
+    rows = _read_csv_rows(
+        path, 3, lambda row: (row[0].strip(), int(row[1]), float(row[2]))
+    )
     rows.sort(key=lambda r: (r[0], r[1]))
     return {
         "keys": [(r[0], r[1]) for r in rows],
@@ -361,26 +375,9 @@ def _cmd_toy_verify(args) -> int:
 
 # ---------------------------------------------------------------- eval
 
-def _read_passk_csv(path) -> list[tuple[int, int]]:
-    """CSV of (problem_id, N, c); header row optional."""
-    problems = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                problems.append((int(row[1]), int(row[2])))
-            except (ValueError, IndexError):
-                if not problems:
-                    continue
-                raise ValueError(f"malformed pass@k row in {path}: {row}")
-    if not problems:
-        raise ValueError(f"no data rows in {path}")
-    return problems
-
-
 def _cmd_passk(args) -> int:
-    problems = _read_passk_csv(args.input)
+    # CSV of (problem_id, N, c)
+    problems = _read_csv_rows(args.input, 3, lambda row: (int(row[1]), int(row[2])))
     ks = [int(v) for v in args.k.split(",")]
     result = {str(k): pass_at_k(problems, k) for k in ks}
     _emit(args, result,
@@ -389,19 +386,9 @@ def _cmd_passk(args) -> int:
 
 
 def _cmd_dpo_check(args) -> int:
-    triples = []
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                triples.append(PreferenceTriple(float(row[0]), float(row[1])))
-            except ValueError:
-                if not triples:
-                    continue
-                raise
-    if not triples:
-        raise ValueError(f"no data rows in {args.input}")
+    triples = _read_csv_rows(
+        args.input, 2, lambda row: PreferenceTriple(float(row[0]), float(row[1]))
+    )
     loss = dpo_loss(triples)
     gap = dpo_nce_identity(triples)
     _emit(args, {"dpo_loss": loss, "max_identity_gap": gap},

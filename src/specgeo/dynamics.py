@@ -22,21 +22,30 @@ with the odds of the row's own token multiplied by ``label_odds``; at
 ``label_odds = inf`` P is the one-hot label matrix.  Every row of A sums
 to zero for all three losses.
 
+Because S S^T = I, the theta step is exactly f <- f - eta * A W^T.
+``run_trajectory`` steps (f, W) only, copies them into snapshot arrays at
+record points, and computes every observable afterwards from the stacked
+snapshots, a block of records at a time; a run from theta_0 ends at
+theta_0 + S^T (f - f_0).  ``gd_step`` takes the same step and rebuilds
+theta + S^T (f' - f).  ``DivergenceError`` names the first record step
+whose parameters or logits are not finite.
+
 With the balanced initialization f^T f = W W^T, the continuous flow keeps
 the right singular vectors of f equal to the left singular vectors of W
 and their singular values pairwise matched; the per-step records carry
-everything needed to verify that alignment, its conservation law, and the
+everything needed to verify that alignment, its conservation law (Du, Hu
+& Lee 2018: f^T f - W W^T is constant under the flow), and the
 proportional-growth law sigma_dot_i = -eta * g_i * sigma_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .spectral import EigenSpectrum, rankme
+from .spectral import _entropy_rank
 
 __all__ = [
     "ToyConfig",
@@ -59,9 +68,14 @@ LOSS_KINDS = ("xent_exact", "xent_linearized", "mse")
 
 _INIT_SCALE = 1e-2
 
+_GAP_RTOL = 1e-6  # singular values this close are degenerate, see _alignment_error
+
+# Records per block of the observables pass; bounds its working set.
+_BLOCK = 4096
+
 
 class DivergenceError(RuntimeError):
-    """A gradient step produced non-finite parameters."""
+    """A gradient step produced non-finite parameters or logits."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,6 @@ class ToyModelState:
     labels: np.ndarray  # class id per row
     targets: np.ndarray  # b x vocab next-token distribution per row
     balance_residual: float  # ||f^T f - W W^T||_F at creation
-    degenerate: bool = False  # theta == 0 (W is then forced to 0 too)
 
     def features(self) -> np.ndarray:
         return self.inputs @ self.theta
@@ -180,7 +193,7 @@ def init_balanced(cfg: ToyConfig, scale: float = _INIT_SCALE) -> ToyModelState:
     (Q random orthogonal), which enforces f^T f = W W^T exactly.
 
     ``scale`` sets the size of theta's entries; scale 0 yields the
-    degenerate all-zero model, which is flagged but not rejected.
+    degenerate all-zero model (W is then 0 too), which is not rejected.
     """
     rng = np.random.default_rng(cfg.seed)
     b = cfg.batch_size
@@ -200,7 +213,6 @@ def init_balanced(cfg: ToyConfig, scale: float = _INIT_SCALE) -> ToyModelState:
     q = q * np.sign(np.diag(rq))
     w = v1t.T @ np.diag(s1) @ q[:, :r].T
     residual = float(np.linalg.norm(f.T @ f - w @ w.T))
-    degenerate = not np.any(theta)
     return ToyModelState(
         theta=theta,
         w=w,
@@ -208,18 +220,22 @@ def init_balanced(cfg: ToyConfig, scale: float = _INIT_SCALE) -> ToyModelState:
         labels=labels,
         targets=target_matrix(labels, cfg.class_counts, cfg.label_odds),
         balance_residual=residual,
-        degenerate=degenerate,
     )
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, with max subtraction."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_alpha(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
+    """Row-wise softmax with max subtraction; the logits must be finite."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(logits)
 
 
 def _onehot(labels: np.ndarray, vocab: int) -> np.ndarray:
@@ -290,39 +306,42 @@ def _error_matrix(
     loss_kind: str,
     frozen_alpha: Optional[np.ndarray],
 ) -> np.ndarray:
-    """The one definition of A used by every step (see module docstring)."""
+    """The one definition of A (see module docstring), for one b x vocab
+    logit matrix or a stack of them."""
     if loss_kind == "mse":
         return logits - targets
     if loss_kind == "xent_linearized":
         if frozen_alpha is None:
             raise ValueError("linearized loss needs the expansion-point alpha")
         return frozen_alpha - targets
-    return softmax_alpha(logits) - targets
+    return _softmax(logits) - targets
 
 
-def _loss_value(
+def _loss(
     logits: np.ndarray,
     targets: np.ndarray,
     loss_kind: str,
     frozen_alpha: Optional[np.ndarray],
-) -> float:
-    """Summed loss whose logit gradient is ``_error_matrix``.
+) -> np.ndarray:
+    """Loss whose logit gradient is ``_error_matrix``, summed over the
+    batch: one value per b x vocab logit matrix of a stack.
 
     Cross-entropy against P is bounded below by the target entropy
     sum_r H(P_r), which is 0 only for one-hot targets.
     """
     if loss_kind == "mse":
         resid = logits - targets
-        return 0.5 * float(np.sum(resid * resid))
-    target_logit = np.sum(targets * logits, axis=1)
+        return 0.5 * np.sum(resid * resid, axis=(-2, -1))
+    target_logit = np.sum(targets * logits, axis=-1)
     if loss_kind == "xent_linearized":
         alpha = frozen_alpha
-        ent = -np.sum(alpha * np.log(alpha), axis=1)
-        vals = -target_logit + np.sum(alpha * logits, axis=1) + ent
-        return float(np.sum(vals))
-    zmax = logits.max(axis=1)
-    lse = zmax + np.log(np.sum(np.exp(logits - zmax[:, None]), axis=1))
-    return float(np.sum(lse - target_logit))
+        ent = -np.sum(alpha * np.log(alpha), axis=-1)
+        vals = -target_logit + np.sum(alpha * logits, axis=-1) + ent
+    else:
+        zmax = logits.max(axis=-1, keepdims=True)
+        lse = zmax[..., 0] + np.log(np.sum(np.exp(logits - zmax), axis=-1))
+        vals = lse - target_logit
+    return np.sum(vals, axis=-1)
 
 
 def linearized_loss_value(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -331,8 +350,8 @@ def linearized_loss_value(logits: np.ndarray, targets: np.ndarray) -> float:
     exact cross-entropy at that point.  ``targets`` as in ``a_matrix``."""
     logits = np.asarray(logits, dtype=np.float64)
     alpha = softmax_alpha(logits)
-    return _loss_value(
-        logits, _as_targets(targets, logits.shape), "xent_linearized", alpha
+    return float(
+        _loss(logits, _as_targets(targets, logits.shape), "xent_linearized", alpha)
     )
 
 
@@ -340,66 +359,49 @@ def exact_xent_value(logits: np.ndarray, targets: np.ndarray) -> float:
     """Cross-entropy -sum_c P_c log softmax(logits)_c, summed over the
     batch.  ``targets`` as in ``a_matrix``."""
     logits = np.asarray(logits, dtype=np.float64)
-    return _loss_value(
-        logits, _as_targets(targets, logits.shape), "xent_exact", None
-    )
+    return float(_loss(logits, _as_targets(targets, logits.shape), "xent_exact", None))
+
+
+def _step(f, w, targets, loss_kind: str, lr: float, frozen_alpha):
+    """The one gradient step, on the features: exact because S S^T = I."""
+    # dot, not @: on matrices this small, matmul's dispatch dominates
+    lr_a = lr * _error_matrix(f.dot(w), targets, loss_kind, frozen_alpha)
+    return f - lr_a.dot(w.T), w - f.T.dot(lr_a)
 
 
 def gd_step(
     state: ToyModelState, cfg: ToyConfig, frozen_alpha: Optional[np.ndarray] = None
 ) -> ToyModelState:
-    """One simultaneous Euler step of the flow; raises on divergence."""
+    """One simultaneous Euler step of the flow, theta rebuilt as
+    theta + S^T (f' - f); raises on divergence."""
     f = state.features()
-    a = _error_matrix(f @ state.w, state.targets, cfg.loss_kind, frozen_alpha)
-    theta = state.theta - cfg.lr * state.inputs.T @ (a @ state.w.T)
-    w = state.w - cfg.lr * f.T @ a
+    f_new, w = _step(f, state.w, state.targets, cfg.loss_kind, cfg.lr, frozen_alpha)
+    theta = state.theta + state.inputs.T @ (f_new - f)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
         raise DivergenceError(
             f"non-finite parameters after a step at lr={cfg.lr}; "
             "reduce the learning rate or the step count"
         )
-    return ToyModelState(
-        theta=theta,
-        w=w,
-        inputs=state.inputs,
-        labels=state.labels,
-        targets=state.targets,
-        balance_residual=state.balance_residual,
-        degenerate=state.degenerate,
-    )
+    return replace(state, theta=theta, w=w)
 
 
-def _canonical_svd(m: np.ndarray):
-    """SVD with descending values and sign-fixed singular vectors: the
-    largest-magnitude entry of each left vector is made positive."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    signs = np.empty(s.size)
-    for i in range(s.size):
-        j = int(np.argmax(np.abs(u[:, i])))
-        signs[i] = 1.0 if u[j, i] >= 0 else -1.0
-    u = u * signs
-    vt = vt * signs[:, None]
-    return u, s, vt
+def _ties(s: np.ndarray, gap_rtol: float) -> np.ndarray:
+    """Per neighbouring pair of descending values: gap < gap_rtol * largest."""
+    return s[..., :-1] - s[..., 1:] < gap_rtol * np.maximum(s[..., :1], 1e-300)
 
 
-def _degenerate_blocks(s: np.ndarray, gap_rtol: float) -> list[list[int]]:
-    """Group consecutive indices whose singular values are within
-    ``gap_rtol`` of the largest one of each other."""
-    scale = max(float(s[0]), 1e-300)
-    blocks = [[0]]
-    for i in range(1, s.size):
-        if (s[i - 1] - s[i]) < gap_rtol * scale:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return blocks
+def _vector_alignment_error(v1t: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """|| |V1^T U2| - I ||_F over the shared top block, for one pair or a stack."""
+    r = min(v1t.shape[-2], u2.shape[-1])
+    m = np.abs(v1t[..., :r, :] @ u2[..., :, :r]) - np.eye(r)
+    return np.sqrt(np.sum(m * m, axis=(-2, -1)))
 
 
 def _alignment_error(
     v1t: np.ndarray,
     u2: np.ndarray,
-    s: np.ndarray = None,
-    gap_rtol: float = 1e-6,
+    s: np.ndarray,
+    gap_rtol: float = _GAP_RTOL,
 ) -> tuple[float, bool]:
     """|| |V1^T U2| - I ||_F over the shared top block.
 
@@ -409,12 +411,11 @@ def _alignment_error(
     projectors instead.  Returns (error, grouped_flag).
     """
     r = min(v1t.shape[0], u2.shape[1])
-    blocks = _degenerate_blocks(s[:r], gap_rtol) if s is not None else None
-    if blocks is None or all(len(b) == 1 for b in blocks):
-        m = np.abs(v1t[:r] @ u2[:, :r]) - np.eye(r)
-        return float(np.linalg.norm(m)), False
+    tied = _ties(s[:r], gap_rtol)
+    if not tied.any():
+        return float(_vector_alignment_error(v1t, u2)), False
     total = 0.0
-    for block in blocks:
+    for block in np.split(np.arange(r), np.flatnonzero(~tied) + 1):
         v_b = v1t[block].T  # d x |B| basis from f's right factors
         u_b = u2[:, block]
         if len(block) == 1:
@@ -425,91 +426,89 @@ def _alignment_error(
     return float(np.sqrt(total)), True
 
 
+def _observables(f, w, state: ToyModelState, loss_kind: str, frozen_alpha) -> dict:
+    """Every per-record column of ``TrajectoryRecord`` for a stack of
+    snapshots f (n, b, d) and W (n, d, vocab)."""
+    logits = f @ w
+    a = _error_matrix(logits, state.targets, loss_kind, frozen_alpha)
+    a = np.broadcast_to(a, logits.shape)  # the linearized A is one matrix
+    u1, s1, v1t = np.linalg.svd(f, full_matrices=False)
+    u2, s2, v2t = np.linalg.svd(w, full_matrices=False)
+    r = min(s1.shape[-1], s2.shape[-1])
+    # g_i = u1_i^T A v2_i, W's pair signed so that u2_i . v1_i >= 0 as the
+    # balanced flow keeps it: g is then independent of the SVD's signs
+    lock = np.where(np.einsum("nid,ndi->ni", v1t[:, :r], u2[..., :r]) < 0, -1.0, 1.0)
+    g = lock * np.einsum("nbi,nbv,niv->ni", u1[..., :r], a, v2t[:, :r])
+
+    s = (s1[:, :r] + s2[:, :r]) / 2
+    align_err = _vector_alignment_error(v1t, u2)
+    grouped = _ties(s, _GAP_RTOL).any(axis=-1)
+    for i in np.flatnonzero(grouped):
+        align_err[i], _ = _alignment_error(v1t[i], u2[i], s[i])
+
+    # per class, the mean over its rows of own logit - best other logit
+    onehot = _onehot(state.labels, logits.shape[-1])
+    own = logits[:, np.arange(state.labels.size), state.labels]
+    sums = (own - np.where(onehot > 0, -np.inf, logits).max(axis=-1)) @ onehot
+    counts = onehot.sum(axis=0)
+    margins = np.divide(sums, counts, out=np.full_like(sums, np.nan), where=counts > 0)
+
+    return {
+        "loss": _loss(logits, state.targets, loss_kind, frozen_alpha),
+        # RankMe is scale-free: that of f^T f equals that of f^T f / b
+        "rankme": _entropy_rank(s1 * s1),
+        "sigma_f": s1,
+        "sigma_w": s2,
+        "align_err": align_err,
+        "align_grouped": grouped,
+        "conserve_err": np.linalg.norm(
+            f.transpose(0, 2, 1) @ f - w @ w.transpose(0, 2, 1), axis=(-2, -1)
+        ),
+        "a_norm": np.linalg.norm(a, axis=(-2, -1)),
+        "g": g,
+        "margins": margins,
+    }
+
+
 def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
     """Run the configured number of steps and record spectral observables.
 
+    Records every ``record_every`` steps and at the last step.
     Deterministic given the config (the seed fixes the initialization and
-    the rest of the run has no randomness).
+    the rest of the run has no randomness).  Raises ``DivergenceError``
+    at the first record step whose parameters or logits are not finite.
     """
     state = init_balanced(cfg)
     frozen_alpha = None
     if cfg.loss_kind == "xent_linearized":
         frozen_alpha = softmax_alpha(state.logits())
 
-    steps, losses, ranks = [], [], []
-    sig_f, sig_w, aligns, conserves, a_norms, gs, margins = [], [], [], [], [], [], []
-    align_grouped = []
+    steps = np.append(np.arange(0, cfg.steps, cfg.record_every), cfg.steps)
+    f, w = state.features(), state.w
+    fs, ws = np.empty((steps.size,) + f.shape), np.empty((steps.size,) + w.shape)
+    args = (state.targets, cfg.loss_kind, cfg.lr, frozen_alpha)
+    done = 0
+    # a diverging run overflows to inf and NaN; the record check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(steps.tolist()):
+            for _ in range(t - done):
+                f, w = _step(f, w, *args)
+            done = t
+            # non-finite parameters make the logits non-finite too
+            if not np.isfinite(f.dot(w)).all():
+                raise DivergenceError(
+                    f"non-finite parameters or logits at record step {t} "
+                    f"with lr={cfg.lr}; reduce the learning rate or the step count"
+                )
+            fs[k], ws[k] = f, w
 
-    # hot loop on raw arrays; update expressions match gd_step exactly
-    inputs, labels, targets = state.inputs, state.labels, state.targets
-    theta, w = state.theta, state.w
-    kind, lr = cfg.loss_kind, cfg.lr
-    for t in range(cfg.steps + 1):
-        f = inputs @ theta
-        logits = f @ w
-        a = _error_matrix(logits, targets, kind, frozen_alpha)
-        if t % cfg.record_every == 0 or t == cfg.steps:
-            u1, s1, v1t = _canonical_svd(f)
-            u2, s2, v2t = _canonical_svd(w)
-            r = min(s1.size, s2.size)
-            # lock W's sign frame to f's (the balanced flow keeps U2 = V1,
-            # so make the paired columns positively aligned)
-            flips = np.sign(np.einsum("ij,ji->i", v1t[:r], u2[:, :r]))
-            flips[flips == 0] = 1.0
-            u2[:, :r] *= flips
-            v2t[:r] *= flips[:, None]
-            g = np.einsum("bi,bv,vi->i", u1[:, :r], a, v2t[:r].T)
-            lam = s1**2
-            spec = EigenSpectrum(values=np.sort(lam)[::-1] / max(f.shape[0], 1))
-            steps.append(t)
-            losses.append(_loss_value(logits, targets, kind, frozen_alpha))
-            ranks.append(rankme(spec) if lam.sum() > 0 else float("nan"))
-            sig_f.append(s1)
-            sig_w.append(s2)
-            err, grouped = _alignment_error(v1t, u2, (s1[:r] + s2[:r]) / 2)
-            aligns.append(err)
-            align_grouped.append(grouped)
-            conserves.append(float(np.linalg.norm(f.T @ f - w @ w.T)))
-            a_norms.append(float(np.linalg.norm(a)))
-            gs.append(g)
-            margins.append(_class_margins(logits, labels, cfg.vocab))
-        if t == cfg.steps:
-            break
-        theta = theta - lr * inputs.T @ (a @ w.T)
-        w = w - lr * f.T @ a
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
-            raise DivergenceError(
-                f"non-finite parameters at step {t + 1} with lr={lr}; "
-                "reduce the learning rate or the step count"
-            )
-
-    return TrajectoryRecord(
-        cfg=cfg,
-        steps=np.asarray(steps),
-        loss=np.asarray(losses),
-        rankme=np.asarray(ranks),
-        sigma_f=np.asarray(sig_f),
-        sigma_w=np.asarray(sig_w),
-        align_err=np.asarray(aligns),
-        align_grouped=np.asarray(align_grouped),
-        conserve_err=np.asarray(conserves),
-        a_norm=np.asarray(a_norms),
-        g=np.asarray(gs),
-        margins=np.asarray(margins),
-    )
-
-
-def _class_margins(logits: np.ndarray, labels: np.ndarray, vocab: int) -> np.ndarray:
-    """Mean over each class's rows of (own logit - best other logit)."""
-    out = np.full(vocab, np.nan)
-    for c in range(vocab):
-        rows = logits[labels == c]
-        if rows.size == 0:
-            continue
-        others = rows.copy()
-        others[:, c] = -np.inf
-        out[c] = float(np.mean(rows[:, c] - others.max(axis=1)))
-    return out
+    blocks = [
+        _observables(fs[i:i + _BLOCK], ws[i:i + _BLOCK], state, cfg.loss_kind,
+                     frozen_alpha)
+        for i in range(0, steps.size, _BLOCK)
+    ]
+    cols = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    return TrajectoryRecord(cfg=cfg, steps=steps, **cols)
 
 
 def smooth_series(x: np.ndarray, window: int) -> np.ndarray:

@@ -189,13 +189,21 @@ def rankme(spec: EigenSpectrum) -> float:
 
     Zero eigenvalues contribute nothing (0 * ln 0 = 0 limit convention).
     """
-    values = spec.values
-    total = values.sum()
-    if total <= 0.0:
+    if spec.values.sum() <= 0.0:
         raise ValueError("rankme undefined for an all-zero spectrum")
-    p = values / total
-    p = p[p > 0]
-    return float(np.exp(-np.sum(p * np.log(p))))
+    return float(_entropy_rank(spec.values))
+
+
+def _entropy_rank(values: np.ndarray) -> np.ndarray:
+    """exp of the Shannon entropy of nonincreasing ``values`` normalized
+    along the last axis (0 ln 0 = 0); NaN where they sum to zero."""
+    total = values.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = values / total
+        # trailing zeros left out, so padding does not change the round-off
+        p = p[..., : np.count_nonzero(p > 0, axis=-1).max(initial=0)]
+        entropy = -np.sum(np.where(p > 0, p * np.log(p), 0.0), axis=-1)
+    return np.where(total[..., 0] > 0, np.exp(entropy), np.nan)
 
 
 def alpha_req(

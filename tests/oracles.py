@@ -231,3 +231,104 @@ def rankme_mp(values, dps: int = 50) -> float:
 def softplus_mp(x: float, dps: int = 50) -> float:
     with mpmath.workdps(dps):
         return float(mpmath.log(1 + mpmath.exp(mpmath.mpf(x))))
+
+
+# ------------------------------------------------------------ dynamics
+
+def trajectory_reference(cfg) -> dict:
+    """Every ``TrajectoryRecord`` column of ``run_trajectory(cfg)``, from
+    repeated ``gd_step`` on theta, with one SVD of f and one of W per
+    recorded step and each observable written out per row, per class and
+    per singular pair."""
+    from specgeo.dynamics import gd_step, init_balanced, softmax_alpha
+
+    state = init_balanced(cfg)
+    frozen = None
+    if cfg.loss_kind == "xent_linearized":
+        frozen = softmax_alpha(state.logits())
+    cols = {}
+    for t in range(cfg.steps + 1):
+        if t % cfg.record_every == 0 or t == cfg.steps:
+            record = _reference_record(state, cfg.loss_kind, frozen)
+            for name, value in dict(steps=t, **record).items():
+                cols.setdefault(name, []).append(value)
+        if t < cfg.steps:
+            state = gd_step(state, cfg, frozen)
+    return {name: np.asarray(values) for name, values in cols.items()}
+
+
+def _reference_record(state, loss_kind, frozen, gap_rtol=1e-6) -> dict:
+    f = state.inputs @ state.theta
+    w = state.w
+    z = f @ w
+    p = state.targets
+    b, vocab = z.shape
+    if loss_kind == "mse":
+        a = z - p
+        loss = 0.5 * math.fsum(float(x) ** 2 for x in a.ravel())
+    elif loss_kind == "xent_linearized":
+        a = frozen - p  # tangent plane at alpha_0: (alpha_0 - P) . z + H(alpha_0)
+        loss = math.fsum(
+            float(a[r, c] * z[r, c] - frozen[r, c] * math.log(frozen[r, c]))
+            for r in range(b) for c in range(vocab)
+        )
+    else:
+        a = np.empty_like(z)
+        loss = 0.0
+        for r in range(b):
+            top = max(z[r])
+            exps = [math.exp(v - top) for v in z[r]]
+            total = math.fsum(exps)
+            a[r] = [e / total - p[r, c] for c, e in enumerate(exps)]
+            loss += top + math.log(total) - math.fsum(p[r] * z[r])
+
+    u1, s1, v1t = np.linalg.svd(f, full_matrices=False)
+    u2, s2, v2t = np.linalg.svd(w, full_matrices=False)
+    r = min(s1.size, s2.size)
+
+    lam = s1 ** 2
+    shares = [v / math.fsum(lam) for v in lam if v > 0]
+    rank = math.exp(-math.fsum(q * math.log(q) for q in shares)) if shares else math.nan
+
+    # W's pair i signed so that u2_i . v1_i >= 0
+    g = [(1.0 if v1t[i] @ u2[:, i] >= 0 else -1.0) * float(u1[:, i] @ a @ v2t[i])
+         for i in range(r)]
+
+    s = (s1[:r] + s2[:r]) / 2
+    blocks = [[0]]
+    for i in range(1, r):
+        if s[i - 1] - s[i] < gap_rtol * max(s[0], 1e-300):
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    grouped = any(len(block) > 1 for block in blocks)
+    sq = 0.0
+    if not grouped:
+        for i in range(r):
+            for j in range(r):
+                sq += (abs(float(v1t[i] @ u2[:, j])) - (i == j)) ** 2
+    else:
+        for block in blocks:
+            v_b, u_b = v1t[block].T, u2[:, block]
+            diff = v_b @ v_b.T - u_b @ u_b.T
+            sq += (abs(float(v_b[:, 0] @ u_b[:, 0])) - 1.0) ** 2 if len(block) == 1 \
+                else float(np.sum(diff * diff))
+
+    margins = []
+    for c in range(vocab):
+        gaps = [z[row, c] - max(z[row, k] for k in range(vocab) if k != c)
+                for row in range(b) if state.labels[row] == c]
+        margins.append(math.fsum(gaps) / len(gaps) if gaps else math.nan)
+
+    return {
+        "loss": loss,
+        "rankme": rank,
+        "sigma_f": s1,
+        "sigma_w": s2,
+        "align_err": math.sqrt(sq),
+        "align_grouped": grouped,
+        "conserve_err": float(np.linalg.norm(f.T @ f - w @ w.T)),
+        "a_norm": math.sqrt(math.fsum(float(x) ** 2 for x in a.ravel())),
+        "g": np.asarray(g),
+        "margins": np.asarray(margins),
+    }

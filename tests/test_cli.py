@@ -1,6 +1,7 @@
 """End-to-end command-line interface tests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from specgeo.io import read_matrix, write_matrix
 from specgeo.ngram import TokenCorpus, build_index
 from specgeo.spectral import FeatureMatrix
 
+from test_dynamics import DIVERGING
 from test_io import synthetic_power_law_matrix
 
 
@@ -195,6 +197,16 @@ class TestNgramCommands:
         code = cli_dispatch(["memorize", "--ref", str(ref), "--model", str(model)])
         assert code == 1
 
+    def test_memorize_second_non_data_line_is_error(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text("example_id,token_index,prob\nnote,line,here\n"
+                        "e0,0,0.5\ne1,0,0.25\n", encoding="utf-8")
+        code = cli_dispatch(["memorize", "--ref", str(path), "--model", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("specgeo: error:") and err.count("\n") == 1
+        assert "line 2" in err
+
 
 class TestToyCommands:
     def test_toy_run(self, tmp_path, capsys):
@@ -272,6 +284,17 @@ class TestToyCommands:
         assert cli_dispatch(["toy-verify", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(DIVERGING))
+    def test_divergence_is_one_error_line(self, tmp_path, capsys, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would fail here
+            code, err = self._toy_run(tmp_path, capsys, "".join(
+                f"{key} = {value}\n" for key, value in DIVERGING[name].items()))
+        assert code == 1
+        assert err.startswith("specgeo: error:") and err.count("\n") == 1
+        assert "record step" in err
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
+
 
 class TestEvalCommands:
     def test_passk(self, tmp_path, capsys):
@@ -285,6 +308,16 @@ class TestEvalCommands:
         assert doc["2"] == pytest.approx(0.5, abs=1e-12)
         assert doc["4"] == pytest.approx(2 / 3, abs=1e-12)
 
+    def test_passk_second_non_data_line_is_error(self, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_text("problem_id,N,c\nnote,line,here\np0,4,1\n",
+                        encoding="utf-8")
+        code = cli_dispatch(["passk", "--input", str(path), "--k", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("specgeo: error:") and err.count("\n") == 1
+        assert "line 2" in err
+
     def test_dpo_check(self, tmp_path, capsys):
         path = tmp_path / "rewards.csv"
         path.write_text("r_w,r_l\n1.0,1.0\n3.0,-3.0\n", encoding="utf-8")
@@ -292,6 +325,15 @@ class TestEvalCommands:
                                       "--json"])
         assert code == 0
         assert doc["max_identity_gap"] <= 1e-10
+
+    def test_dpo_check_short_row_is_error(self, tmp_path, capsys):
+        path = tmp_path / "rewards.csv"
+        path.write_text("chosen,rejected\n1.0,0.5\n2.0\n", encoding="utf-8")
+        code = cli_dispatch(["dpo-check", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("specgeo: error:") and err.count("\n") == 1
+        assert "line 3" in err
 
 
 class TestExitCodes:

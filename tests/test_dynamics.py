@@ -1,5 +1,7 @@
 """Linear-model gradient dynamics: init, gradients, conservation laws."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,18 @@ from specgeo.dynamics import (
 )
 from specgeo.spectral import EigenSpectrum, rankme
 
-from oracles import softmax_mp
+from oracles import softmax_mp, trajectory_reference
 
 
 SHORT = ToyConfig(steps=400)
 INF = float("inf")
+
+# configs that diverge within a few dozen steps, one under a loss with a
+# softmax and one without
+DIVERGING = {
+    "mse": dict(loss_kind="mse", lr=50.0),
+    "xent": dict(lr=400.0, steps=2000),
+}
 
 
 def _random_targets(rng, b, vocab):
@@ -55,7 +64,6 @@ class TestInitBalanced:
 
     def test_zero_theta_degenerate(self):
         state = init_balanced(ToyConfig(seed=0), scale=0.0)
-        assert state.degenerate
         assert np.all(state.w == 0.0)
         assert state.balance_residual == 0.0
 
@@ -302,30 +310,31 @@ class TestGdStep:
         np.testing.assert_allclose(after.theta, theta_expected, atol=1e-12)
         np.testing.assert_allclose(after.w, w_expected, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["xent_exact", "xent_linearized", "mse"])
-    def test_trajectory_loop_matches_gd_step(self, kind):
-        # the recorded run and repeated gd_step share one target and one
-        # error matrix, so they land on the same parameters
-        cfg = ToyConfig(steps=60, loss_kind=kind, seed=4)
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(ToyConfig(steps=200, seed=4, loss_kind=kind), id=kind)
+        for kind in ("xent_exact", "xent_linearized", "mse")
+    ] + [
+        pytest.param(ToyConfig(steps=200, seed=4, label_odds=INF), id="onehot"),
+        # 200 is off the 7-step grid, so the final record is forced
+        pytest.param(ToyConfig(steps=200, seed=4, record_every=7), id="every7"),
+    ])
+    def test_trajectory_loop_matches_gd_step(self, cfg):
+        # the f-space loop with stacked observables against repeated
+        # gd_step on theta with every observable computed per record
         traj = run_trajectory(cfg)
-        state = init_balanced(cfg)
-        frozen = softmax_alpha(state.logits()) if kind == "xent_linearized" else None
-        for _ in range(cfg.steps):
-            state = gd_step(state, cfg, frozen)
-        s_f = np.linalg.svd(state.features(), compute_uv=False)
-        s_w = np.linalg.svd(state.w, compute_uv=False)
-        np.testing.assert_allclose(traj.sigma_f[-1], s_f, rtol=1e-12)
-        np.testing.assert_allclose(traj.sigma_w[-1], s_w[:traj.sigma_w.shape[1]],
-                                   rtol=1e-12)
-        logits = state.logits()
-        if kind == "mse":
-            expected = 0.5 * float(np.sum((logits - state.targets) ** 2))
-        elif kind == "xent_exact":
-            expected = exact_xent_value(logits, state.targets)
-        else:
-            expected = float(np.sum((frozen - state.targets) * logits)
-                             - np.sum(frozen * np.log(frozen)))
-        assert traj.loss[-1] == pytest.approx(expected, rel=1e-12)
+        ref = trajectory_reference(cfg)
+        assert set(ref) == set(vars(traj)) - {"cfg"}
+        np.testing.assert_array_equal(traj.steps, ref["steps"])
+        np.testing.assert_array_equal(traj.align_grouped, ref["align_grouped"])
+        for name in ("loss", "rankme", "sigma_f", "sigma_w", "a_norm", "g",
+                     "margins"):
+            scale = np.max(np.abs(ref[name]), axis=0)  # per column
+            excess = np.abs(getattr(traj, name) - ref[name]) / scale
+            assert excess.max() <= 1e-12, (name, excess.max())
+        np.testing.assert_allclose(traj.align_err, ref["align_err"], rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(traj.conserve_err, ref["conserve_err"], rtol=0,
+                                   atol=1e-12 * ref["sigma_f"].max() ** 2)
 
     def test_divergence_detected(self):
         cfg = ToyConfig(lr=1e150, steps=2, loss_kind="mse")
@@ -376,6 +385,14 @@ class TestRunTrajectory:
         for arr in (traj.loss, traj.rankme, traj.sigma_f, traj.align_err,
                     traj.conserve_err, traj.a_norm):
             assert np.all(np.isfinite(arr))
+
+    @pytest.mark.parametrize("name", sorted(DIVERGING))
+    def test_divergence_is_one_error_at_a_record_step(self, name):
+        # one error type whatever overflows, and no numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"at record step \d+ "):
+                run_trajectory(ToyConfig(**DIVERGING[name]))
 
     def test_mse_and_linearized_kinds_run(self):
         for kind in ("mse", "xent_linearized"):
@@ -460,6 +477,28 @@ class TestConservation:
         assert not grouped and err > 0.5  # distinct sigmas: vectors compared
         err, grouped = _alignment_error(v1t, u2, np.array([1.0, 1.0 - 1e-9]))
         assert grouped and err < 1e-10  # degenerate: subspace is what counts
+
+    def test_stacked_records_group_only_degenerate_rows(self):
+        from specgeo.dynamics import _alignment_error, _observables
+
+        state = init_balanced(ToyConfig())
+        rng = np.random.default_rng(1)
+        q1, _ = np.linalg.qr(rng.normal(size=(8, 2)))
+        q2, _ = np.linalg.qr(rng.normal(size=(4, 2)))
+        rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+        # f = Q1 S and W = rot S Q2^T: equal sigmas, right factors of f
+        # rotated against the left factors of W
+        sigmas = np.array([[1.0, 1.0], [1.0, 0.5]])
+        f = np.stack([q1 * s for s in sigmas])
+        w = np.stack([rot @ (s[:, None] * q2.T) for s in sigmas])
+        obs = _observables(f, w, state, "mse", None)
+        assert obs["align_grouped"].tolist() == [True, False]
+        assert obs["align_err"][0] < 1e-12
+        _, _, v1t = np.linalg.svd(f[1], full_matrices=False)
+        u2, _, _ = np.linalg.svd(w[1], full_matrices=False)
+        err, grouped = _alignment_error(v1t, u2, sigmas[1])
+        assert not grouped and err > 0.3
+        assert obs["align_err"][1] == pytest.approx(err, abs=1e-12)
 
 
 class TestGrowthLaw:

@@ -125,8 +125,8 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- ngram
 
-def _parse_tokens(text: str) -> list[int]:
-    return [int(t) for t in text.split()]
+def _parse_tokens(text: str) -> np.ndarray:
+    return np.array(text.split(), dtype=np.int64)
 
 
 def _read_corpus(path, vocab_size=None) -> TokenCorpus:
@@ -138,26 +138,19 @@ def _read_corpus(path, vocab_size=None) -> TokenCorpus:
         fm = read_matrix(path)
         if not np.all(fm.data == np.round(fm.data)) or fm.data.min() < 0:
             raise ValueError(f"{path}: matrix corpus must hold token ids")
-        docs = [row.astype(np.int64).tolist() for row in fm.data]
+        tokens = fm.data.astype(np.int64).ravel()
+        boundaries = np.arange(1, fm.m + 1) * fm.d
     else:
-        docs = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    docs.append(_parse_tokens(line))
-    tokens: list[int] = []
-    boundaries: list[int] = []
-    for doc in docs:
-        tokens.extend(doc)
-        boundaries.append(len(tokens))
-    if not tokens:
-        raise ValueError(f"no tokens found in {path}")
+            docs = [_parse_tokens(line) for line in fh if line.strip()]
+        if not docs:
+            raise ValueError(f"no tokens found in {path}")
+        tokens = np.concatenate(docs)
+        boundaries = np.cumsum([doc.size for doc in docs])
     if vocab_size is None:
-        vocab_size = max(tokens) + 1
+        vocab_size = int(tokens.max()) + 1
     return TokenCorpus(
-        tokens=np.asarray(tokens), doc_boundaries=np.asarray(boundaries),
-        vocab_size=int(vocab_size),
+        tokens=tokens, doc_boundaries=boundaries, vocab_size=int(vocab_size)
     )
 
 
@@ -214,50 +207,59 @@ def _cmd_ngram_query(args) -> int:
     return 0
 
 
-def _read_csv_rows(path, fields: int, parse) -> list:
-    """``parse(row)`` of each non-blank CSV row of ``path``.  Only the first
-    non-blank row may be short or fail to parse (a header); any other such
-    row, or a file without data rows, is an error naming the file."""
-    out, first = [], True
+def _converts(field: str, dtype) -> bool:
+    try:
+        np.array(field, dtype=dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _read_columns(path, dtypes) -> tuple[list, list]:
+    """The leading ``len(dtypes)`` columns of the CSV file ``path``, each
+    converted once to an array of its dtype, and the line of each data row.
+
+    Blank rows are skipped.  The first non-blank row is a header only if
+    none of its numeric fields parses as a number; any other short or
+    unconvertible row, or a file without data rows, is an error.
+    """
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            if not "".join(row).strip():
-                continue
-            try:
-                if len(row) < fields:
-                    raise ValueError(f"{len(row)} of {fields} fields")
-                out.append(parse(row))
-            except ValueError as exc:
-                if not first:
-                    raise ValueError(f"{path}: malformed row at line "
-                                     f"{reader.line_num} ({exc}): {row}") from None
-            first = False
-    if not out:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(reader.line_num)
+    if rows and not any(_converts(field, np.float64) for field, dtype
+                        in zip(rows[0], dtypes) if dtype is not str):
+        del rows[0], lines[0]
+    if not rows:
         raise ValueError(f"no data rows in {path}")
-    return out
+    try:
+        return [np.array([row[i] for row in rows], dtype=dtype)
+                for i, dtype in enumerate(dtypes)], lines
+    except (IndexError, ValueError, OverflowError):  # a short or unconvertible row
+        width = len(dtypes)
+        line, row = next((line, row) for line, row in zip(lines, rows)
+                         if len(row) < width or not all(map(_converts, row, dtypes)))
+        raise ValueError(f"{path}: malformed row at line {line}: {row}") from None
 
 
-def _read_trace_csv(path) -> dict:
-    """CSV of (example_id, token_index, prob); header row optional."""
-    rows = _read_csv_rows(
-        path, 3, lambda row: (row[0].strip(), int(row[1]), float(row[2]))
-    )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return {
-        "keys": [(r[0], r[1]) for r in rows],
-        "probs": np.asarray([r[2] for r in rows]),
-        "ids": np.asarray([r[0] for r in rows]),
-    }
+def _read_trace_csv(path) -> tuple:
+    """(example ids, token indices, probs), sorted by id, then index."""
+    (ids, pos, probs), _ = _read_columns(path, (str, np.int64, np.float64))
+    ids = np.char.strip(ids)
+    order = np.lexsort((pos, ids))
+    return ids[order], pos[order], probs[order]
 
 
 def _cmd_memorize(args) -> int:
-    ref = _read_trace_csv(args.ref)
-    model = _read_trace_csv(args.model)
-    if ref["keys"] != model["keys"]:
+    ref_ids, ref_pos, ref_probs = _read_trace_csv(args.ref)
+    model_ids, model_pos, model_probs = _read_trace_csv(args.model)
+    if not (np.array_equal(ref_ids, model_ids) and np.array_equal(ref_pos, model_pos)):
         raise ValueError("trace files do not cover the same (example, token) keys")
     rho = distributional_memorization(
-        ref["probs"], model["probs"], ref["ids"], per_token=args.per_token
+        ref_probs, model_probs, ref_ids, per_token=args.per_token
     )
     _emit(args, {"memorization": rho, "per_token": bool(args.per_token)},
           f"memorization: {rho!r}")
@@ -377,7 +379,8 @@ def _cmd_toy_verify(args) -> int:
 
 def _cmd_passk(args) -> int:
     # CSV of (problem_id, N, c)
-    problems = _read_csv_rows(args.input, 3, lambda row: (int(row[1]), int(row[2])))
+    (_, n, c), _ = _read_columns(args.input, (str, np.int64, np.int64))
+    problems = list(zip(n.tolist(), c.tolist()))
     ks = [int(v) for v in args.k.split(",")]
     result = {str(k): pass_at_k(problems, k) for k in ks}
     _emit(args, result,
@@ -386,9 +389,13 @@ def _cmd_passk(args) -> int:
 
 
 def _cmd_dpo_check(args) -> int:
-    triples = _read_csv_rows(
-        args.input, 2, lambda row: PreferenceTriple(float(row[0]), float(row[1]))
-    )
+    (r_w, r_l), lines = _read_columns(args.input, (np.float64, np.float64))
+    triples = []
+    try:
+        for w, l in zip(r_w.tolist(), r_l.tolist()):
+            triples.append(PreferenceTriple(w, l))
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: line {lines[len(triples)]}: {exc}") from None
     loss = dpo_loss(triples)
     gap = dpo_nce_identity(triples)
     _emit(args, {"dpo_loss": loss, "max_identity_gap": gap},
@@ -476,7 +483,7 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MatrixFormatError, ValueError, OSError, RuntimeError) as exc:
+    except (MatrixFormatError, ValueError, OverflowError, OSError, RuntimeError) as exc:
         print(f"specgeo: error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

@@ -632,7 +632,10 @@ def check_growth_law(
     resolvable, absolute against 1% of peak below that".
 
     Returns max / 95th-percentile errors for the f-side law, the W-side
-    law, and the rate identity |sigma_dot| / sigma = eta * |g|.
+    law, and the rate identity |sigma_dot| / sigma = eta * |g|.  The p95
+    entries of the floored errors move by about 1e-7 relative under
+    round-off alone (e.g. a reordered matrix product in the step), so
+    compare them across versions to that tolerance.
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 recorded steps")
@@ -698,10 +701,13 @@ def primacy_selection_probe(
 
     Crossing time is the first recorded step at which a class's mean
     logit margin exceeds ``margin_threshold`` (None if never).  The
-    selection correlation is the Pearson correlation between sigma_i and
-    the per-step increment delta sigma_i, pooled over the post-peak
-    (compression) window, or the final quarter when no interior peak
-    exists.
+    selection correlation is the Pearson correlation across directions
+    between sigma_i and its per-step increment delta sigma_i, averaged over
+    the steps of the post-peak (compression) window, or of the final
+    quarter when no interior peak exists; steps where either side is
+    constant are skipped.  At d = 2 each step's correlation is +-1, so the
+    value is the mean sign of (sigma_1 - sigma_2)(delta sigma_1 - delta
+    sigma_2).
     """
     vocab = traj.cfg.vocab
     crossings = {}
@@ -718,16 +724,15 @@ def primacy_selection_probe(
     start = min(start, len(traj) - 2)
     stop = max(stop, start + 2)
     sig = traj.sigma_f[start:stop]
-    dsig = np.diff(sig, axis=0)
     # per-step correlation ACROSS directions between sigma_i and its
     # increment, averaged over the window: positive means growth lands
     # preferentially on already-dominant directions
-    per_step = []
-    for t in range(dsig.shape[0]):
-        x, y = sig[t], dsig[t]
-        if x.size >= 2 and np.std(x) > 0 and np.std(y) > 0:
-            per_step.append(float(np.corrcoef(x, y)[0, 1]))
-    corr = float(np.mean(per_step)) if per_step else float("nan")
+    x, y = sig[:-1], np.diff(sig, axis=0)
+    spread = (np.std(x, axis=1) > 0) & (np.std(y, axis=1) > 0)
+    x = x[spread] - x[spread].mean(axis=1, keepdims=True)
+    y = y[spread] - y[spread].mean(axis=1, keepdims=True)
+    r = np.sum(x * y, axis=1) / np.sqrt(np.sum(x * x, axis=1) * np.sum(y * y, axis=1))
+    corr = float(np.mean(np.clip(r, -1.0, 1.0))) if r.size else float("nan")
 
     # classes with equal counts are unordered; compare only across strict
     # frequency drops

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "PreferenceTriple",
     "pass_at_k",
@@ -70,29 +72,20 @@ def pass_at_k(problems: Iterable[tuple[int, int]], k: int) -> float:
     return sum(vals) / len(vals)
 
 
-def _softplus(x: float) -> float:
-    """log(1 + e^x) without overflow."""
-    if x > 0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
-def _dpo_term(r_w: float, r_l: float) -> float:
-    """-log sigmoid(r_w - r_l), the per-pair preference loss."""
-    return _softplus(r_l - r_w)
-
-
-def _nce_term(r_w: float, r_l: float) -> float:
-    """-log(e^{r_w} / (e^{r_w} + e^{r_l})) via max-shifted log-sum-exp."""
-    m = max(r_w, r_l)
-    return m + math.log(math.exp(r_w - m) + math.exp(r_l - m)) - r_w
+def _dpo_terms(triples: Sequence[PreferenceTriple]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair loss in its sigmoid form, log(1 + e^(r_l - r_w)), and in its
+    two-candidate softmax form, log(e^r_w + e^r_l) - r_w."""
+    if not triples:
+        raise ValueError("need at least one preference triple")
+    r_w = np.fromiter((t.r_w for t in triples), np.float64, len(triples))
+    r_l = np.fromiter((t.r_l for t in triples), np.float64, len(triples))
+    return np.logaddexp(0.0, r_l - r_w), np.logaddexp(r_w, r_l) - r_w
 
 
 def dpo_loss(triples: Sequence[PreferenceTriple]) -> float:
-    """Mean preference loss over triples."""
-    if not triples:
-        raise ValueError("need at least one preference triple")
-    return sum(_dpo_term(t.r_w, t.r_l) for t in triples) / len(triples)
+    """Mean preference loss over triples; the sum is exactly rounded."""
+    terms = _dpo_terms(triples)[0]
+    return math.fsum(terms.tolist()) / terms.size
 
 
 def dpo_nce_identity(triples: Sequence[PreferenceTriple]) -> float:
@@ -103,8 +96,5 @@ def dpo_nce_identity(triples: Sequence[PreferenceTriple]) -> float:
     difference between the two stable evaluation routes and stays below
     1e-10 for any finite rewards.
     """
-    if not triples:
-        raise ValueError("need at least one preference triple")
-    return max(
-        abs(_dpo_term(t.r_w, t.r_l) - _nce_term(t.r_w, t.r_l)) for t in triples
-    )
+    sigmoid, softmax = _dpo_terms(triples)
+    return float(np.abs(sigmoid - softmax).max())

@@ -112,9 +112,6 @@ class SuffixIndex:
             raise ValueError(f"doc_end must have shape ({n},), got {doc_end.shape}")
         object.__setattr__(self, "sa", sa)
         object.__setattr__(self, "doc_end", doc_end)
-        # plain-int copies: scalar indexing in the binary search hot path
-        object.__setattr__(self, "_tokens_list", tokens.tolist())
-        object.__setattr__(self, "_sa_list", sa.tolist())
 
     def __len__(self) -> int:
         return int(self.sa.size)
@@ -231,8 +228,9 @@ def build_index(corpus: TokenCorpus) -> SuffixIndex:
 
 def _sa_range(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, int]:
     """Half-open SA range of suffixes starting with ``pattern``."""
-    tokens = index._tokens_list
-    sa = index._sa_list
+    # memoryviews index as plain ints, fast in the scalar loop, and copy nothing
+    tokens = memoryview(index.corpus.tokens)
+    sa = memoryview(index.sa)
     n = len(sa)
     pat = pattern.tolist()
     L = len(pat)

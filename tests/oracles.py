@@ -233,7 +233,28 @@ def softplus_mp(x: float, dps: int = 50) -> float:
         return float(mpmath.log(1 + mpmath.exp(mpmath.mpf(x))))
 
 
+def dpo_mean_mp(r_w, r_l, dps: int = 30) -> float:
+    """Mean of log(1 + e^(r_l - r_w)) with every term and the sum held at
+    ``dps`` digits, rounded to float once."""
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        total = mpmath.fsum(mpmath.log(1 + mpmath.exp(mpf(l) - mpf(w)))
+                            for w, l in zip(r_w, r_l))
+        return float(total / len(r_w))
+
+
 # ------------------------------------------------------------ dynamics
+
+def selection_correlation_loop(sig: np.ndarray) -> float:
+    """Mean over steps of np.corrcoef(sigma_t, sigma_{t+1} - sigma_t), one
+    step at a time, skipping steps where either side is constant."""
+    per_step = []
+    for t in range(sig.shape[0] - 1):
+        x, y = sig[t], sig[t + 1] - sig[t]
+        if x.size >= 2 and np.std(x) > 0 and np.std(y) > 0:
+            per_step.append(float(np.corrcoef(x, y)[0, 1]))
+    return float(np.mean(per_step)) if per_step else float("nan")
+
 
 def trajectory_reference(cfg) -> dict:
     """Every ``TrajectoryRecord`` column of ``run_trajectory(cfg)``, from

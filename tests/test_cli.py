@@ -88,6 +88,19 @@ class TestNgramCommands:
         assert doc["suffix_len_used"] == 2
         assert doc["context_count"] == 2
 
+    @pytest.mark.parametrize("text", ["0 1.5 2\n", "0 x\n", "0 -1 2\n",
+                                      "0 99999999999999999999\n", "\n  \n"],
+                             ids=["float", "word", "negative", "overflow", "blank"])
+    def test_bad_corpus_is_one_error_line(self, tmp_path, capsys, text):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text, encoding="utf-8")
+        code = cli_dispatch(["ngram-build", "--corpus", str(corpus),
+                             "-o", str(tmp_path / "index.npz")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("specgeo: error:") and err.count("\n") == 1
+        assert not (tmp_path / "index.npz").exists()
+
     def test_build_from_matrix_corpus(self, tmp_path, capsys):
         # rows of a matrix file act as documents of token ids
         fm = FeatureMatrix(np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 2.0]]))
@@ -196,6 +209,41 @@ class TestNgramCommands:
         model.write_text("e0,0,0.5\ne2,0,0.25\n", encoding="utf-8")
         code = cli_dispatch(["memorize", "--ref", str(ref), "--model", str(model)])
         assert code == 1
+
+    def test_memorize_first_row_without_header_is_data(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        model = tmp_path / "model.csv"
+        ref.write_text("ex-1,3,0.9\nex-2,0,0.25\nex-3,1,0.75\n", encoding="utf-8")
+        model.write_text("example_id,token_index,prob\n"
+                         "ex-1,3,0.9\nex-2,0,0.75\nex-3,1,0.25\n", encoding="utf-8")
+        code, doc = run_json(capsys, ["memorize", "--ref", str(ref),
+                                      "--model", str(model), "--json"])
+        assert code == 0
+        # ex-1 ranks first on both sides: rho 0.5, against -1.0 without it
+        assert doc["memorization"] == pytest.approx(0.5, abs=1e-15)
+
+    def test_memorize_shuffled_padded_crlf_equals_sorted(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        rows = [f"e{e},{t},{rng.uniform(0.05, 0.95)!r}"
+                for e in range(12) for t in range(5)]
+        sorted_file = tmp_path / "sorted.csv"
+        shuffled_file = tmp_path / "shuffled.csv"
+        sorted_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        # the same rows shuffled, with CRLF line ends and padded ids
+        mixed = [f" {rows[i]}".replace(",", " ,", 1)
+                 for i in rng.permutation(len(rows))]
+        shuffled_file.write_bytes(("\r\n".join(mixed) + "\r\n").encode())
+        model = tmp_path / "model.csv"
+        model.write_text("\n".join(f"{r.rsplit(',', 1)[0]},{rng.uniform(0.05, 0.95)!r}"
+                                   for r in rows) + "\n", encoding="utf-8")
+        for flag in ([], ["--per-token"]):
+            outs = []
+            for ref in (sorted_file, shuffled_file):
+                code = cli_dispatch(["memorize", "--ref", str(ref),
+                                     "--model", str(model), *flag])
+                assert code == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
 
     def test_memorize_second_non_data_line_is_error(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
@@ -334,6 +382,33 @@ class TestEvalCommands:
         assert code == 1
         assert err.startswith("specgeo: error:") and err.count("\n") == 1
         assert "line 3" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["dpo-check"], "1.0,nan\n2.0,1.0\n"),
+        (["passk", "--k", "1"], "p0,4,x\np1,4,4\n"),
+    ], ids=["dpo_nan", "passk_bad_count"])
+    def test_bad_first_row_is_error_not_header(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        code = cli_dispatch([*argv, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("specgeo: error:") and err.count("\n") == 1
+        assert "line 1" in err
+
+    @pytest.mark.parametrize("argv, header", [
+        (["dpo-check", "--input", "{path}"], "r_w,r_l"),
+        (["passk", "--k", "1", "--input", "{path}"], "problem_id,N,c"),
+        (["memorize", "--ref", "{path}", "--model", "{path}"],
+         "example_id,token_index,prob"),
+    ], ids=["dpo", "passk", "memorize"])
+    def test_header_only_file_is_error(self, tmp_path, capsys, argv, header):
+        path = tmp_path / "in.csv"
+        path.write_text(header + "\n\n", encoding="utf-8")
+        code = cli_dispatch([arg.format(path=path) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"specgeo: error: no data rows in {path}\n"
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 """Linear-model gradient dynamics: init, gradients, conservation laws."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from specgeo.dynamics import (
 )
 from specgeo.spectral import EigenSpectrum, rankme
 
-from oracles import softmax_mp, trajectory_reference
+from oracles import selection_correlation_loop, softmax_mp, trajectory_reference
 
 
 SHORT = ToyConfig(steps=400)
@@ -554,6 +555,27 @@ class TestPrimacyProbe:
                                         margin_threshold=0.5)
         assert probe["crossing_spread"] is not None
         assert probe["crossing_spread"] >= 0
+
+    @pytest.mark.parametrize("cfg, ties", [
+        (ToyConfig(steps=2500), False),
+        (ToyConfig(d=3, steps=2500, seed=4), False),
+        (ToyConfig(d=3, steps=2500, seed=4), True),
+        (ToyConfig(d=1, steps=200), False),
+    ], ids=["d2", "d3", "d3_ties", "one_direction"])
+    def test_selection_correlation_matches_per_step_loop(self, cfg, ties):
+        traj = run_trajectory(cfg)
+        if ties:  # steps whose directions are equal, then steps with no increment
+            sig = traj.sigma_f.copy()
+            sig[-80:-60] = sig[-80:-60].mean(axis=1, keepdims=True)
+            sig[-40:] = sig[-40]
+            traj = dataclasses.replace(traj, sigma_f=sig)
+        summary = phase_summary(traj.rankme)
+        start = (summary.peak_index if summary.has_interior_maximum
+                 else 3 * len(traj) // 4)
+        start = min(start, len(traj) - 2)
+        got = primacy_selection_probe(traj)["selection_correlation"]
+        want = selection_correlation_loop(traj.sigma_f[start:])
+        assert got == pytest.approx(want, abs=1e-12, nan_ok=True)
 
     def test_selection_positive_late_default_seed(self):
         traj = run_trajectory(ToyConfig(steps=30_000, record_every=10))

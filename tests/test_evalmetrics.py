@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from specgeo.evalmetrics import (
     pass_at_k_single,
 )
 
-from oracles import passk_enumerate, softplus_mp
+from oracles import dpo_mean_mp, passk_enumerate, softplus_mp
 
 
 class TestPassAtK:
@@ -114,6 +115,16 @@ class TestDpoLoss:
         one = dpo_loss([triples[0]])
         two = dpo_loss([triples[1]])
         assert dpo_loss(triples) == pytest.approx((one + two) / 2, abs=1e-15)
+
+    def test_mean_of_many_pairs_is_exactly_rounded(self):
+        # a running float sum of 1e5 terms is off by a few 1e-15 relative;
+        # an exactly rounded sum of the terms stays within a few ulp
+        rng = np.random.default_rng(21)
+        r_w = rng.normal(0.5, 3.0, 100_000).tolist()
+        r_l = rng.normal(0.0, 3.0, 100_000).tolist()
+        exact = dpo_mean_mp(r_w, r_l)
+        loss = dpo_loss([PreferenceTriple(w, l) for w, l in zip(r_w, r_l)])
+        assert abs(loss - exact) <= 1e-15 * exact
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

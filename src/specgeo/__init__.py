@@ -5,95 +5,77 @@ eigenvector ablation, suffix-array infinity-gram language modeling with
 distributional-memorization scoring, gradient-descent dynamics of a
 linear bottleneck classifier, and sampling-evaluation estimators
 (pass@k, preference-loss identities).
+
+The public names below load their tool module on first use (PEP 562), so
+``import specgeo`` and each CLI subcommand pay only for the modules they
+touch.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .spectral import (  # noqa: E402
-    EigenSpectrum,
-    FeatureMatrix,
-    SpectralMetrics,
-    ablate_spectrum,
-    alpha_req,
-    center_features,
-    covariance_spectrum,
-    rankme,
-    spectral_metrics,
-)
-from .ngram import (  # noqa: E402
-    NgramPrediction,
-    ProbTrace,
-    SuffixIndex,
-    TokenCorpus,
-    build_index,
-    distributional_memorization,
-    infty_gram_next,
-    joint_loglik,
-    pattern_count,
-    spearman_rho,
-)
-from .evalmetrics import (  # noqa: E402
-    PreferenceTriple,
-    dpo_loss,
-    dpo_nce_identity,
-    pass_at_k,
-    pass_at_k_single,
-)
-from .dynamics import (  # noqa: E402
-    DivergenceError,
-    ToyConfig,
-    ToyModelState,
-    TrajectoryRecord,
-    check_conservation,
-    check_growth_law,
-    gd_step,
-    init_balanced,
-    phase_summary,
-    primacy_selection_probe,
-    run_trajectory,
-    softmax_alpha,
-    a_matrix,
-    target_matrix,
-)
+_EXPORTS = {
+    "spectral": (
+        "EigenSpectrum",
+        "FeatureMatrix",
+        "SpectralMetrics",
+        "ablate_spectrum",
+        "alpha_req",
+        "center_features",
+        "covariance_spectrum",
+        "rankme",
+        "spectral_metrics",
+    ),
+    "ngram": (
+        "NgramPrediction",
+        "ProbTrace",
+        "SuffixIndex",
+        "TokenCorpus",
+        "build_index",
+        "distributional_memorization",
+        "infty_gram_next",
+        "joint_loglik",
+        "pattern_count",
+        "spearman_rho",
+    ),
+    "evalmetrics": (
+        "PreferenceTriple",
+        "dpo_loss",
+        "dpo_nce_identity",
+        "pass_at_k",
+        "pass_at_k_single",
+    ),
+    "dynamics": (
+        "DivergenceError",
+        "ToyConfig",
+        "ToyModelState",
+        "TrajectoryRecord",
+        "check_conservation",
+        "check_growth_law",
+        "gd_step",
+        "init_balanced",
+        "phase_summary",
+        "primacy_selection_probe",
+        "run_trajectory",
+        "softmax_alpha",
+        "a_matrix",
+        "target_matrix",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "EigenSpectrum",
-    "FeatureMatrix",
-    "SpectralMetrics",
-    "ablate_spectrum",
-    "alpha_req",
-    "center_features",
-    "covariance_spectrum",
-    "rankme",
-    "spectral_metrics",
-    "NgramPrediction",
-    "ProbTrace",
-    "SuffixIndex",
-    "TokenCorpus",
-    "build_index",
-    "distributional_memorization",
-    "infty_gram_next",
-    "joint_loglik",
-    "pattern_count",
-    "spearman_rho",
-    "PreferenceTriple",
-    "dpo_loss",
-    "dpo_nce_identity",
-    "pass_at_k",
-    "pass_at_k_single",
-    "DivergenceError",
-    "ToyConfig",
-    "ToyModelState",
-    "TrajectoryRecord",
-    "check_conservation",
-    "check_growth_law",
-    "gd_step",
-    "init_balanced",
-    "phase_summary",
-    "primacy_selection_probe",
-    "run_trajectory",
-    "softmax_alpha",
-    "a_matrix",
-    "target_matrix",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

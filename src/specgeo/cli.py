@@ -10,47 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io as _io
 import json
 import math
 import sys
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    ToyConfig,
-    check_conservation,
-    check_growth_law,
-    phase_summary,
-    primacy_selection_probe,
-    run_trajectory,
-)
-from .evalmetrics import PreferenceTriple, dpo_loss, dpo_nce_identity, pass_at_k
-from .io import (
-    MatrixFormatError,
-    _centered,
-    load_manifest,
-    read_matrix,
-    sweep,
-    write_matrix,
-)
-from .ngram import (
-    SuffixIndex,
-    TokenCorpus,
-    _doc_ends,
-    build_index,
-    distributional_memorization,
-    infty_gram_next,
-)
-from .spectral import (
-    ablate_spectrum,
-    covariance_spectrum,
-    rankme,
-    spectral_metrics,
-)
+
+# Each handler imports the tool modules it uses, so a child process loads
+# only what its subcommand needs.
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -64,12 +34,16 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_features(path, center: bool):
+    from .io import _centered, read_matrix
+
     return _centered(read_matrix(path), center)
 
 
 # ---------------------------------------------------------------- spectral
 
 def _cmd_spectrum(args) -> int:
+    from .spectral import covariance_spectrum
+
     fm = _load_features(args.matrix, not args.no_center)
     spec = covariance_spectrum(fm)
     vals = [float(v) for v in spec.values]
@@ -79,6 +53,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_rankme(args) -> int:
+    from .spectral import covariance_spectrum, rankme
+
     fm = _load_features(args.matrix, not args.no_center)
     value = rankme(covariance_spectrum(fm))
     _emit(args, {"rankme": value}, f"rankme: {value!r}")
@@ -86,6 +62,8 @@ def _cmd_rankme(args) -> int:
 
 
 def _cmd_alphareq(args) -> int:
+    from .spectral import spectral_metrics
+
     fm = _load_features(args.matrix, not args.no_center)
     window = tuple(args.window) if args.window else None
     metrics = spectral_metrics(fm, window)
@@ -99,6 +77,9 @@ def _cmd_alphareq(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    from .io import write_matrix
+    from .spectral import ablate_spectrum
+
     fm = _load_features(args.matrix, center=True)
     out = ablate_spectrum(fm, args.k, args.mode)
     write_matrix(out, args.output)
@@ -108,6 +89,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .io import load_manifest, sweep
+
     manifest = load_manifest(args.manifest)
     report = sweep(manifest, base_dir=Path(args.manifest).parent)
     outdir = Path(args.output)
@@ -129,12 +112,16 @@ def _parse_tokens(text: str) -> np.ndarray:
     return np.array(text.split(), dtype=np.int64)
 
 
-def _read_corpus(path, vocab_size=None) -> TokenCorpus:
+def _read_corpus(path, vocab_size=None):
     """Token corpus from text (one document per line, space-separated
     decimal ids) or from a matrix file whose rows are documents."""
+    from .ngram import TokenCorpus
+
     with open(path, "rb") as fh:
         magic = fh.read(8)
     if magic == b"SPECGEO1":
+        from .io import read_matrix
+
         fm = read_matrix(path)
         if not np.all(fm.data == np.round(fm.data)) or fm.data.min() < 0:
             raise ValueError(f"{path}: matrix corpus must hold token ids")
@@ -155,6 +142,8 @@ def _read_corpus(path, vocab_size=None) -> TokenCorpus:
 
 
 def _cmd_ngram_build(args) -> int:
+    from .ngram import build_index
+
     corpus = _read_corpus(args.corpus, args.vocab_size)
     index = build_index(corpus)
     np.savez(
@@ -173,9 +162,13 @@ def _cmd_ngram_build(args) -> int:
 _INDEX_KEYS = ("tokens", "doc_boundaries", "vocab_size", "sa")
 
 
-def _load_index(path) -> SuffixIndex:
+def _load_index(path):
     """The index ``ngram-build`` wrote; SuffixIndex verifies the stored
     suffix array against the tokens instead of rebuilding it."""
+    import zipfile
+
+    from .ngram import SuffixIndex, TokenCorpus, _doc_ends
+
     try:
         with np.load(path) as doc:
             missing = [key for key in _INDEX_KEYS if key not in doc.files]
@@ -193,6 +186,8 @@ def _load_index(path) -> SuffixIndex:
 
 
 def _cmd_ngram_query(args) -> int:
+    from .ngram import infty_gram_next
+
     index = _load_index(args.index)
     context = _parse_tokens(args.context)
     pred = infty_gram_next(index, context)
@@ -215,6 +210,18 @@ def _converts(field: str, dtype) -> bool:
     return True
 
 
+_BLANK = " \t\n\r\x0b\x0c,"  # ASCII whitespace and the delimiter
+
+
+def _plain(text: str) -> bool:
+    """Text in which each line is one row whose fields split at the commas,
+    and which numpy's C parser reads as the per-field conversion does:
+    ASCII with no quote (a quoted field may span lines) and none of the
+    separators \x1c-\x1f (the parser takes them for spaces; the conversion
+    rejects them)."""
+    return text.isascii() and not any(c in text for c in '"\x1c\x1d\x1e\x1f')
+
+
 def _read_columns(path, dtypes) -> tuple[list, list]:
     """The leading ``len(dtypes)`` columns of the CSV file ``path``, each
     converted once to an array of its dtype, and the line of each data row.
@@ -222,25 +229,49 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
     Blank rows are skipped.  The first non-blank row is a header only if
     none of its numeric fields parses as a number; any other short or
     unconvertible row, or a file without data rows, is an error.
+
+    Plain text (see ``_plain``) is converted by one ``np.loadtxt``
+    call; other text, or text that call rejects, is split by ``csv`` and
+    converted field by field, which also finds the line of a bad row.
     """
-    rows, lines = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        lines = fh.readlines()
+    plain = _plain("".join(lines))
+    if plain:
+        numbers = [n for n, line in enumerate(lines, 1) if line.strip(_BLANK)]
+        rows = [lines[n - 1] for n in numbers]
+    else:
+        reader = csv.reader(lines)
+        rows, numbers = [], []
         for row in reader:
             if "".join(row).strip():
                 rows.append(row)
-                lines.append(reader.line_num)
-    if rows and not any(_converts(field, np.float64) for field, dtype
-                        in zip(rows[0], dtypes) if dtype is not str):
-        del rows[0], lines[0]
+                numbers.append(reader.line_num)
+    if rows:
+        first = rows[0].rstrip("\r\n").split(",") if plain else rows[0]
+        if not any(_converts(field, np.float64) for field, dtype
+                   in zip(first, dtypes) if dtype is not str):
+            del rows[0], numbers[0]
     if not rows:
         raise ValueError(f"no data rows in {path}")
+    if plain:
+        try:
+            table = np.loadtxt(
+                rows, delimiter=",", comments=None, ndmin=1,
+                usecols=range(len(dtypes)),
+                dtype=[(f"f{i}", object if dtype is str else dtype)
+                       for i, dtype in enumerate(dtypes)])
+        except ValueError:  # a bad row, or a number only Python reads ("1_0")
+            rows = [row.rstrip("\r\n").split(",") for row in rows]
+        else:
+            return [table[f"f{i}"].astype(dtype)
+                    for i, dtype in enumerate(dtypes)], numbers
     try:
         return [np.array([row[i] for row in rows], dtype=dtype)
-                for i, dtype in enumerate(dtypes)], lines
+                for i, dtype in enumerate(dtypes)], numbers
     except (IndexError, ValueError, OverflowError):  # a short or unconvertible row
         width = len(dtypes)
-        line, row = next((line, row) for line, row in zip(lines, rows)
+        line, row = next((line, row) for line, row in zip(numbers, rows)
                          if len(row) < width or not all(map(_converts, row, dtypes)))
         raise ValueError(f"{path}: malformed row at line {line}: {row}") from None
 
@@ -254,6 +285,8 @@ def _read_trace_csv(path) -> tuple:
 
 
 def _cmd_memorize(args) -> int:
+    from .ngram import distributional_memorization
+
     ref_ids, ref_pos, ref_probs = _read_trace_csv(args.ref)
     model_ids, model_pos, model_probs = _read_trace_csv(args.model)
     if not (np.array_equal(ref_ids, model_ids) and np.array_equal(ref_pos, model_pos)):
@@ -279,12 +312,17 @@ _TOY_KEYS = {
 }
 
 
-def _parse_toy_config(path) -> ToyConfig:
-    """Key-value text file, one `key = value` pair per line, # comments.
+def _toy_config(path):
+    """The defaults, or a key-value text file: one `key = value` pair per
+    line, # comments.
 
     Unknown keys are an error: a misspelt key would otherwise leave its
     field at the default without a word.
     """
+    from .dynamics import ToyConfig
+
+    if not path:
+        return ToyConfig()
     fields = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -305,31 +343,29 @@ def _parse_toy_config(path) -> ToyConfig:
 
 
 def _trajectory_csv(traj) -> str:
+    """One row per record; each column is formatted in one pass."""
     kf = traj.sigma_f.shape[1]
     kw = traj.sigma_w.shape[1]
-    cols = (
+    header = (
         ["step", "loss", "rankme"]
         + [f"sigma_f_{i+1}" for i in range(kf)]
         + [f"sigma_w_{i+1}" for i in range(kw)]
         + ["align_err", "conserve_err", "a_norm"]
     )
-    out = _io.StringIO()
-    out.write(",".join(cols) + "\n")
-    for i in range(len(traj)):
-        row = (
-            [str(int(traj.steps[i])), repr(float(traj.loss[i])),
-             repr(float(traj.rankme[i]))]
-            + [repr(float(v)) for v in traj.sigma_f[i]]
-            + [repr(float(v)) for v in traj.sigma_w[i]]
-            + [repr(float(traj.align_err[i])), repr(float(traj.conserve_err[i])),
-               repr(float(traj.a_norm[i]))]
-        )
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    floats = [traj.loss, traj.rankme, *traj.sigma_f.T, *traj.sigma_w.T,
+              traj.align_err, traj.conserve_err, traj.a_norm]
+    # tolist() gives Python ints and floats, whose repr is the shortest
+    # round-trip form
+    cols = [map(repr, col.tolist()) for col in (traj.steps, *floats)]
+    return "\n".join([",".join(header), *map(",".join, zip(*cols)), ""])
 
 
 def _cmd_toy_run(args) -> int:
-    cfg = _parse_toy_config(args.config) if args.config else ToyConfig()
+    from .dynamics import (
+        check_conservation, check_growth_law, phase_summary, run_trajectory,
+    )
+
+    cfg = _toy_config(args.config)
     traj = run_trajectory(cfg)
     summary = phase_summary(traj.rankme)
     outdir = Path(args.output)
@@ -364,7 +400,11 @@ def _cmd_toy_run(args) -> int:
 
 
 def _cmd_toy_verify(args) -> int:
-    cfg = _parse_toy_config(args.config) if args.config else ToyConfig()
+    from .dynamics import (
+        check_conservation, check_growth_law, primacy_selection_probe, run_trajectory,
+    )
+
+    cfg = _toy_config(args.config)
     traj = run_trajectory(cfg)
     doc = {
         "conservation": check_conservation(traj),
@@ -378,6 +418,8 @@ def _cmd_toy_verify(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def _cmd_passk(args) -> int:
+    from .evalmetrics import pass_at_k
+
     # CSV of (problem_id, N, c)
     (_, n, c), _ = _read_columns(args.input, (str, np.int64, np.int64))
     problems = list(zip(n.tolist(), c.tolist()))
@@ -389,15 +431,14 @@ def _cmd_passk(args) -> int:
 
 
 def _cmd_dpo_check(args) -> int:
+    from .evalmetrics import _dpo_loss_and_gap
+
     (r_w, r_l), lines = _read_columns(args.input, (np.float64, np.float64))
-    triples = []
-    try:
-        for w, l in zip(r_w.tolist(), r_l.tolist()):
-            triples.append(PreferenceTriple(w, l))
-    except ValueError as exc:
-        raise ValueError(f"{args.input}: line {lines[len(triples)]}: {exc}") from None
-    loss = dpo_loss(triples)
-    gap = dpo_nce_identity(triples)
+    finite = np.isfinite(r_w) & np.isfinite(r_l)
+    if not finite.all():
+        line = lines[int(np.argmin(finite))]
+        raise ValueError(f"{args.input}: line {line}: rewards must be finite")
+    loss, gap = _dpo_loss_and_gap(r_w, r_l)
     _emit(args, {"dpo_loss": loss, "max_identity_gap": gap},
           f"dpo_loss: {loss!r}  max identity gap: {gap!r}")
     return 0
@@ -483,7 +524,7 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MatrixFormatError, ValueError, OverflowError, OSError, RuntimeError) as exc:
+    except (ValueError, OverflowError, OSError, RuntimeError) as exc:
         print(f"specgeo: error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

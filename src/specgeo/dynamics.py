@@ -225,9 +225,12 @@ def init_balanced(cfg: ToyConfig, scale: float = _INIT_SCALE) -> ToyModelState:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, with max subtraction."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    # the ufunc reductions directly: ndarray.max and .sum reach the same
+    # reductions through a Python-level wrapper, a cost per call that
+    # matters on the step loop's small matrices
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_alpha(logits: np.ndarray) -> np.ndarray:

@@ -72,20 +72,28 @@ def pass_at_k(problems: Iterable[tuple[int, int]], k: int) -> float:
     return sum(vals) / len(vals)
 
 
-def _dpo_terms(triples: Sequence[PreferenceTriple]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair loss in its sigmoid form, log(1 + e^(r_l - r_w)), and in its
-    two-candidate softmax form, log(e^r_w + e^r_l) - r_w."""
-    if not triples:
+def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:
+    """Mean preference loss over reward pairs, with its sum exactly rounded,
+    and the max absolute gap between the loss's two per-pair forms: the
+    sigmoid form log(1 + e^(r_l - r_w)) and the two-candidate softmax form
+    log(e^r_w + e^r_l) - r_w."""
+    if r_w.size == 0:
         raise ValueError("need at least one preference triple")
+    sigmoid = np.logaddexp(0.0, r_l - r_w)
+    softmax = np.logaddexp(r_w, r_l) - r_w
+    loss = math.fsum(sigmoid.tolist()) / sigmoid.size
+    return loss, float(np.abs(sigmoid - softmax).max())
+
+
+def _rewards(triples: Sequence[PreferenceTriple]) -> tuple[np.ndarray, np.ndarray]:
     r_w = np.fromiter((t.r_w for t in triples), np.float64, len(triples))
     r_l = np.fromiter((t.r_l for t in triples), np.float64, len(triples))
-    return np.logaddexp(0.0, r_l - r_w), np.logaddexp(r_w, r_l) - r_w
+    return r_w, r_l
 
 
 def dpo_loss(triples: Sequence[PreferenceTriple]) -> float:
     """Mean preference loss over triples; the sum is exactly rounded."""
-    terms = _dpo_terms(triples)[0]
-    return math.fsum(terms.tolist()) / terms.size
+    return _dpo_loss_and_gap(*_rewards(triples))[0]
 
 
 def dpo_nce_identity(triples: Sequence[PreferenceTriple]) -> float:
@@ -96,5 +104,4 @@ def dpo_nce_identity(triples: Sequence[PreferenceTriple]) -> float:
     difference between the two stable evaluation routes and stays below
     1e-10 for any finite rewards.
     """
-    sigmoid, softmax = _dpo_terms(triples)
-    return float(np.abs(sigmoid - softmax).max())
+    return _dpo_loss_and_gap(*_rewards(triples))[1]

@@ -145,8 +145,9 @@ def center_features(f: FeatureMatrix) -> FeatureMatrix:
 def covariance_spectrum(f: FeatureMatrix, want_vectors: bool = False) -> EigenSpectrum:
     """Eigendecompose (1/M) F^T F, eigenvalues descending and clamped at zero.
 
-    Values-only queries on wide matrices (M < d) are solved through the
-    M x M Gram matrix, which shares the nonzero spectrum.  Requests for
+    Values-only queries skip the eigenvectors: wide matrices (M < d) are
+    solved through the M x M Gram matrix, which shares the nonzero
+    spectrum, tall ones through the d x d covariance.  Requests for
     eigenvectors always solve the d x d covariance so that a full
     orthonormal basis is returned.
     """
@@ -157,12 +158,15 @@ def covariance_spectrum(f: FeatureMatrix, want_vectors: bool = False) -> EigenSp
         raise ValueError("feature matrix contains non-finite entries")
     m, d = data.shape
 
-    if want_vectors or m >= d:
+    if want_vectors:
         cov = (data.T @ data) / m
         values, vectors = np.linalg.eigh(cov)
         order = np.argsort(-values, kind="stable")
         values = values[order]
         vectors = vectors[:, order]
+    elif m >= d:
+        values = np.linalg.eigvalsh((data.T @ data) / m)[::-1]
+        vectors = None
     else:
         gram = (data @ data.T) / m
         gvals = np.linalg.eigvalsh(gram)[::-1]

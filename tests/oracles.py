@@ -353,3 +353,62 @@ def _reference_record(state, loss_kind, frozen, gap_rtol=1e-6) -> dict:
         "g": np.asarray(g),
         "margins": np.asarray(margins),
     }
+
+
+# ------------------------------------------------------------ CLI text formats
+
+def _converts(field: str, dtype) -> bool:
+    try:
+        np.array(field, dtype=dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def read_columns_csv(path, dtypes) -> tuple[list, list]:
+    """The CLI's column reader as ``csv.reader`` plus a per-field numpy
+    conversion: (columns, line of each data row), or ValueError.
+
+    Blank rows are skipped; the first non-blank row is a header only if
+    none of its numeric fields parses as a float.
+    """
+    import csv
+
+    rows, lines = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(reader.line_num)
+    if rows and not any(_converts(field, np.float64) for field, dtype
+                        in zip(rows[0], dtypes) if dtype is not str):
+        del rows[0], lines[0]
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    try:
+        return [np.array([row[i] for row in rows], dtype=dtype)
+                for i, dtype in enumerate(dtypes)], lines
+    except (IndexError, ValueError, OverflowError):
+        line, row = next((line, row) for line, row in zip(lines, rows)
+                         if len(row) < len(dtypes)
+                         or not all(map(_converts, row, dtypes)))
+        raise ValueError(f"{path}: malformed row at line {line}: {row}") from None
+
+
+def trajectory_csv_rows(traj) -> str:
+    """``trajectory.csv`` written one record at a time."""
+    kf, kw = traj.sigma_f.shape[1], traj.sigma_w.shape[1]
+    header = (["step", "loss", "rankme"] + [f"sigma_f_{i+1}" for i in range(kf)]
+              + [f"sigma_w_{i+1}" for i in range(kw)]
+              + ["align_err", "conserve_err", "a_norm"])
+    out = [",".join(header)]
+    for i in range(len(traj)):
+        row = ([str(int(traj.steps[i])), repr(float(traj.loss[i])),
+                repr(float(traj.rankme[i]))]
+               + [repr(float(v)) for v in traj.sigma_f[i]]
+               + [repr(float(v)) for v in traj.sigma_w[i]]
+               + [repr(float(traj.align_err[i])), repr(float(traj.conserve_err[i])),
+                  repr(float(traj.a_norm[i]))])
+        out.append(",".join(row))
+    return "\n".join(out) + "\n"

@@ -1,17 +1,27 @@
 """End-to-end command-line interface tests."""
 
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import specgeo
 from specgeo import cli
 from specgeo.cli import cli_dispatch
 from specgeo.io import read_matrix, write_matrix
 from specgeo.ngram import TokenCorpus, build_index
 from specgeo.spectral import FeatureMatrix
 
+from oracles import read_columns_csv, trajectory_csv_rows
 from test_dynamics import DIVERGING
 from test_io import synthetic_power_law_matrix
 
@@ -274,6 +284,14 @@ class TestToyCommands:
         assert csv_text.count("\n") == 302  # header + 301 records
         assert doc["conservation"]["residual_step0"] <= 1e-12
 
+    def test_trajectory_csv_matches_row_writer(self):
+        from specgeo.dynamics import ToyConfig, run_trajectory
+
+        for cfg in (ToyConfig(steps=300), ToyConfig(d=3, steps=200, record_every=7,
+                                                     loss_kind="mse")):
+            traj = run_trajectory(cfg)
+            assert cli._trajectory_csv(traj) == trajectory_csv_rows(traj)
+
     def test_toy_verify(self, tmp_path, capsys):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text("steps = 1500\n", encoding="utf-8")
@@ -409,6 +427,173 @@ class TestEvalCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"specgeo: error: no data rows in {path}\n"
+
+
+class TestDpoCheckFiniteness:
+    @pytest.mark.parametrize("row", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["r_w", "r_l"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_names_the_first_non_finite_line(self, tmp_path, capsys, row, column,
+                                             value):
+        rewards = [[f"{0.5 * i!r}", f"{-0.25 * i!r}"] for i in range(7)]
+        rewards[row][column] = value
+        if row < 6:  # a later bad row must not be the one reported
+            rewards[6][1 - column] = "nan"
+        # header on line 2 and a blank line 4, so rows and lines differ
+        lines = ["", "r_w,r_l", *(",".join(r) for r in rewards[:1]), "  ",
+                 *(",".join(r) for r in rewards[1:])]
+        path = tmp_path / "rewards.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = lines.index(",".join(rewards[row])) + 1
+        code = cli_dispatch(["dpo-check", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"specgeo: error: {path}: line {line}: rewards must be finite\n"
+
+    def test_output_equals_library_forms(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        r_w, r_l = rng.normal(0.5, 3.0, 500), rng.normal(0.0, 3.0, 500)
+        path = tmp_path / "rewards.csv"
+        pairs = list(zip(r_w.tolist(), r_l.tolist()))
+        path.write_text("".join(f"{w!r},{l!r}\n" for w, l in pairs), encoding="utf-8")
+        code, doc = run_json(capsys, ["dpo-check", "--input", str(path), "--json"])
+        triples = [specgeo.PreferenceTriple(w, l) for w, l in pairs]
+        assert code == 0
+        assert doc == {"dpo_loss": specgeo.dpo_loss(triples),
+                       "max_identity_gap": specgeo.dpo_nce_identity(triples)}
+
+
+TRACE = (str, np.int64, np.float64)
+PASSK = (str, np.int64, np.int64)
+DPO = (np.float64, np.float64)
+
+
+def _read_both(tmp_path, data, dtypes):
+    """The CLI reader's and the oracle's result on one file: (columns,
+    lines) or the ValueError message."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    results = []
+    for read in (cli._read_columns, read_columns_csv):
+        try:
+            results.append(read(path, dtypes))
+        except ValueError as exc:
+            results.append(str(exc))
+    return results
+
+
+def _assert_same(new, ref):
+    if isinstance(ref, str) or isinstance(new, str):
+        assert new == ref
+        return
+    (new_cols, new_lines), (ref_cols, ref_lines) = new, ref
+    assert list(new_lines) == list(ref_lines)
+    assert len(new_cols) == len(ref_cols)
+    for a, b in zip(new_cols, ref_cols):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)  # NaNs compare equal here
+
+
+class TestColumnReader:
+    """The column reader against the per-field csv reader it replaced."""
+
+    @pytest.mark.parametrize("dtypes, data", [
+        (DPO, "r_w,r_l\r\n1.0,2.0\r\n  \r\n3.0,4.0\r\n"),
+        (DPO, "r_w,r_l\r\n1.0,2.0\r\n \t\r\n\r\n"),
+        (DPO, "1.0,2.0\n,\n3.0,4.0\n,,,\n"),
+        (DPO, "\n\n  \nr_w,r_l\n1.5,2.5\n\n,\n\n"),
+        (DPO, "1.0,2.0\r3.0,4.0\r"),
+        (DPO, "1.0 , 2.0\t,extra\n-inf,nan\n1e400,-0\n"),
+        (DPO, "r_w,r_l\n"),
+        (DPO, "r_w,r_l\n\n , \n"),
+        (DPO, ""),
+        (DPO, "1.0\n2.0,3.0\n"),
+        (DPO, "r_w,r_l\n1.0,2.0\n3.0\n"),
+        (DPO, "r_w,1.0\n2.0,3.0\n"),
+        (DPO, "1.0,nan\n2.0,1.0\n"),
+        (DPO, "1.0,2.0\n3.0,x\n"),
+        (DPO, "1.0,2.0\n1_0,2.0\n"),
+        (DPO, "1.0,2.0\n1.0\x1c,2.0\n"),
+        (DPO, '"r_w","r_l"\n"1.0","2.0"\n3.0,"4.0"\n'),
+        (DPO, '1.0,2.0\n"",""\n3.0,4.0\n'),
+        (DPO, '1.0,2.0\n","\n'),
+        (DPO, '1.0,2.0\n 1.0,"2.0\n\n"\n'),
+        (PASSK, "problem_id,N,c\np0,4,1\np1,4,4\n"),
+        (PASSK, "p0,4,1.0\n"),
+        (PASSK, "problem_id,N,c\np0,9223372036854775808,1\n"),
+        (PASSK, "p0,9223372036854775807,-9223372036854775808\n"),
+        (PASSK, "p0,4,-9223372036854775809\n"),
+        (PASSK, "p0,1_0,4\n"),
+        (PASSK, "p0,\u0664,1\n"),
+        (PASSK, "p0,4,x\np1,4,4\n"),
+        (PASSK, "problem_id\np0,4,2\n"),
+        (PASSK, "problem_id,N,c\np0,4\n"),
+        (PASSK, "problem_id,N,c\np0, 4 ,\t2\n"),
+        (TRACE, "example_id,token_index,prob\n e1 ,0,0.5\ne0,1,0.25\n"),
+        (TRACE, '"ex,1",0,0.5\n"ex""2",1,0.25\nex"3,2,0.125\n'),
+        (TRACE, '"line\none",0,0.5\n"blank\n\n  \nlines",1,0.25\n'),
+        (TRACE, "\u00e9t\u00e9,0,0.5\n\u4e2d,1,0.25\n"),
+        (TRACE, "e0,0,0.5\n\u00e9,1\u01fe,0.25\n"),
+        (TRACE, "example_id,token_index,prob\n\n"),
+        (TRACE, b"e0\x00,0,0.5\ne1,1,0.25\n"),
+    ])
+    def test_edge_cases_match_csv_reader(self, tmp_path, dtypes, data):
+        _assert_same(*_read_both(tmp_path, data, dtypes))
+
+    # each example rewrites the one file, so sharing tmp_path is safe
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_well_formed_files_match_csv_reader(self, tmp_path, data):
+        dtypes = data.draw(st.sampled_from([TRACE, PASSK, DPO]))
+        ids = st.one_of(  # plain ASCII ids, or any text csv may have to quote
+            st.text("abcxyz019 -_.", max_size=6),
+            st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\x00"), max_size=6))
+        ints = st.integers(-2**63, 2**63 - 1).map(str)
+        floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+        field = {str: ids, np.int64: ints, np.float64: floats}
+        pad = st.sampled_from(["", " ", "\t"])
+        rows = data.draw(st.lists(st.tuples(*(field[d] for d in dtypes)), max_size=12))
+        blank = st.sampled_from(["", "  ", ",", " , ,", "\t"])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator=data.draw(st.sampled_from(["\n", "\r\n"])))
+        if data.draw(st.booleans()):
+            writer.writerow(["c" + str(i) for i in range(len(dtypes))])
+        for row in rows:
+            for _ in range(data.draw(st.integers(0, 1))):
+                buf.write(data.draw(blank) + "\n")
+            writer.writerow([f if d is str else data.draw(pad) + f + data.draw(pad)
+                             for f, d in zip(row, dtypes)])
+        _assert_same(*_read_both(tmp_path, buf.getvalue(), dtypes))
+
+
+class TestModuleLoading:
+    @pytest.mark.parametrize("argv, loaded", [
+        (["passk", "--input", "{dir}/runs.csv", "--k", "1"], {"evalmetrics"}),
+        (["dpo-check", "--input", "{dir}/rewards.csv"], {"evalmetrics"}),
+        (["ngram-query", "--index", "{dir}/index.npz", "--context", "1"], {"ngram"}),
+        (["rankme", "{matrix}"], {"io", "spectral"}),
+    ], ids=["passk", "dpo-check", "ngram-query", "rankme"])
+    def test_subcommand_loads_only_its_tools(self, tmp_path, matrix_file, argv, loaded):
+        (tmp_path / "runs.csv").write_text("p0,4,1\n", encoding="utf-8")
+        (tmp_path / "rewards.csv").write_text("1.0,0.5\n", encoding="utf-8")
+        (tmp_path / "corpus.txt").write_text("1 2 3 1 2\n", encoding="utf-8")
+        assert cli_dispatch(["ngram-build", "--corpus", str(tmp_path / "corpus.txt"),
+                             "-o", str(tmp_path / "index.npz")]) == 0
+        argv = [arg.format(dir=tmp_path, matrix=matrix_file) for arg in argv]
+        code = ("import sys\n"
+                "from specgeo.cli import cli_dispatch\n"
+                "code = cli_dispatch(sys.argv[1:])\n"
+                "mods = sorted(m for m in sys.modules if m.startswith('specgeo.'))\n"
+                "print(code, ' '.join(mods), file=sys.stderr)\n")
+        src = str(Path(specgeo.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        status, mods = proc.stderr.strip().splitlines()[-1].split(" ", 1)
+        assert status == "0"
+        assert mods.split() == sorted(["specgeo.cli", *(f"specgeo.{m}" for m in loaded)])
 
 
 class TestExitCodes:

@@ -153,6 +153,17 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax_alpha(np.array([[np.inf, 0.0]]))
 
+    def test_same_bits_as_method_reductions(self):
+        # the ufunc reductions must round exactly as ndarray.max/.sum do,
+        # on single batches and on the observables' stacked ones
+        rng = np.random.default_rng(5)
+        for shape in ((8, 4), (1, 16), (37, 8, 4)):
+            logits = rng.normal(size=shape) * 20
+            z = logits - logits.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            expected = e / e.sum(axis=-1, keepdims=True)
+            np.testing.assert_array_equal(softmax_alpha(logits), expected)
+
 
 class TestAMatrix:
     def test_uniform_alpha(self):

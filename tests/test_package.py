@@ -1,0 +1,46 @@
+"""The package namespace: public names load their tool module on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import specgeo
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    for name in specgeo.__all__:
+        value = getattr(specgeo, name)
+        if name != "__version__":
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+
+
+def test_star_import_binds_all_names():
+    namespace = {}
+    exec("from specgeo import *", namespace)
+    assert set(specgeo.__all__) <= set(namespace)
+    assert namespace["rankme"] is specgeo.rankme
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        specgeo.no_such_name  # noqa: B018
+
+
+def test_dir_lists_public_names():
+    assert set(specgeo.__all__) <= set(dir(specgeo))
+
+
+def test_import_loads_no_tool_module():
+    code = ("import sys, specgeo\n"
+            "print(sorted(m for m in sys.modules if m.startswith('specgeo')))\n"
+            "specgeo.pass_at_k\n"
+            "print(sorted(m for m in sys.modules if m.startswith('specgeo')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(specgeo.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.splitlines() == ["['specgeo']", "['specgeo', 'specgeo.evalmetrics']"]

@@ -76,6 +76,19 @@ class TestCovarianceSpectrum:
         vals, _ = jacobi_eigh(cov)
         np.testing.assert_allclose(spec.values, np.maximum(vals, 0), atol=1e-8)
 
+    def test_tall_values_only_route(self):
+        # values-only on a tall matrix skips the eigenvectors
+        rng = np.random.default_rng(10)
+        data = rng.normal(size=(40, 12)) * np.arange(1, 13)
+        fm = center_features(FeatureMatrix(data))
+        spec = covariance_spectrum(fm)
+        assert spec.vectors is None
+        vals, _ = jacobi_eigh(fm.data.T @ fm.data / 40)
+        np.testing.assert_allclose(spec.values, vals, rtol=0, atol=1e-12 * vals[0])
+        dense = covariance_spectrum(fm, want_vectors=True)
+        np.testing.assert_allclose(spec.values, dense.values,
+                                   rtol=0, atol=1e-13 * dense.values[0])
+
     def test_wide_matrix_gram_route(self):
         rng = np.random.default_rng(8)
         fm = center_features(FeatureMatrix(rng.normal(size=(3, 10))))

@@ -92,7 +92,7 @@ def _cmd_sweep(args) -> int:
     from .io import load_manifest, sweep
 
     manifest = load_manifest(args.manifest)
-    report = sweep(manifest, base_dir=Path(args.manifest).parent)
+    report = sweep(manifest)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -167,7 +167,7 @@ def _load_index(path):
     suffix array against the tokens instead of rebuilding it."""
     import zipfile
 
-    from .ngram import SuffixIndex, TokenCorpus, _doc_ends
+    from .ngram import SuffixIndex, TokenCorpus
 
     try:
         with np.load(path) as doc:
@@ -182,7 +182,7 @@ def _load_index(path):
             sa = doc["sa"]
     except (zipfile.BadZipFile, EOFError) as exc:  # truncated or damaged archive
         raise ValueError(f"{path}: damaged index file: {exc}") from exc
-    return SuffixIndex(corpus=corpus, sa=sa, doc_end=_doc_ends(corpus))
+    return SuffixIndex(corpus=corpus, sa=sa)
 
 
 def _cmd_ngram_query(args) -> int:

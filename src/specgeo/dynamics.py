@@ -134,10 +134,6 @@ class ToyConfig:
     def batch_size(self) -> int:
         return int(sum(self.class_counts))
 
-    @property
-    def bottleneck(self) -> bool:
-        return self.d < self.vocab
-
 
 @dataclass
 class ToyModelState:
@@ -208,10 +204,8 @@ def init_balanced(cfg: ToyConfig, scale: float = _INIT_SCALE) -> ToyModelState:
             f"cannot balance: rank(f)={r} exceeds vocab={cfg.vocab}, "
             "so no W with W W^T = f^T f exists"
         )
-    gq = rng.standard_normal((cfg.vocab, cfg.vocab))
-    q, rq = np.linalg.qr(gq)
-    q = q * np.sign(np.diag(rq))
-    w = v1t.T @ np.diag(s1) @ q[:, :r].T
+    q = _orthonormal_rows(rng, cfg.vocab, cfg.vocab)
+    w = v1t.T @ np.diag(s1) @ q[:r]
     residual = float(np.linalg.norm(f.T @ f - w @ w.T))
     return ToyModelState(
         theta=theta,
@@ -388,45 +382,36 @@ def gd_step(
     return replace(state, theta=theta, w=w)
 
 
-def _ties(s: np.ndarray, gap_rtol: float) -> np.ndarray:
-    """Per neighbouring pair of descending values: gap < gap_rtol * largest."""
-    return s[..., :-1] - s[..., 1:] < gap_rtol * np.maximum(s[..., :1], 1e-300)
-
-
-def _vector_alignment_error(v1t: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """|| |V1^T U2| - I ||_F over the shared top block, for one pair or a stack."""
-    r = min(v1t.shape[-2], u2.shape[-1])
-    m = np.abs(v1t[..., :r, :] @ u2[..., :, :r]) - np.eye(r)
-    return np.sqrt(np.sum(m * m, axis=(-2, -1)))
-
-
 def _alignment_error(
-    v1t: np.ndarray,
-    u2: np.ndarray,
-    s: np.ndarray,
-    gap_rtol: float = _GAP_RTOL,
-) -> tuple[float, bool]:
-    """|| |V1^T U2| - I ||_F over the shared top block.
+    v1t: np.ndarray, u2: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|| |V1^T U2| - I ||_F over the shared top block, per record of a
+    stack v1t (n, k, d), u2 (n, d, k'), s (n, >= r) descending.
 
     Near-equal singular values leave the individual vectors undetermined
-    (any rotation inside the degenerate subspace is valid), so indices
-    within ``gap_rtol`` of each other are compared through their block
-    projectors instead.  Returns (error, grouped_flag).
+    (any rotation inside the degenerate subspace is valid), so in a
+    record with neighbours within ``_GAP_RTOL`` of the largest value the
+    tied indices are compared through their block projectors instead.
+    Returns (error, grouped), grouped True where that happened.
     """
-    r = min(v1t.shape[0], u2.shape[1])
-    tied = _ties(s[:r], gap_rtol)
-    if not tied.any():
-        return float(_vector_alignment_error(v1t, u2)), False
-    total = 0.0
-    for block in np.split(np.arange(r), np.flatnonzero(~tied) + 1):
-        v_b = v1t[block].T  # d x |B| basis from f's right factors
-        u_b = u2[:, block]
-        if len(block) == 1:
-            total += (abs(float(v_b[:, 0] @ u_b[:, 0])) - 1.0) ** 2
-        else:
-            diff = v_b @ v_b.T - u_b @ u_b.T
-            total += float(np.sum(diff * diff))
-    return float(np.sqrt(total)), True
+    r = min(v1t.shape[-2], u2.shape[-1])
+    m = np.abs(v1t[:, :r, :] @ u2[:, :, :r]) - np.eye(r)
+    err = np.sqrt(np.sum(m * m, axis=(-2, -1)))
+    s = s[:, :r]
+    tied = s[:, :-1] - s[:, 1:] < _GAP_RTOL * np.maximum(s[:, :1], 1e-300)
+    grouped = tied.any(axis=-1)
+    for i in np.flatnonzero(grouped):
+        total = 0.0
+        for block in np.split(np.arange(r), np.flatnonzero(~tied[i]) + 1):
+            v_b = v1t[i][block].T  # d x |B| basis from f's right factors
+            u_b = u2[i][:, block]
+            if len(block) == 1:
+                total += (abs(float(v_b[:, 0] @ u_b[:, 0])) - 1.0) ** 2
+            else:
+                diff = v_b @ v_b.T - u_b @ u_b.T
+                total += float(np.sum(diff * diff))
+        err[i] = np.sqrt(total)
+    return err, grouped
 
 
 def _observables(f, w, state: ToyModelState, loss_kind: str, frozen_alpha) -> dict:
@@ -443,11 +428,7 @@ def _observables(f, w, state: ToyModelState, loss_kind: str, frozen_alpha) -> di
     lock = np.where(np.einsum("nid,ndi->ni", v1t[:, :r], u2[..., :r]) < 0, -1.0, 1.0)
     g = lock * np.einsum("nbi,nbv,niv->ni", u1[..., :r], a, v2t[:, :r])
 
-    s = (s1[:, :r] + s2[:, :r]) / 2
-    align_err = _vector_alignment_error(v1t, u2)
-    grouped = _ties(s, _GAP_RTOL).any(axis=-1)
-    for i in np.flatnonzero(grouped):
-        align_err[i], _ = _alignment_error(v1t[i], u2[i], s[i])
+    align_err, grouped = _alignment_error(v1t, u2, (s1[:, :r] + s2[:, :r]) / 2)
 
     # per class, the mean over its rows of own logit - best other logit
     onehot = _onehot(state.labels, logits.shape[-1])

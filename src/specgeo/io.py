@@ -153,11 +153,16 @@ class RunManifest:
 
 
 def load_manifest(path) -> RunManifest:
-    """Parse a JSON manifest and verify every listed file exists."""
+    """Parse a JSON manifest and verify every listed file exists.
+
+    A relative entry path is resolved against the manifest's directory
+    and stored resolved; an absolute one is kept as it is.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    base = Path(path).parent
     entries = tuple(
-        ManifestEntry(label=str(e["label"]), path=str(e["path"]))
+        ManifestEntry(label=str(e["label"]), path=str(base / str(e["path"])))
         for e in doc.get("entries", [])
     )
     opts = doc.get("options", {})
@@ -172,13 +177,11 @@ def load_manifest(path) -> RunManifest:
             ablation_mode=ablation.get("mode", "retain_top"),
         ),
     )
-    base = Path(path).parent
     for entry in manifest.entries:
-        p = Path(entry.path)
-        if not p.is_absolute():
-            p = base / p
-        if not p.exists():
-            raise FileNotFoundError(f"manifest entry {entry.label!r}: missing {p}")
+        if not Path(entry.path).exists():
+            raise FileNotFoundError(
+                f"manifest entry {entry.label!r}: missing {entry.path}"
+            )
     return manifest
 
 
@@ -188,7 +191,6 @@ class MetricsReport:
 
     records: list
     errors: list
-    toolkit_version: str = __version__
 
     @property
     def ok(self) -> bool:
@@ -196,7 +198,7 @@ class MetricsReport:
 
     def to_json(self) -> str:
         doc = {
-            "toolkit_version": self.toolkit_version,
+            "toolkit_version": __version__,
             "records": self.records,
             "errors": self.errors,
         }
@@ -221,11 +223,8 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_entry(entry: ManifestEntry, options: SweepOptions, base: Path) -> dict:
-    path = Path(entry.path)
-    if not path.is_absolute():
-        path = base / path
-    raw = path.read_bytes()
+def _sweep_entry(entry: ManifestEntry, options: SweepOptions) -> dict:
+    raw = Path(entry.path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     fm = _parse_matrix(raw)
     del raw  # fm holds its own copy; free the file bytes before the solve
@@ -249,18 +248,17 @@ def _sweep_entry(entry: ManifestEntry, options: SweepOptions, base: Path) -> dic
     return record
 
 
-def sweep(manifest: RunManifest, base_dir=".") -> MetricsReport:
+def sweep(manifest: RunManifest) -> MetricsReport:
     """Compute spectral metrics for every manifest entry.
 
     Entries run one at a time in manifest order (BLAS parallelises each
     eigensolve), so output bytes are fixed.  Per-entry failures become
     error records and processing continues.
     """
-    base = Path(base_dir)
     records, errors = [], []
     for entry in manifest.entries:
         try:
-            records.append(_sweep_entry(entry, manifest.options, base))
+            records.append(_sweep_entry(entry, manifest.options))
         except Exception as exc:  # recorded, sweep continues
             error = f"{type(exc).__name__}: {exc}"
             errors.append({"label": entry.label, "error": error})

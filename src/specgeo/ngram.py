@@ -18,7 +18,7 @@ arrive pre-aligned; producing them is the caller's problem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +81,8 @@ class SuffixIndex:
     ``sa`` is a permutation of 0..n-1 ordering suffixes of the raw token
     sequence lexicographically.  ``doc_end[p]`` is the end position of the
     document containing position p; a match of length L starting at p is
-    valid only when p + L <= doc_end[p].
+    valid only when p + L <= doc_end[p].  It is derived from the corpus's
+    document boundaries, not passed in.
 
     Construction checks the suffix order in O(n), however the index was
     made, and raises ValueError when ``sa`` is not the corpus's suffix
@@ -90,7 +91,7 @@ class SuffixIndex:
 
     corpus: TokenCorpus
     sa: np.ndarray
-    doc_end: np.ndarray
+    doc_end: np.ndarray = field(init=False)
 
     def __post_init__(self):
         tokens = self.corpus.tokens
@@ -107,11 +108,8 @@ class SuffixIndex:
             raise ValueError("suffix array has entries outside 0..n-1")
         sa = sa.astype(np.int64, copy=False)
         _check_suffix_order(tokens, sa)
-        doc_end = np.asarray(self.doc_end, dtype=np.int64)
-        if doc_end.shape != (n,):
-            raise ValueError(f"doc_end must have shape ({n},), got {doc_end.shape}")
         object.__setattr__(self, "sa", sa)
-        object.__setattr__(self, "doc_end", doc_end)
+        object.__setattr__(self, "doc_end", _doc_ends(self.corpus))
 
     def __len__(self) -> int:
         return int(self.sa.size)
@@ -218,12 +216,10 @@ def _doc_ends(corpus: TokenCorpus) -> np.ndarray:
 
 
 def build_index(corpus: TokenCorpus) -> SuffixIndex:
-    """Build the suffix array plus per-position document-end lookup."""
+    """Build the suffix array of the corpus; SuffixIndex derives doc_end."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    return SuffixIndex(
-        corpus=corpus, sa=_suffix_array(corpus.tokens), doc_end=_doc_ends(corpus)
-    )
+    return SuffixIndex(corpus=corpus, sa=_suffix_array(corpus.tokens))
 
 
 def _sa_range(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, int]:

@@ -391,7 +391,7 @@ def test_criterion_11_end_to_end_sweep(tmp_path):
         json.dumps({"entries": entries, "options": {"center": True}}),
         encoding="utf-8",
     )
-    reportobj = sweep(load_manifest(manifest_path), base_dir=tmp_path)
+    reportobj = sweep(load_manifest(manifest_path))
     if not reportobj.ok:
         failures.append(f"sweep errors: {reportobj.errors}")
     ranks = [rec["rankme"] for rec in reportobj.records]

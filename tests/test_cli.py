@@ -21,7 +21,7 @@ from specgeo.io import read_matrix, write_matrix
 from specgeo.ngram import TokenCorpus, build_index
 from specgeo.spectral import FeatureMatrix
 
-from oracles import read_columns_csv, trajectory_csv_rows
+from oracles import doc_end_array, read_columns_csv, trajectory_csv_rows
 from test_dynamics import DIVERGING
 from test_io import synthetic_power_law_matrix
 
@@ -81,6 +81,64 @@ class TestSpectralCommands:
         report = json.loads((outdir / "report.json").read_text())
         assert len(report["records"]) == 2
         assert (outdir / "report.csv").exists()
+
+    def test_sweep_resolves_entries_against_manifest_dir(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # relative, absolute, garbage and directory entries of a manifest
+        # in a subdirectory, run from its parent with a relative --manifest
+        rng = np.random.default_rng(2)
+        sub = tmp_path / "sub"
+        (sub / "dir").mkdir(parents=True)
+        write_matrix(synthetic_power_law_matrix(rng, 0.7), sub / "rel.mat")
+        write_matrix(synthetic_power_law_matrix(rng, 1.3), tmp_path / "abs.mat")
+        (sub / "bad.mat").write_bytes(b"garbage!" * 8)
+        entries = [{"label": "rel", "path": "rel.mat"},
+                   {"label": "abs", "path": str(tmp_path / "abs.mat")},
+                   {"label": "bad", "path": "bad.mat"},
+                   {"label": "dir", "path": "dir"}]
+        (sub / "m.json").write_text(json.dumps({"entries": entries}),
+                                    encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, doc = run_json(capsys, ["sweep", "--manifest", "sub/m.json",
+                                      "-o", "out", "--json"])
+        errors = [
+            {"label": "bad",
+             "error": "BadMagicError: bad magic b'garbage!', expected b'SPECGEO1'"},
+            {"label": "dir",
+             "error": "IsADirectoryError: [Errno 21] Is a directory: 'sub/dir'"},
+        ]
+        assert code == cli.COMPUTE_ERROR
+        assert doc == {"records": 2, "errors": errors, "output": "out"}
+        # the same bytes as a sweep of the same files by absolute path
+        for e in entries:
+            e["path"] = str(sub / e["path"])
+        (tmp_path / "abs.json").write_text(json.dumps({"entries": entries}),
+                                           encoding="utf-8")
+        monkeypatch.chdir(sub)
+        assert cli_dispatch(["sweep", "--manifest", str(tmp_path / "abs.json"),
+                             "-o", str(tmp_path / "abs_out")]) == cli.COMPUTE_ERROR
+        capsys.readouterr()
+        for name in ("report.json", "report.csv"):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (tmp_path / "abs_out" / name).read_bytes().replace(
+                str(sub / "dir").encode(), b"sub/dir")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["errors"] == errors
+        assert [(r["label"], r["m"], r["d"]) for r in report["records"]] == [
+            ("rel", 64, 24), ("abs", 64, 24)]
+
+    def test_sweep_missing_entry_names_resolved_path(self, tmp_path, capsys,
+                                                     monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "m.json").write_text(json.dumps(
+            {"entries": [{"label": "gone", "path": "nope.mat"}]}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli_dispatch(["sweep", "--manifest", "sub/m.json",
+                             "-o", "out"]) == cli.COMPUTE_ERROR
+        assert capsys.readouterr().err == (
+            "specgeo: error: manifest entry 'gone': missing sub/nope.mat\n")
+
 
 
 class TestNgramCommands:
@@ -157,6 +215,20 @@ class TestNgramCommands:
 
         monkeypatch.setattr(cli, "_load_index", rebuild)
         assert loaded == [query(c, *f) for c in contexts for f in ([], ["--json"])]
+
+    def test_loaded_index_derives_doc_end(self, built_index, tmp_path):
+        idx = cli._load_index(built_index)
+        np.testing.assert_array_equal(
+            idx.doc_end,
+            doc_end_array(len(idx), idx.corpus.doc_boundaries.tolist()))
+        # a stored corpus whose boundaries stop short of its end
+        tokens = np.array([0, 1, 0, 1, 2, 0, 1])
+        corpus = TokenCorpus(tokens=tokens, doc_boundaries=np.array([2, 4]),
+                             vocab_size=3)
+        path = tmp_path / "trailing.npz"
+        np.savez(path, tokens=tokens, doc_boundaries=corpus.doc_boundaries,
+                 vocab_size=np.int64(3), sa=build_index(corpus).sa)
+        assert cli._load_index(path).doc_end.tolist() == [2, 2, 4, 4, 7, 7, 7]
 
     @pytest.mark.parametrize("key", ["tokens", "doc_boundaries", "vocab_size", "sa"])
     def test_index_missing_key_is_compute_error(self, built_index, tmp_path,

@@ -483,12 +483,12 @@ class TestConservation:
         theta = np.pi / 5
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]])
-        v1t = q.T
-        u2 = q @ rot  # same 2-D subspace, rotated basis
-        err, grouped = _alignment_error(v1t, u2, np.array([1.0, 0.3]))
-        assert not grouped and err > 0.5  # distinct sigmas: vectors compared
-        err, grouped = _alignment_error(v1t, u2, np.array([1.0, 1.0 - 1e-9]))
-        assert grouped and err < 1e-10  # degenerate: subspace is what counts
+        v1t = q.T[None]
+        u2 = (q @ rot)[None]  # same 2-D subspace, rotated basis
+        err, grouped = _alignment_error(v1t, u2, np.array([[1.0, 0.3]]))
+        assert not grouped[0] and err[0] > 0.5  # distinct sigmas: vectors compared
+        err, grouped = _alignment_error(v1t, u2, np.array([[1.0, 1.0 - 1e-9]]))
+        assert grouped[0] and err[0] < 1e-10  # degenerate: subspace is what counts
 
     def test_stacked_records_group_only_degenerate_rows(self):
         from specgeo.dynamics import _alignment_error, _observables
@@ -508,9 +508,9 @@ class TestConservation:
         assert obs["align_err"][0] < 1e-12
         _, _, v1t = np.linalg.svd(f[1], full_matrices=False)
         u2, _, _ = np.linalg.svd(w[1], full_matrices=False)
-        err, grouped = _alignment_error(v1t, u2, sigmas[1])
-        assert not grouped and err > 0.3
-        assert obs["align_err"][1] == pytest.approx(err, abs=1e-12)
+        err, grouped = _alignment_error(v1t[None], u2[None], sigmas[1:])
+        assert not grouped[0] and err[0] > 0.3
+        assert obs["align_err"][1] == pytest.approx(err[0], abs=1e-12)
 
 
 class TestGrowthLaw:

@@ -166,7 +166,7 @@ class TestSweep:
 
     def test_alpha_recovery(self, tmp_path):
         path = self.build(tmp_path, [0.5, 1.0, 2.0])
-        report = sweep(load_manifest(path), base_dir=tmp_path)
+        report = sweep(load_manifest(path))
         assert report.ok
         got = [rec["alpha_req"] for rec in report.records]
         np.testing.assert_allclose(got, [0.5, 1.0, 2.0], atol=1e-6)
@@ -174,7 +174,7 @@ class TestSweep:
     def test_unreadable_entry_recorded(self, tmp_path):
         path = self.build(tmp_path, [0.5, 1.0, 2.0])
         (tmp_path / "ckpt1.mat").write_bytes(b"garbage!")
-        report = sweep(load_manifest(path), base_dir=tmp_path)
+        report = sweep(load_manifest(path))
         assert len(report.records) == 2
         assert len(report.errors) == 1
         assert report.errors[0]["label"] == "step1"
@@ -183,8 +183,8 @@ class TestSweep:
     def test_byte_identical_reports(self, tmp_path):
         path = self.build(tmp_path, [0.4, 0.9, 1.7])
         manifest = load_manifest(path)
-        a = sweep(manifest, base_dir=tmp_path)
-        b = sweep(manifest, base_dir=tmp_path)
+        a = sweep(manifest)
+        b = sweep(manifest)
         assert a.to_json() == b.to_json()
         assert a.to_csv() == b.to_csv()
 
@@ -198,7 +198,7 @@ class TestSweep:
         }
         mp = tmp_path / "m.json"
         mp.write_text(json.dumps(doc), encoding="utf-8")
-        report = sweep(load_manifest(mp), base_dir=tmp_path)
+        report = sweep(load_manifest(mp))
         rec = report.records[0]["ablation"]
         lam = np.arange(1, 25, dtype=float) ** -1.0
         expected = lam[:4].sum() / lam.sum()
@@ -218,7 +218,7 @@ class TestSweepNoCenter:
         from specgeo.cli import cli_dispatch
 
         fm = synthetic_power_law_matrix(np.random.default_rng(34), 1.2)
-        report = sweep(self.manifest(tmp_path, fm), base_dir=tmp_path)
+        report = sweep(self.manifest(tmp_path, fm))
         assert report.ok
         rec = report.records[0]
         path = str(tmp_path / "a.mat")
@@ -232,7 +232,7 @@ class TestSweepNoCenter:
 
     def test_uncentred_matrix_is_an_error_record(self, tmp_path):
         fm = FeatureMatrix(np.random.default_rng(35).normal(size=(20, 4)) + 3.0)
-        report = sweep(self.manifest(tmp_path, fm), base_dir=tmp_path)
+        report = sweep(self.manifest(tmp_path, fm))
         assert report.records == []
         assert report.errors[0]["label"] == "x"
         assert "centered flag set but column" in report.errors[0]["error"]
@@ -261,7 +261,7 @@ class TestSweepAblation:
     def test_matches_projected_matrix(self, tmp_path, mode, k):
         rng = np.random.default_rng(31)
         manifest = ablation_manifest(tmp_path, self.SHAPES, k, mode, rng)
-        report = sweep(manifest, base_dir=tmp_path)
+        report = sweep(manifest)
         assert report.ok
         for entry, rec in zip(manifest.entries, report.records):
             fm = center_features(read_matrix(tmp_path / entry.path))
@@ -279,7 +279,7 @@ class TestSweepAblation:
     def test_bad_k_or_mode_is_an_error_record(self, tmp_path, k, mode):
         rng = np.random.default_rng(32)
         manifest = ablation_manifest(tmp_path, [(64, 24), (30, 24)], k, mode, rng)
-        report = sweep(manifest, base_dir=tmp_path)
+        report = sweep(manifest)
         assert report.records == []
         fm = center_features(read_matrix(tmp_path / manifest.entries[0].path))
         with pytest.raises(ValueError) as direct:
@@ -310,6 +310,6 @@ class TestSweepAblation:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        report = sweep(manifest, base_dir=tmp_path)
+        report = sweep(manifest)
         assert report.ok
         assert len(calls) == len(manifest.entries)

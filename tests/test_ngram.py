@@ -19,7 +19,7 @@ from specgeo.ngram import (
     spearman_rho,
 )
 
-from oracles import naive_count, naive_infty_gram, spearman_naive
+from oracles import doc_end_array, naive_count, naive_infty_gram, spearman_naive
 
 
 def make_corpus(tokens, boundaries=None, vocab=None):
@@ -124,7 +124,7 @@ class TestSuffixIndexCheck:
         self.good = build_index(self.corpus)
 
     def make(self, sa):
-        return SuffixIndex(corpus=self.corpus, sa=sa, doc_end=self.good.doc_end)
+        return SuffixIndex(corpus=self.corpus, sa=sa)
 
     def test_accepts_true_suffix_array(self):
         idx = self.make(self.good.sa.astype(np.int32))
@@ -161,16 +161,47 @@ class TestSuffixIndexCheck:
         with pytest.raises(ValueError, match="integer"):
             self.make(self.good.sa.astype(np.float64))
 
-    def test_rejects_wrong_doc_end(self):
-        with pytest.raises(ValueError, match="doc_end"):
+    def test_doc_end_cannot_be_passed(self):
+        with pytest.raises(TypeError, match="doc_end"):
             SuffixIndex(corpus=self.corpus, sa=self.good.sa,
-                        doc_end=self.good.doc_end[:-1])
+                        doc_end=np.zeros(len(self.corpus), dtype=np.int64))
 
     def test_rejects_empty_corpus(self):
         corpus = make_corpus([], boundaries=[], vocab=1)
         with pytest.raises(ValueError, match="empty"):
-            SuffixIndex(corpus=corpus, sa=np.zeros(0, dtype=np.int64),
-                        doc_end=np.zeros(0, dtype=np.int64))
+            SuffixIndex(corpus=corpus, sa=np.zeros(0, dtype=np.int64))
+
+
+class TestDocEnd:
+    """SuffixIndex derives doc_end from the corpus's document boundaries."""
+
+    def test_matches_oracle_on_random_corpora(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            tokens = rng.integers(0, 5, size=n)
+            cuts = np.sort(rng.choice(np.arange(1, n + 1),
+                                      size=int(rng.integers(0, min(n, 4) + 1)),
+                                      replace=False))
+            # boundaries that stop short of n leave trailing tokens,
+            # which form a final document
+            corpus = make_corpus(tokens.tolist(), cuts.tolist(), vocab=5)
+            idx = build_index(corpus)
+            assert idx.doc_end.dtype == np.int64
+            np.testing.assert_array_equal(idx.doc_end,
+                                          doc_end_array(n, cuts.tolist()))
+
+    def test_trailing_tokens_after_last_boundary(self):
+        idx = build_index(make_corpus([0, 1, 0, 1, 2, 0, 1], boundaries=[2, 4]))
+        assert idx.doc_end.tolist() == [2, 2, 4, 4, 7, 7, 7]
+
+    def test_counts_on_small_corpus(self):
+        idx = SuffixIndex(corpus=make_corpus([0, 1, 0, 1, 2]),
+                          sa=_suffix_array(np.array([0, 1, 0, 1, 2])))
+        assert pattern_count(idx, [0, 1]) == 2
+        pred = infty_gram_next(idx, [0])
+        assert pred.suffix_len_used == 1
+        np.testing.assert_array_equal(pred.token_probs, [0.0, 1.0, 0.0])
 
 
 class TestPatternCount:

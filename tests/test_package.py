@@ -44,3 +44,10 @@ def test_import_loads_no_tool_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.splitlines() == ["['specgeo']", "['specgeo', 'specgeo.evalmetrics']"]
+
+
+def test_exports_agree_with_module_all():
+    # _EXPORTS repeats each tool module's public names; keep the two in step
+    for module, names in specgeo._EXPORTS.items():
+        home = importlib.import_module(f"specgeo.{module}")
+        assert set(names) <= set(home.__all__), module

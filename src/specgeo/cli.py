@@ -26,17 +26,19 @@ USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text) -> None:
+    """Print ``payload`` as JSON under --json, else ``text``: a string, or
+    a function returning one when the text is costly to build."""
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text() if callable(text) else text)
 
 
 def _load_features(path, center: bool):
-    from .io import _centered, read_matrix
+    from .io import _read_features
 
-    return _centered(read_matrix(path), center)
+    return _read_features(path, center)
 
 
 # ---------------------------------------------------------------- spectral
@@ -46,9 +48,9 @@ def _cmd_spectrum(args) -> int:
 
     fm = _load_features(args.matrix, not args.no_center)
     spec = covariance_spectrum(fm)
-    vals = [float(v) for v in spec.values]
+    vals = spec.values.tolist()
     _emit(args, {"eigenvalues": vals, "m": fm.m, "d": fm.d},
-          "\n".join(repr(v) for v in vals))
+          lambda: "\n".join(map(repr, vals)))
     return 0
 
 
@@ -192,13 +194,13 @@ def _cmd_ngram_query(args) -> int:
     context = _parse_tokens(args.context)
     pred = infty_gram_next(index, context)
     payload = {
-        "probs": [float(p) for p in pred.token_probs],
+        "probs": pred.token_probs.tolist(),
         "suffix_len_used": pred.suffix_len_used,
         "context_count": pred.context_count,
     }
     _emit(args, payload,
-          f"suffix_len={pred.suffix_len_used} count={pred.context_count} "
-          f"probs={np.round(pred.token_probs, 6).tolist()}")
+          lambda: f"suffix_len={pred.suffix_len_used} count={pred.context_count} "
+                  f"probs={np.round(pred.token_probs, 6).tolist()}")
     return 0
 
 

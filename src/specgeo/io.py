@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,9 +36,9 @@ from . import __version__
 from .spectral import (
     EigenSpectrum,
     FeatureMatrix,
+    _centered,
     _check_ablation,
     _metrics_of_spectrum,
-    center_features,
     covariance_spectrum,
     rankme,
 )
@@ -91,38 +93,66 @@ def write_matrix(f: FeatureMatrix, path, dtype: str = "f64") -> None:
         fh.write(data.tobytes())
 
 
-def _centered(fm: FeatureMatrix, center: bool) -> FeatureMatrix:
-    """Centre the columns, or with ``center`` false take the data as
-    already centred; FeatureMatrix then checks the column means."""
-    if center:
-        return center_features(fm)
-    return FeatureMatrix(fm.data, centered=True)
-
-
 def read_matrix(path) -> FeatureMatrix:
     """Read a matrix file, widening float32 payloads to float64 exactly."""
+    return FeatureMatrix(_read_payload(path))
+
+
+def _read_payload(path, digest=None) -> np.ndarray:
+    """The float64 matrix in a matrix file; see the module docstring.
+
+    A regular file's size is checked against the header before anything
+    is allocated.  The payload is read into one array of the file's dtype,
+    fed with the header to ``digest`` (a hashlib object) if one is given,
+    and widened to float64, which for float64 files is no copy.
+    """
     with open(path, "rb") as fh:
-        return _parse_matrix(fh.read())
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise SizeMismatchError(
+                f"file is shorter than the {_HEADER.size}-byte header")
+        magic, code, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if code not in _DTYPES:
+            raise BadDtypeError(f"unknown dtype code {code}")
+        dtype = _DTYPES[code]
+        expected = rows * cols * dtype.itemsize
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size != expected:
+            raise _size_mismatch(st.st_size - _HEADER.size, expected)
+        raw = np.empty(rows * cols, dtype=dtype)
+        view = memoryview(raw).cast("B")
+        got = 0
+        while got < expected:
+            n = fh.readinto(view[got:])
+            if not n:
+                break
+            got += n
+        # a pipe's length is known only once it is drained
+        got += len(fh.read())
+        if got != expected:
+            raise _size_mismatch(got, expected)
+    if digest is not None:
+        digest.update(header)
+        digest.update(raw)
+    return raw.reshape(rows, cols).astype(np.float64, copy=False)
 
 
-def _parse_matrix(raw: bytes) -> FeatureMatrix:
-    """Decode the bytes of a matrix file; see the module docstring."""
-    if len(raw) < _HEADER.size:
-        raise SizeMismatchError(f"file is shorter than the {_HEADER.size}-byte header")
-    magic, code, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if code not in _DTYPES:
-        raise BadDtypeError(f"unknown dtype code {code}")
-    dtype = _DTYPES[code]
-    expected = rows * cols * dtype.itemsize
-    payload = raw[_HEADER.size :]
-    if len(payload) != expected:
-        raise SizeMismatchError(
-            f"payload is {len(payload)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
-    return FeatureMatrix(data.astype(np.float64), centered=False)
+def _size_mismatch(payload: int, expected: int) -> SizeMismatchError:
+    return SizeMismatchError(
+        f"payload is {payload} bytes, header implies {expected}")
+
+
+def _read_features(path, center: bool, digest=None) -> FeatureMatrix:
+    """Read a matrix file and centre its columns in place; with ``center``
+    false take the data as already centred, which FeatureMatrix checks."""
+    data = _read_payload(path, digest)
+    if not center:
+        return FeatureMatrix(data, centered=True)
+    FeatureMatrix(data)  # the shape checks come before the column means
+    data -= data.mean(axis=0)  # the buffer is ours alone
+    return _centered(data)
 
 
 @dataclass(frozen=True)
@@ -224,14 +254,12 @@ class MetricsReport:
 
 
 def _sweep_entry(entry: ManifestEntry, options: SweepOptions) -> dict:
-    raw = Path(entry.path).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    fm = _parse_matrix(raw)
-    del raw  # fm holds its own copy; free the file bytes before the solve
-    fm = _centered(fm, options.center)
+    digest = hashlib.sha256()
+    fm = _read_features(entry.path, options.center, digest)
     spec = covariance_spectrum(fm)
     metrics = _metrics_of_spectrum(spec, fm.m, options.alpha_window)
-    record = {"label": entry.label, "sha256": digest, **metrics.to_record()}
+    record = {"label": entry.label, "sha256": digest.hexdigest(),
+              **metrics.to_record()}
     if options.ablation_k is not None:
         # projecting onto or off the top-k eigenvectors keeps exactly
         # those eigenpairs, so the ablated spectrum is a slice of this one

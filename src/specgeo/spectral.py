@@ -138,8 +138,17 @@ class SpectralMetrics:
 
 def center_features(f: FeatureMatrix) -> FeatureMatrix:
     """Subtract column means. Idempotent; requires at least two rows."""
-    data = f.data - f.data.mean(axis=0, keepdims=True)
-    return FeatureMatrix(data, centered=True)
+    return _centered(f.data - f.data.mean(axis=0, keepdims=True))
+
+
+def _centered(data: np.ndarray) -> FeatureMatrix:
+    """A centred FeatureMatrix over ``data`` that this package has just
+    centred itself.  The column means are not checked again: round-off
+    leaves a column whose mean dwarfs its spread with a residual mean
+    above the check's tolerance."""
+    fm = FeatureMatrix(data)
+    object.__setattr__(fm, "centered", True)
+    return fm
 
 
 def covariance_spectrum(f: FeatureMatrix, want_vectors: bool = False) -> EigenSpectrum:
@@ -154,7 +163,8 @@ def covariance_spectrum(f: FeatureMatrix, want_vectors: bool = False) -> EigenSp
     if not f.centered:
         raise ValueError("covariance_spectrum requires centered features")
     data = f.data
-    if not np.all(np.isfinite(data)):
+    # NaN and infinities reach the extremes; no matrix-sized temporary
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise ValueError("feature matrix contains non-finite entries")
     m, d = data.shape
 
@@ -301,4 +311,5 @@ def ablate_spectrum(f: FeatureMatrix, k: int, mode: str) -> FeatureMatrix:
         out = retained
     else:
         out = f.data - retained
-    return FeatureMatrix(out, centered=True)
+    # a projection of centred rows is centred
+    return _centered(out)

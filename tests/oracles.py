@@ -355,6 +355,40 @@ def _reference_record(state, loss_kind, frozen, gap_rtol=1e-6) -> dict:
     }
 
 
+# ------------------------------------------------------------ matrix files
+
+def read_features_bytes(path, center: bool):
+    """(FeatureMatrix, file bytes) by the sweep's earlier route: the whole
+    file read into bytes, the payload decoded into a float64 copy, then
+    ``center_features`` or, with ``center`` false, the checked centred flag."""
+    import struct
+
+    from specgeo.io import BadDtypeError, BadMagicError, SizeMismatchError
+    from specgeo.spectral import FeatureMatrix, center_features
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header = struct.Struct("<8sBQQ")
+    if len(raw) < header.size:
+        raise SizeMismatchError(f"file is shorter than the {header.size}-byte header")
+    magic, code, rows, cols = header.unpack_from(raw)
+    if magic != b"SPECGEO1":
+        raise BadMagicError(f"bad magic {magic!r}, expected {b'SPECGEO1'!r}")
+    dtypes = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
+    if code not in dtypes:
+        raise BadDtypeError(f"unknown dtype code {code}")
+    expected = rows * cols * dtypes[code].itemsize
+    payload = raw[header.size:]
+    if len(payload) != expected:
+        raise SizeMismatchError(
+            f"payload is {len(payload)} bytes, header implies {expected}")
+    data = np.frombuffer(payload, dtype=dtypes[code]).reshape(rows, cols)
+    fm = FeatureMatrix(data.astype(np.float64))
+    if center:
+        return center_features(fm), raw
+    return FeatureMatrix(fm.data, centered=True), raw
+
+
 # ------------------------------------------------------------ CLI text formats
 
 def _converts(field: str, dtype) -> bool:

@@ -52,6 +52,16 @@ class TestSpectralCommands:
         assert code == 0
         assert len(doc["eigenvalues"]) == 24
 
+    def test_spectrum_text_and_json(self, matrix_file, capsys):
+        from specgeo.spectral import center_features, covariance_spectrum
+
+        values = covariance_spectrum(center_features(read_matrix(matrix_file))).values
+        assert cli_dispatch(["spectrum", str(matrix_file)]) == 0
+        assert capsys.readouterr().out == "".join(f"{float(v)!r}\n" for v in values)
+        assert cli_dispatch(["spectrum", str(matrix_file), "--json"]) == 0
+        doc = {"eigenvalues": [float(v) for v in values], "m": 64, "d": 24}
+        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
+
     def test_alphareq(self, matrix_file, capsys):
         code, doc = run_json(capsys, ["alphareq", str(matrix_file), "--json"])
         assert code == 0
@@ -215,6 +225,21 @@ class TestNgramCommands:
 
         monkeypatch.setattr(cli, "_load_index", rebuild)
         assert loaded == [query(c, *f) for c in contexts for f in ([], ["--json"])]
+
+    def test_query_text_and_json(self, built_index, capsys):
+        from specgeo.ngram import infty_gram_next
+
+        pred = infty_gram_next(cli._load_index(built_index), [3, 1])
+        argv = ["ngram-query", "--index", str(built_index), "--context", "3 1"]
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr().out == (
+            f"suffix_len={pred.suffix_len_used} count={pred.context_count} "
+            f"probs={np.round(pred.token_probs, 6).tolist()}\n")
+        assert cli_dispatch([*argv, "--json"]) == 0
+        doc = {"probs": [float(p) for p in pred.token_probs],
+               "suffix_len_used": pred.suffix_len_used,
+               "context_count": pred.context_count}
+        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
 
     def test_loaded_index_derives_doc_end(self, built_index, tmp_path):
         idx = cli._load_index(built_index)

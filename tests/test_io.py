@@ -1,19 +1,27 @@
 """Matrix file format, manifests, and the sweep driver."""
 
+import hashlib
 import json
+import os
+import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import specgeo.io as sio
 from specgeo.io import (
     MAGIC,
     BadDtypeError,
     BadMagicError,
+    ManifestEntry,
     MatrixFormatError,
     MetricsReport,
     RunManifest,
     SizeMismatchError,
     SweepOptions,
+    _sweep_entry,
     load_manifest,
     read_matrix,
     sweep,
@@ -26,6 +34,8 @@ from specgeo.spectral import (
     covariance_spectrum,
     rankme,
 )
+
+from oracles import read_features_bytes
 
 
 def random_matrix(rng, m=3, d=2):
@@ -118,6 +128,105 @@ class TestMatrixRoundTrip:
         path.write_bytes(MAGIC)
         with pytest.raises(SizeMismatchError):
             read_matrix(path)
+
+    def test_huge_row_count_is_a_size_mismatch(self, tmp_path):
+        # checked against the file size before anything is allocated
+        path = tmp_path / "huge.mat"
+        path.write_bytes(struct.pack("<8sBQQ", MAGIC, 2, 2**60, 2) + bytes(48))
+        with pytest.raises(SizeMismatchError) as exc:
+            read_matrix(path)
+        assert str(exc.value) == f"payload is 48 bytes, header implies {2**64}"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("cut", [0, -8, 8], ids=["whole", "truncated", "padded"])
+    def test_reads_a_pipe(self, tmp_path, cut):
+        """A pipe has no size to check first; its length is checked once read."""
+        rng = np.random.default_rng(38)
+        path = tmp_path / "m.mat"
+        write_matrix(random_matrix(rng, 5, 3), path, dtype="f32")
+        raw = path.read_bytes()
+        raw = raw[:cut] if cut < 0 else raw + bytes(cut)
+        path.write_bytes(raw)
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        try:
+            if cut == 0:
+                got = read_matrix(fifo).data
+                assert got.tobytes() == read_matrix(path).data.tobytes()
+            else:
+                with pytest.raises(SizeMismatchError) as piped:
+                    read_matrix(fifo)
+                with pytest.raises(SizeMismatchError) as regular:
+                    read_matrix(path)
+                assert str(piped.value) == str(regular.value)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def _reference_reader(path, center, digest):
+    fm, raw = read_features_bytes(path, center)
+    digest.update(raw)
+    return fm
+
+
+class TestReader:
+    """The one reader behind read_matrix, the sweep and the CLI."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_sweep_sha256_is_the_file_digest(self, tmp_path, dtype):
+        path = tmp_path / "a.mat"
+        write_matrix(random_matrix(np.random.default_rng(37), 50, 7), path, dtype)
+        record = _sweep_entry(ManifestEntry("a", str(path)), SweepOptions())
+        assert record["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("options", [
+        SweepOptions(),
+        SweepOptions(ablation_k=5),
+        SweepOptions(alpha_window=(2, 15), ablation_k=5, ablation_mode="remove_top"),
+        SweepOptions(center=False),
+    ], ids=["plain", "retain_top", "remove_top", "no_center"])
+    def test_reports_equal_reference_route(self, tmp_path, monkeypatch, options):
+        rng = np.random.default_rng(39)
+        matrices = [synthetic_power_law_matrix(rng, 0.8),
+                    center_features(FeatureMatrix(rng.normal(size=(20, 40)))),
+                    FeatureMatrix(rng.normal(size=(30, 24)) + 2.0)]
+        entries = []
+        for i, (fm, dtype) in enumerate(zip(matrices, ["f64", "f64", "f32"])):
+            write_matrix(fm, tmp_path / f"{i}.mat", dtype)
+            entries.append(ManifestEntry(f"e{i}", str(tmp_path / f"{i}.mat")))
+        (tmp_path / "bad.mat").write_bytes(MAGIC + bytes(20))
+        entries.append(ManifestEntry("bad", str(tmp_path / "bad.mat")))
+        manifest = RunManifest(entries=tuple(entries), options=options)
+        got = sweep(manifest)
+        monkeypatch.setattr(sio, "_read_features", _reference_reader)
+        want = sweep(manifest)
+        assert len(want.records) == (3 if options.center else 2)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+
+    @pytest.mark.parametrize("dtype, bound", [("f32", 1.6), ("f64", 1.1)])
+    def test_sweep_entry_peak_memory(self, tmp_path, dtype, bound):
+        """tracemalloc sees numpy's buffers.  At most the file's own array
+        and one float64 matrix are alive at once; the matrix is tall, so the
+        d x d covariance stays small beside them."""
+        m, d = 8192, 32
+        path = tmp_path / "a.mat"
+        write_matrix(random_matrix(np.random.default_rng(40), m, d), path, dtype)
+        entry = ManifestEntry("a", str(path))
+        options = SweepOptions(ablation_k=4)
+        _sweep_entry(entry, options)  # first calls finish lazy set-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _sweep_entry(entry, options)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * m * d * 8
 
 
 class TestManifest:
@@ -236,6 +345,44 @@ class TestSweepNoCenter:
         assert report.records == []
         assert report.errors[0]["label"] == "x"
         assert "centered flag set but column" in report.errors[0]["error"]
+
+
+def large_mean_matrix():
+    """4096 rows whose column 0 is 1e6 + 1e-6 N(0, 1): once centred, the
+    column keeps a round-off mean far above the centred-flag check's
+    tolerance for its tiny spread."""
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(4096, 8))
+    data[:, 0] = 1e6 + 1e-6 * rng.normal(size=4096)
+    return data
+
+
+class TestSelfCentredData:
+    def test_center_features_accepts_its_output(self):
+        data = large_mean_matrix()
+        out = center_features(FeatureMatrix(data))
+        assert out.centered
+        assert out.data.tobytes() == (data - data.mean(axis=0)).tobytes()
+        with pytest.raises(ValueError, match="centered flag set but column 0"):
+            FeatureMatrix(out.data, centered=True)  # a caller's data is checked
+
+    def test_cli_and_sweep_accept_it(self, tmp_path, capsys):
+        from specgeo.cli import cli_dispatch
+
+        data = large_mean_matrix()
+        path = tmp_path / "a.mat"
+        write_matrix(FeatureMatrix(data), path)
+        want = rankme(covariance_spectrum(center_features(FeatureMatrix(data))))
+        assert cli_dispatch(["rankme", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"rankme": want}
+        assert cli_dispatch(["ablate", str(path), "-k", "2", "--mode", "remove_top",
+                             "-o", str(tmp_path / "b.mat")]) == 0
+        doc = {"entries": [{"label": "x", "path": "a.mat"}],
+               "options": {"ablation": {"k": 2, "mode": "remove_top"}}}
+        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        report = sweep(load_manifest(tmp_path / "m.json"))
+        assert report.ok
+        assert report.records[0]["rankme"] == want
 
 
 def ablation_manifest(tmp_path, shapes, k, mode, rng):

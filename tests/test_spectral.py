@@ -115,6 +115,15 @@ class TestCovarianceSpectrum:
         with pytest.raises(ValueError, match="finite"):
             covariance_spectrum(fm)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinities(self, bad):
+        from specgeo.spectral import _centered
+
+        data = np.zeros((3, 2))
+        data[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            covariance_spectrum(_centered(data))
+
     def test_requires_centered(self):
         fm = FeatureMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ValueError, match="centered"):

@@ -35,18 +35,13 @@ def _emit(args, payload: dict, text) -> None:
         print(text() if callable(text) else text)
 
 
-def _load_features(path, center: bool):
-    from .io import _read_features
-
-    return _read_features(path, center)
-
-
 # ---------------------------------------------------------------- spectral
 
 def _cmd_spectrum(args) -> int:
+    from .io import _read_features
     from .spectral import covariance_spectrum
 
-    fm = _load_features(args.matrix, not args.no_center)
+    fm = _read_features(args.matrix, not args.no_center)
     spec = covariance_spectrum(fm)
     vals = spec.values.tolist()
     _emit(args, {"eigenvalues": vals, "m": fm.m, "d": fm.d},
@@ -55,18 +50,20 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_rankme(args) -> int:
+    from .io import _read_features
     from .spectral import covariance_spectrum, rankme
 
-    fm = _load_features(args.matrix, not args.no_center)
+    fm = _read_features(args.matrix, not args.no_center)
     value = rankme(covariance_spectrum(fm))
     _emit(args, {"rankme": value}, f"rankme: {value!r}")
     return 0
 
 
 def _cmd_alphareq(args) -> int:
+    from .io import _read_features
     from .spectral import spectral_metrics
 
-    fm = _load_features(args.matrix, not args.no_center)
+    fm = _read_features(args.matrix, not args.no_center)
     window = tuple(args.window) if args.window else None
     metrics = spectral_metrics(fm, window)
     alpha, r2 = metrics.alpha_req, metrics.fit_r2
@@ -79,10 +76,10 @@ def _cmd_alphareq(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .io import write_matrix
+    from .io import _read_features, write_matrix
     from .spectral import ablate_spectrum
 
-    fm = _load_features(args.matrix, center=True)
+    fm = _read_features(args.matrix, center=True)
     out = ablate_spectrum(fm, args.k, args.mode)
     write_matrix(out, args.output)
     _emit(args, {"written": str(args.output), "k": args.k, "mode": args.mode},
@@ -117,25 +114,22 @@ def _parse_tokens(text: str) -> np.ndarray:
 def _read_corpus(path, vocab_size=None):
     """Token corpus from text (one document per line, space-separated
     decimal ids) or from a matrix file whose rows are documents."""
-    from .ngram import TokenCorpus
+    from .ngram import TokenCorpus, _token_ids
 
     with open(path, "rb") as fh:
         magic = fh.read(8)
     if magic == b"SPECGEO1":
-        from .io import read_matrix
+        from .io import _read_payload
 
-        fm = read_matrix(path)
-        if not np.all(fm.data == np.round(fm.data)) or fm.data.min() < 0:
-            raise ValueError(f"{path}: matrix corpus must hold token ids")
-        tokens = fm.data.astype(np.int64).ravel()
-        boundaries = np.arange(1, fm.m + 1) * fm.d
+        docs = list(_token_ids(_read_payload(path), str(path)))
     else:
         with open(path, "r", encoding="utf-8") as fh:
             docs = [_parse_tokens(line) for line in fh if line.strip()]
-        if not docs:
-            raise ValueError(f"no tokens found in {path}")
-        tokens = np.concatenate(docs)
-        boundaries = np.cumsum([doc.size for doc in docs])
+    lengths = [doc.size for doc in docs]
+    if not sum(lengths):
+        raise ValueError(f"no tokens found in {path}")
+    tokens = np.concatenate(docs)
+    boundaries = np.cumsum(lengths)
     if vocab_size is None:
         vocab_size = int(tokens.max()) + 1
     return TokenCorpus(
@@ -176,10 +170,14 @@ def _load_index(path):
             missing = [key for key in _INDEX_KEYS if key not in doc.files]
             if missing:
                 raise ValueError(f"{path}: index file has no {missing[0]!r} array")
+            vocab_size = doc["vocab_size"]
+            if vocab_size.shape or vocab_size.dtype.kind not in "iu":
+                raise ValueError(f"{path}: index vocab_size must be an integer "
+                                 f"scalar, got {vocab_size.dtype} {vocab_size.shape}")
             corpus = TokenCorpus(
                 tokens=doc["tokens"],
                 doc_boundaries=doc["doc_boundaries"],
-                vocab_size=int(doc["vocab_size"]),
+                vocab_size=int(vocab_size),
             )
             sa = doc["sa"]
     except (zipfile.BadZipFile, EOFError) as exc:  # truncated or damaged archive

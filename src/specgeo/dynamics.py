@@ -109,6 +109,8 @@ class ToyConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if len(self.class_counts) != self.vocab:
             raise ValueError("class_counts must have one entry per class")
         if any(c < 0 for c in self.class_counts):

@@ -151,7 +151,8 @@ def _read_features(path, center: bool, digest=None) -> FeatureMatrix:
     if not center:
         return FeatureMatrix(data, centered=True)
     FeatureMatrix(data)  # the shape checks come before the column means
-    data -= data.mean(axis=0)  # the buffer is ours alone
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the solve
+        data -= data.mean(axis=0)  # the buffer is ours alone
     return _centered(data)
 
 
@@ -185,34 +186,81 @@ class RunManifest:
 def load_manifest(path) -> RunManifest:
     """Parse a JSON manifest and verify every listed file exists.
 
-    A relative entry path is resolved against the manifest's directory
-    and stored resolved; an absolute one is kept as it is.
+    A manifest that breaks the schema of ``_parse_manifest`` raises
+    ValueError.  A relative entry path is resolved against the manifest's
+    directory and stored resolved; an absolute one is kept as it is.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    base = Path(path).parent
-    entries = tuple(
-        ManifestEntry(label=str(e["label"]), path=str(base / str(e["path"])))
-        for e in doc.get("entries", [])
-    )
-    opts = doc.get("options", {})
-    window = opts.get("alpha_window")
-    ablation = opts.get("ablation") or {}
-    manifest = RunManifest(
-        entries=entries,
-        options=SweepOptions(
-            center=bool(opts.get("center", True)),
-            alpha_window=tuple(window) if window else None,
-            ablation_k=ablation.get("k"),
-            ablation_mode=ablation.get("mode", "retain_top"),
-        ),
-    )
+    manifest = _parse_manifest(doc, Path(path).parent)
     for entry in manifest.entries:
         if not Path(entry.path).exists():
             raise FileNotFoundError(
                 f"manifest entry {entry.label!r}: missing {entry.path}"
             )
     return manifest
+
+
+def _parse_manifest(doc, base: Path) -> RunManifest:
+    """The manifest ``doc`` (parsed JSON): an object of a list ``entries``,
+    each an object of a string ``label`` and a string ``path``, and an
+    optional object ``options`` of a boolean ``center``, two integers
+    ``alpha_window`` and an object ``ablation`` of an integer ``k`` and an
+    optional string ``mode``.  Options left out take their defaults;
+    unknown keys are errors, and so is null in place of any value."""
+    doc = _fields(doc, "manifest", ("entries",), ("options",))
+    entries = []
+    for i, entry in enumerate(_typed(doc["entries"], list, "manifest.entries")):
+        where = f"manifest.entries[{i}]"
+        entry = _fields(entry, where, ("label", "path"))
+        label, path = (_typed(entry[key], str, f"{where}.{key}")
+                       for key in ("label", "path"))
+        entries.append(ManifestEntry(label=label, path=str(base / path)))
+    opts = _fields(doc.get("options", {}), "manifest.options", (),
+                   ("center", "alpha_window", "ablation"))
+    center = _typed(opts.get("center", True), bool, "manifest.options.center")
+    window = None
+    if "alpha_window" in opts:
+        where = "manifest.options.alpha_window"
+        window = _typed(opts["alpha_window"], list, where)
+        if len(window) != 2:
+            raise ValueError(f"{where} must hold 2 integers, got {len(window)}")
+        window = tuple(_typed(v, int, f"{where}[{i}]") for i, v in enumerate(window))
+    k, mode = None, "retain_top"
+    if "ablation" in opts:
+        where = "manifest.options.ablation"
+        ablation = _fields(opts["ablation"], where, ("k",), ("mode",))
+        k = _typed(ablation["k"], int, f"{where}.k")
+        mode = _typed(ablation.get("mode", mode), str, f"{where}.mode")
+    return RunManifest(entries=tuple(entries),
+                       options=SweepOptions(center, window, k, mode))
+
+
+def _fields(value, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """``value`` as a JSON object holding every ``required`` key and no key
+    outside ``required`` and ``optional``."""
+    value = _typed(value, dict, where)
+    unknown = sorted(set(value) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r}; known keys: "
+                         f"{', '.join(required + optional)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{where} has no {missing[0]!r}")
+    return value
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               bool: "a boolean", int: "an integer", float: "a number",
+               type(None): "null"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it is of JSON type ``kind``; true is not an integer."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"{where} must be {_JSON_KINDS[kind]}, got {_JSON_KINDS[type(value)]}")
+    return value
 
 
 @dataclass
@@ -239,17 +287,13 @@ class MetricsReport:
                 "fit_window_hi", "m", "d", "sha256"]
         lines = [",".join(cols)]
         for rec in self.records:
-            lines.append(",".join([
-                rec["label"],
-                repr(rec["rankme"]),
-                repr(rec["alpha_req"]),
-                repr(rec["fit_r2"]),
-                str(rec["fit_window"][0]),
-                str(rec["fit_window"][1]),
-                str(rec["m"]),
-                str(rec["d"]),
-                rec["sha256"],
-            ]))
+            label = rec["label"]
+            if any(c in label for c in ',"\r\n'):  # one field, as csv readers see it
+                label = '"' + label.replace('"', '""') + '"'
+            # every value is a Python int or float, whose repr is exact
+            values = [rec["rankme"], rec["alpha_req"], rec["fit_r2"],
+                      *rec["fit_window"], rec["m"], rec["d"]]
+            lines.append(",".join([label, *map(repr, values), rec["sha256"]]))
         return "\n".join(lines) + "\n"
 
 

@@ -50,11 +50,9 @@ class TokenCorpus:
     vocab_size: int
 
     def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=np.int64)
+        tokens = _token_ids(self.tokens, "tokens")
         if tokens.ndim != 1:
             raise ValueError("tokens must be 1-D")
-        if tokens.size and tokens.min() < 0:
-            raise ValueError("token ids must be nonnegative")
         if tokens.size and tokens.max() >= self.vocab_size:
             raise ValueError(
                 f"token id {tokens.max()} >= vocab_size {self.vocab_size}"
@@ -172,6 +170,14 @@ def _check_probs(name: str, arr: np.ndarray) -> None:
 
 
 def _token_ids(seq: Sequence[int], name: str) -> np.ndarray:
+    """``seq`` as int64 token ids.  Floats must be whole numbers below 2^63,
+    which NaN and infinities are not; every id must be nonnegative."""
+    values = np.asarray(seq)
+    if values.dtype.kind == "f":
+        whole = (values == np.round(values)) & (np.abs(values) < 2.0**63)
+        if not whole.all():
+            raise ValueError(f"{name} has token id {float(values[~whole][0])!r}, "
+                             "not an integer in [0, 2^63)")
     ids = np.asarray(seq, dtype=np.int64)
     if ids.size and ids.min() < 0:
         raise ValueError(f"{name} has negative token id {ids.min()}")

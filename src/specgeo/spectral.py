@@ -70,8 +70,10 @@ class FeatureMatrix:
 
 
 def _check_centered(data: np.ndarray) -> None:
-    means = data.mean(axis=0)
-    stds = data.std(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the solve
+        means = data.mean(axis=0)
+        var = np.einsum("ij,ij->j", data, data) / data.shape[0] - means**2
+        stds = np.sqrt(np.maximum(var, 0.0))
     # relative to column spread, with an absolute floor for constant or
     # numerically-zero columns
     tol = np.maximum(1e-10 * stds, 1e-12)
@@ -158,34 +160,34 @@ def covariance_spectrum(f: FeatureMatrix, want_vectors: bool = False) -> EigenSp
     solved through the M x M Gram matrix, which shares the nonzero
     spectrum, tall ones through the d x d covariance.  Requests for
     eigenvectors always solve the d x d covariance so that a full
-    orthonormal basis is returned.
+    orthonormal basis is returned.  Non-finite data, or a covariance that
+    overflows float64, raises ValueError.
     """
     if not f.centered:
         raise ValueError("covariance_spectrum requires centered features")
     data = f.data
-    # NaN and infinities reach the extremes; no matrix-sized temporary
-    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        raise ValueError("feature matrix contains non-finite entries")
     m, d = data.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        prod = (data @ data.T if m < d and not want_vectors else data.T @ data) / m
+        # the diagonal holds sums of squares: NaN, inf and overflow reach its sum
+        finite = np.isfinite(prod.trace())
+    if not finite:
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            raise ValueError("feature matrix contains non-finite entries")
+        raise ValueError("feature matrix covariance overflows float64")
 
     if want_vectors:
-        cov = (data.T @ data) / m
-        values, vectors = np.linalg.eigh(cov)
+        values, vectors = np.linalg.eigh(prod)
         order = np.argsort(-values, kind="stable")
         values = values[order]
         vectors = vectors[:, order]
-    elif m >= d:
-        values = np.linalg.eigvalsh((data.T @ data) / m)[::-1]
-        vectors = None
     else:
-        gram = (data @ data.T) / m
-        gvals = np.linalg.eigvalsh(gram)[::-1]
         values = np.zeros(d)
-        values[:m] = gvals
+        values[: len(prod)] = np.linalg.eigvalsh(prod)[::-1]
         vectors = None
 
     values = _clamp_eigenvalues(values)
-    return EigenSpectrum(values=values, vectors=vectors if want_vectors else None)
+    return EigenSpectrum(values=values, vectors=vectors)
 
 
 def _clamp_eigenvalues(values: np.ndarray) -> np.ndarray:
@@ -231,7 +233,11 @@ def alpha_req(
     indices with nonpositive eigenvalues are dropped; at least 3 usable
     points are required.
     """
-    values = spec.values
+    return _fit_power_law(spec.values, window)[:2]
+
+
+def _fit_power_law(values: np.ndarray, window) -> tuple:
+    """``alpha_req``'s (alpha, r2) and the window used (default: to the last kept)."""
     d = values.size
     if window is None:
         lo, hi = 1, d
@@ -245,6 +251,7 @@ def alpha_req(
     idx, lam = idx[keep], lam[keep]
     if idx.size < 3:
         raise ValueError(f"power-law fit needs >= 3 usable points, got {idx.size}")
+    hi = int(idx[-1]) if window is None else hi
     x = np.log(idx.astype(np.float64))
     y = np.log(lam)
     xm = x.mean()
@@ -256,7 +263,7 @@ def alpha_req(
     resid = y - (slope * x + intercept)
     sst = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 if sst == 0.0 else 1.0 - float(np.sum(resid**2) / sst)
-    return float(-slope), float(r2)
+    return float(-slope), float(r2), (lo, hi)
 
 
 def spectral_metrics(
@@ -270,14 +277,11 @@ def _metrics_of_spectrum(
     spec: EigenSpectrum, m: int, window: Optional[tuple[int, int]]
 ) -> SpectralMetrics:
     """RankMe and power-law fit of an already solved M-row spectrum."""
-    alpha, r2 = alpha_req(spec, window)
-    if window is None:
-        usable = spec.values > _ALPHA_FLOOR_RTOL * spec.values[0]
-        window = (1, int(np.max(np.nonzero(usable)[0])) + 1)
+    alpha, r2, fit_window = _fit_power_law(spec.values, window)
     return SpectralMetrics(
         rankme=rankme(spec),
         alpha_req=alpha,
-        fit_window=(int(window[0]), int(window[1])),
+        fit_window=fit_window,
         fit_r2=r2,
         m=m,
         d=spec.d,

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -193,6 +194,20 @@ class TestNgramCommands:
         assert code == 0
         # "0 1" occurs once (doc 1), followed by 0
         assert doc["probs"] == [1.0, 0.0, 0.0]
+
+    def test_one_row_matrix_corpus_equals_text(self, tmp_path, capsys):
+        # a matrix corpus is token ids, not a feature matrix: one row is
+        # one document, as one line of text is
+        (tmp_path / "corpus.mat").write_bytes(_matrix_bytes([[0.0, 1.0, 0.0, 2.0]]))
+        (tmp_path / "corpus.txt").write_text("0 1 0 2\n", encoding="utf-8")
+        for name in ("corpus.mat", "corpus.txt"):
+            assert cli_dispatch(["ngram-build", "--corpus", str(tmp_path / name),
+                                 "-o", str(tmp_path / f"{name}.npz")]) == 0
+        with np.load(tmp_path / "corpus.mat.npz") as got, \
+                np.load(tmp_path / "corpus.txt.npz") as want:
+            for key in ("tokens", "doc_boundaries", "vocab_size", "sa"):
+                assert got[key].tolist() == want[key].tolist()
+                assert got[key].dtype == want[key].dtype
 
     @pytest.fixture()
     def built_index(self, tmp_path, capsys):
@@ -719,3 +734,126 @@ class TestExitCodes:
         write_matrix(fm, path)
         assert cli_dispatch(["rankme", str(path), "--no-center"]) == 1
         assert cli_dispatch(["rankme", str(path)]) == 0
+
+
+def _matrix_bytes(data) -> bytes:
+    """A float64 matrix file of any shape, also one FeatureMatrix rejects."""
+    data = np.asarray(data, dtype="<f8")
+    return struct.pack("<8sBQQ", b"SPECGEO1", 2, *data.shape) + data.tobytes()
+
+
+_BAD_MATRICES = {
+    "nan": [[1.0, 2.0], [np.nan, 0.0], [3.0, 1.0]],
+    "inf": [[1.0, 2.0], [np.inf, 0.0], [3.0, 1.0]],
+    "-inf": [[1.0, 2.0], [-np.inf, 0.0], [3.0, 1.0]],
+    "both-inf": [[np.inf, 2.0], [-np.inf, 0.0], [3.0, 1.0]],
+    "1e300": [[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]],
+    "one-row": [[1.0, 2.0, 3.0]],
+}
+_MANIFEST_HOLES = {
+    "top-level-list": [],
+    "entries-string": {"entries": "ab"},
+    "no-entries": {"options": {}},
+    "entry-not-object": {"entries": ["a.mat"]},
+    "entry-no-label": {"entries": [{"path": "a.mat"}]},
+    "entry-label-number": {"entries": [{"label": 5, "path": "a.mat"}]},
+    "entry-path-null": {"entries": [{"label": "x", "path": None}]},
+    "entry-unknown-key": {"entries": [{"label": "x", "path": "a.mat", "step": 1}]},
+    "unknown-key": {"entries": [{"label": "x", "path": "a.mat"}], "option": {}},
+    "options-list": {"options": []},
+    "center-string": {"options": {"center": "false"}},
+    "center-null": {"options": {"center": None}},
+    "center-one": {"options": {"center": 1}},
+    "centre": {"options": {"centre": False}},
+    "window-floats": {"options": {"alpha_window": [1.7, 5.9]}},
+    "window-bools": {"options": {"alpha_window": [True, 5]}},
+    "window-three": {"options": {"alpha_window": [1, 5, 9]}},
+    "window-number": {"options": {"alpha_window": 5}},
+    "ablation-number": {"options": {"ablation": 5}},
+    "ablation-null": {"options": {"ablation": None}},
+    "ablation-k-bool": {"options": {"ablation": {"k": True}}},
+    "ablation-k-float": {"options": {"ablation": {"k": 2.0}}},
+    "ablation-no-k": {"options": {"ablation": {"mode": "remove_top"}}},
+    "ablation-mode-number": {"options": {"ablation": {"k": 2, "mode": 1}}},
+    "ablation-unknown-key": {"options": {"ablation": {"k": 2, "modes": "x"}}},
+}
+
+
+def _contract_case(case: str, tmp_path) -> tuple:
+    """(argv, expected exit code) of one bad-input case; inputs go under
+    ``tmp_path``, outputs under ``tmp_path / "out"``."""
+    kind, name = case.split(":", 1)
+    out = str(tmp_path / "out")
+    if kind in ("rankme", "no-center", "spectrum", "ablate", "sweep"):
+        path = tmp_path / "a.mat"
+        path.write_bytes(_matrix_bytes(_BAD_MATRICES[name]))
+        if kind == "sweep":
+            doc = {"entries": [{"label": "x", "path": "a.mat"}],
+                   "options": {"ablation": {"k": 1}}}
+            (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+            return ["sweep", "--manifest", str(tmp_path / "m.json"), "-o", out], 1
+        flags = {"rankme": ["rankme"], "no-center": ["rankme", "--no-center"],
+                 "spectrum": ["spectrum"], "ablate": ["ablate", "-k", "1", "-o", out]}
+        return [*flags[kind], str(path)], 1
+    if kind == "corpus":
+        rows = {"one-row": [[0.0, 1.0, 0.0, 2.0]], "floats": [[0.0, 1.5], [1.0, 2.0]],
+                "nan": [[0.0, np.nan], [1.0, 2.0]], "2^63": [[0.0, 2.0**63]]}[name]
+        path = tmp_path / "corpus.mat"
+        path.write_bytes(_matrix_bytes(rows))
+        return ["ngram-build", "--corpus", str(path), "-o", out], \
+            0 if name == "one-row" else 1
+    if kind == "index":
+        tokens = np.array([1, 2, 3, 1, 2])
+        arrays = {"tokens": tokens, "doc_boundaries": np.array([5]),
+                  "vocab_size": np.int64(4), "sa": np.argsort(tokens, kind="stable")}
+        if name == "float-tokens":
+            arrays["tokens"] = np.array([1.7, 2.2, 3.9, 1.1, 2.0])
+        else:
+            arrays["vocab_size"] = np.array([4, 4])
+        np.savez(tmp_path / "index.npz", **arrays)
+        return ["ngram-query", "--index", str(tmp_path / "index.npz"),
+                "--context", "1", "--json"], 1
+    if kind == "manifest":
+        write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
+                     tmp_path / "a.mat")
+        doc = _MANIFEST_HOLES[name]
+        if isinstance(doc, dict) and "entries" not in doc and name != "no-entries":
+            doc = {"entries": [{"label": "x", "path": "a.mat"}], **doc}
+        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        return ["sweep", "--manifest", str(tmp_path / "m.json"), "-o", out], 1
+    (tmp_path / "toy.cfg").write_text(f"{name}\n", encoding="utf-8")
+    return ["toy-run", "--config", str(tmp_path / "toy.cfg"), "-o", out], 1
+
+
+_CONTRACT_CASES = (
+    [f"{kind}:{name}" for kind in ("rankme", "no-center", "spectrum", "ablate", "sweep")
+     for name in _BAD_MATRICES]
+    + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
+    + ["index:float-tokens", "index:vocab-size-array"]
+    + [f"manifest:{name}" for name in _MANIFEST_HOLES]
+    + ["toy:d = 0"]
+)
+
+
+@pytest.mark.parametrize("case", _CONTRACT_CASES)
+def test_bad_input_contract(tmp_path, capsys, case):
+    """Each bad input exits 1 with at most one ``specgeo: error:`` line on
+    stderr (a sweep records entry failures in its report instead), and
+    nothing else: no numpy RuntimeWarning, no traceback.  A one-row matrix
+    corpus is no bad input: it is one document."""
+    argv, want = _contract_case(case, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_dispatch(argv)
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert code == want
+    if argv[0] == "sweep" and not case.startswith("manifest"):
+        assert err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["records"] == [] and len(report["errors"]) == 1
+    elif code:
+        assert err.startswith("specgeo: error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("out*"))
+    else:
+        assert err == ""

@@ -207,16 +207,24 @@ class TestReader:
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()
 
-    @pytest.mark.parametrize("dtype, bound", [("f32", 1.6), ("f64", 1.1)])
-    def test_sweep_entry_peak_memory(self, tmp_path, dtype, bound):
+    @pytest.mark.parametrize("dtype, bound, center", [
+        pytest.param("f32", 1.6, True, id="f32-1.6"),
+        pytest.param("f64", 1.1, True, id="f64-1.1"),
+        pytest.param("f32", 1.6, False, id="f32-1.6-no_center"),
+        pytest.param("f64", 1.1, False, id="f64-1.1-no_center"),
+    ])
+    def test_sweep_entry_peak_memory(self, tmp_path, dtype, bound, center):
         """tracemalloc sees numpy's buffers.  At most the file's own array
-        and one float64 matrix are alive at once; the matrix is tall, so the
-        d x d covariance stays small beside them."""
+        and one float64 matrix are alive at once, also while data declared
+        centred is checked; the matrix is tall, so the d x d covariance
+        stays small beside them."""
         m, d = 8192, 32
+        # whole numbers and their negations: column means exactly 0 in f32
+        half = np.random.default_rng(40).integers(-99, 100, size=(m // 2, d))
         path = tmp_path / "a.mat"
-        write_matrix(random_matrix(np.random.default_rng(40), m, d), path, dtype)
+        write_matrix(FeatureMatrix(np.vstack([half, -half])), path, dtype)
         entry = ManifestEntry("a", str(path))
-        options = SweepOptions(ablation_k=4)
+        options = SweepOptions(center=center, ablation_k=4)
         _sweep_entry(entry, options)  # first calls finish lazy set-up
         tracemalloc.start()
         try:
@@ -258,6 +266,19 @@ class TestManifest:
         with pytest.raises(ValueError):
             load_manifest(path)
 
+    def test_every_option_parsed(self, tmp_path):
+        write_matrix(random_matrix(np.random.default_rng(7)), tmp_path / "a.mat")
+        path = self.write_manifest(
+            tmp_path, [{"label": "x", "path": "a.mat"}],
+            {"center": False, "alpha_window": [2, 5],
+             "ablation": {"k": 3, "mode": "remove_top"}})
+        assert load_manifest(path).options == SweepOptions(
+            center=False, alpha_window=(2, 5), ablation_k=3,
+            ablation_mode="remove_top")
+        path = self.write_manifest(tmp_path, [{"label": "x", "path": "a.mat"}],
+                                   {"ablation": {"k": 3}})
+        assert load_manifest(path).options == SweepOptions(ablation_k=3)
+
 
 class TestSweep:
     def build(self, tmp_path, alphas, rng=None):
@@ -288,6 +309,25 @@ class TestSweep:
         assert len(report.errors) == 1
         assert report.errors[0]["label"] == "step1"
         assert not report.ok
+
+    @pytest.mark.parametrize("label", ["step,1000", 'say "hi"', "a\rb", "a\nb",
+                                       "plain label"])
+    def test_csv_label_round_trips(self, tmp_path, label):
+        import csv
+        import io
+
+        record = sweep(load_manifest(self.build(tmp_path, [1.0]))).records[0]
+
+        def to_csv(label):
+            return MetricsReport(records=[{**record, "label": label}],
+                                 errors=[]).to_csv()
+
+        header, row = to_csv("x").splitlines()
+        text = to_csv(label)
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            header.split(","), [label, *row.split(",")[1:]]]
+        if label == "plain label":  # quoted only when it must be
+            assert text == f"{header}\n{label}{row[1:]}\n"
 
     def test_byte_identical_reports(self, tmp_path):
         path = self.build(tmp_path, [0.4, 0.9, 1.7])

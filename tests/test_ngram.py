@@ -431,6 +431,37 @@ class TestNegativeIds:
             pattern_count(idx, [-1])
 
 
+class TestTokenIdRule:
+    """One rule for every token-id input: floats pass only as whole numbers
+    below 2^63; nothing is truncated."""
+
+    @pytest.mark.parametrize("bad", [1.9, np.nan, np.inf, -np.inf, 2.0**63, -1e20])
+    def test_non_integral_floats_rejected(self, bad):
+        idx = build_index(make_corpus([1, 2, 3, 1, 2]))
+        tokens = np.array([1.0, 2.0, 3.0, 1.0, bad])
+        with pytest.raises(ValueError, match=r"not an integer in \[0, 2\^63\)"):
+            TokenCorpus(tokens=tokens, doc_boundaries=[5], vocab_size=4)
+        for query in (lambda: pattern_count(idx, [bad, 2]),
+                      lambda: infty_gram_next(idx, [1, bad]),
+                      lambda: joint_loglik(idx, [bad], [2]),
+                      lambda: joint_loglik(idx, [1], [2, bad])):
+            with pytest.raises(ValueError, match="not an integer"):
+                query()
+
+    def test_whole_floats_equal_ints(self):
+        ints = make_corpus([1, 2, 3, 1, 2, 0])
+        floats = TokenCorpus(tokens=[1.0, 2.0, 3.0, 1.0, 2.0, 0.0],
+                             doc_boundaries=[6], vocab_size=4)
+        assert floats.tokens.dtype == np.int64
+        assert floats.tokens.tolist() == ints.tokens.tolist()
+        idx = build_index(ints)
+        assert pattern_count(idx, [1.0, 2.0]) == pattern_count(idx, [1, 2]) == 2
+
+    def test_negative_whole_float_is_a_negative_id(self):
+        with pytest.raises(ValueError, match="negative token id -1"):
+            TokenCorpus(tokens=[1.0, -1.0], doc_boundaries=[2], vocab_size=4)
+
+
 class TestSpearman:
     def test_monotone(self):
         tr = ProbTrace(p_ref=np.array([0.1, 0.2, 0.3]),

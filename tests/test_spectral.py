@@ -124,10 +124,38 @@ class TestCovarianceSpectrum:
         with pytest.raises(ValueError, match="finite"):
             covariance_spectrum(_centered(data))
 
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4)], ids=["tall", "wide"])
+    def test_rejects_overflowing_covariance(self, want_vectors, shape):
+        from specgeo.spectral import _centered
+
+        signs = np.where(np.indices(shape).sum(axis=0) % 2, -1.0, 1.0)
+        with pytest.raises(ValueError, match="^feature matrix covariance "
+                                             "overflows float64$"):
+            covariance_spectrum(_centered(1e300 * signs), want_vectors)
+
     def test_requires_centered(self):
         fm = FeatureMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ValueError, match="centered"):
             covariance_spectrum(fm)
+
+
+class TestCenteredCheck:
+    """The spread behind the check's tolerance comes from the column sums
+    of squares, without a matrix-sized temporary; the error line is the one
+    ``data.std(axis=0)`` gives."""
+
+    @pytest.mark.parametrize("shift", [3.0, -0.5, 1e3])
+    def test_error_line_matches_std(self, shift):
+        # whole numbers and their negations: every column mean is exactly 0
+        half = np.random.default_rng(41).integers(-60, 60, size=(250, 6))
+        data = np.vstack([half, -half]).astype(float)
+        data[:, 2] += shift
+        tol = max(1e-10 * data[:, 2].std(), 1e-12)
+        with pytest.raises(ValueError) as exc:
+            FeatureMatrix(data, centered=True)
+        assert str(exc.value) == (f"centered flag set but column 2 has mean "
+                                  f"{data[:, 2].mean():.3e} (tolerance {tol:.3e})")
 
 
 class TestRankme:

@@ -107,8 +107,14 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- ngram
 
-def _parse_tokens(text: str) -> np.ndarray:
-    return np.array(text.split(), dtype=np.int64)
+def _parse_tokens(text: str, source: str) -> np.ndarray:
+    """The space-separated decimal ids of ``text``; ``source`` names it in
+    the error."""
+    try:
+        return np.array(text.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        bad = next(tok for tok in text.split() if not _converts(tok, np.int64))
+        raise ValueError(f"{source}: token {bad!r} is not an integer id") from None
 
 
 def _read_corpus(path, vocab_size=None):
@@ -124,7 +130,8 @@ def _read_corpus(path, vocab_size=None):
         docs = list(_token_ids(_read_payload(path), str(path)))
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            docs = [_parse_tokens(line) for line in fh if line.strip()]
+            docs = [_parse_tokens(line, f"{path}: line {n}")
+                    for n, line in enumerate(fh, 1) if line.strip()]
     lengths = [doc.size for doc in docs]
     if not sum(lengths):
         raise ValueError(f"no tokens found in {path}")
@@ -170,26 +177,26 @@ def _load_index(path):
             missing = [key for key in _INDEX_KEYS if key not in doc.files]
             if missing:
                 raise ValueError(f"{path}: index file has no {missing[0]!r} array")
-            vocab_size = doc["vocab_size"]
-            if vocab_size.shape or vocab_size.dtype.kind not in "iu":
-                raise ValueError(f"{path}: index vocab_size must be an integer "
-                                 f"scalar, got {vocab_size.dtype} {vocab_size.shape}")
-            corpus = TokenCorpus(
-                tokens=doc["tokens"],
-                doc_boundaries=doc["doc_boundaries"],
-                vocab_size=int(vocab_size),
-            )
-            sa = doc["sa"]
+            tokens, bounds, vocab_size, sa = (doc[key] for key in _INDEX_KEYS)
     except (zipfile.BadZipFile, EOFError) as exc:  # truncated or damaged archive
         raise ValueError(f"{path}: damaged index file: {exc}") from exc
-    return SuffixIndex(corpus=corpus, sa=sa)
+    if vocab_size.shape or vocab_size.dtype.kind not in "iu":
+        raise ValueError(f"{path}: index vocab_size must be an integer "
+                         f"scalar, got {vocab_size.dtype} {vocab_size.shape}")
+    try:
+        corpus = TokenCorpus(
+            tokens=tokens, doc_boundaries=bounds, vocab_size=int(vocab_size)
+        )
+        return SuffixIndex(corpus=corpus, sa=sa)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_ngram_query(args) -> int:
     from .ngram import infty_gram_next
 
     index = _load_index(args.index)
-    context = _parse_tokens(args.context)
+    context = _parse_tokens(args.context, "--context")
     pred = infty_gram_next(index, context)
     payload = {
         "probs": pred.token_probs.tolist(),
@@ -360,10 +367,19 @@ def _trajectory_csv(traj) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cols)), ""])
 
 
+def _toy_checks(traj) -> dict:
+    """The conservation report, and the growth-law report where every step
+    was recorded; ``toy-run`` and ``toy-verify`` both print them."""
+    from .dynamics import check_conservation, check_growth_law
+
+    return {
+        "conservation": check_conservation(traj),
+        "growth_law": check_growth_law(traj) if traj.cfg.record_every == 1 else None,
+    }
+
+
 def _cmd_toy_run(args) -> int:
-    from .dynamics import (
-        check_conservation, check_growth_law, phase_summary, run_trajectory,
-    )
+    from .dynamics import phase_summary, run_trajectory
 
     cfg = _toy_config(args.config)
     traj = run_trajectory(cfg)
@@ -389,8 +405,7 @@ def _cmd_toy_run(args) -> int:
             "has_interior_maximum": summary.has_interior_maximum,
             "smooth_window": summary.smooth_window,
         },
-        "conservation": check_conservation(traj),
-        "growth_law": check_growth_law(traj) if cfg.record_every == 1 else None,
+        **_toy_checks(traj),
     }
     (outdir / "summary.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
@@ -400,17 +415,10 @@ def _cmd_toy_run(args) -> int:
 
 
 def _cmd_toy_verify(args) -> int:
-    from .dynamics import (
-        check_conservation, check_growth_law, primacy_selection_probe, run_trajectory,
-    )
+    from .dynamics import primacy_selection_probe, run_trajectory
 
-    cfg = _toy_config(args.config)
-    traj = run_trajectory(cfg)
-    doc = {
-        "conservation": check_conservation(traj),
-        "growth_law": check_growth_law(traj) if cfg.record_every == 1 else None,
-        "primacy": primacy_selection_probe(traj),
-    }
+    traj = run_trajectory(_toy_config(args.config))
+    doc = {**_toy_checks(traj), "primacy": primacy_selection_probe(traj)}
     _emit(args, doc, json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

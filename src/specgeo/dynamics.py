@@ -13,8 +13,9 @@ the next-token target matrix P (one distribution per row, see
 * ``xent_exact``      A = softmax(logits) - P, re-evaluated each step.
 * ``xent_linearized`` A = alpha_0 - P, the tangent-plane surrogate of
                       cross-entropy: the softmax slope is frozen at the
-                      initialization expansion point alpha_0, so A is
-                      constant over the run.
+                      initialization expansion point alpha_0 (kept on
+                      the state as ``alpha0``), so A is constant over
+                      the run.
 * ``mse``             A = logits - P (loss 0.5 * ||.||_F^2).
 
 Row r of P is the unigram distribution of the batch (``class_counts``)
@@ -72,6 +73,15 @@ _GAP_RTOL = 1e-6  # singular values this close are degenerate, see _alignment_er
 
 # Records per block of the observables pass; bounds its working set.
 _BLOCK = 4096
+
+# phase_summary: moving-average window as a fraction of the series, and
+# the margin by which an interior maximum must beat both of its sides.
+_SMOOTH_FRAC = 0.05
+_PHASE_TOL = 0.01
+
+# check_growth_law: relative-error denominators are floored at this
+# fraction of each index's peak velocity.
+_RATE_FLOOR_REL = 1e-2
 
 
 class DivergenceError(RuntimeError):
@@ -146,6 +156,8 @@ class ToyModelState:
     inputs: np.ndarray  # b x d_in, orthonormal rows
     labels: np.ndarray  # class id per row
     targets: np.ndarray  # b x vocab next-token distribution per row
+    alpha0: np.ndarray  # b x vocab softmax of the initial logits, the
+    #   expansion point of the xent_linearized loss
     balance_residual: float  # ||f^T f - W W^T||_F at creation
 
     def features(self) -> np.ndarray:
@@ -215,6 +227,7 @@ def init_balanced(cfg: ToyConfig, scale: float = _INIT_SCALE) -> ToyModelState:
         inputs=inputs,
         labels=labels,
         targets=target_matrix(labels, cfg.class_counts, cfg.label_odds),
+        alpha0=softmax_alpha(f @ w),
         balance_residual=residual,
     )
 
@@ -300,19 +313,14 @@ def a_matrix(alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _error_matrix(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: str,
-    frozen_alpha: Optional[np.ndarray],
+    logits: np.ndarray, targets: np.ndarray, loss_kind: str, alpha0: np.ndarray
 ) -> np.ndarray:
     """The one definition of A (see module docstring), for one b x vocab
     logit matrix or a stack of them."""
     if loss_kind == "mse":
         return logits - targets
     if loss_kind == "xent_linearized":
-        if frozen_alpha is None:
-            raise ValueError("linearized loss needs the expansion-point alpha")
-        return frozen_alpha - targets
+        return alpha0 - targets
     return _softmax(logits) - targets
 
 
@@ -320,7 +328,7 @@ def _loss(
     logits: np.ndarray,
     targets: np.ndarray,
     loss_kind: str,
-    frozen_alpha: Optional[np.ndarray],
+    alpha0: Optional[np.ndarray],
 ) -> np.ndarray:
     """Loss whose logit gradient is ``_error_matrix``, summed over the
     batch: one value per b x vocab logit matrix of a stack.
@@ -333,9 +341,8 @@ def _loss(
         return 0.5 * np.sum(resid * resid, axis=(-2, -1))
     target_logit = np.sum(targets * logits, axis=-1)
     if loss_kind == "xent_linearized":
-        alpha = frozen_alpha
-        ent = -np.sum(alpha * np.log(alpha), axis=-1)
-        vals = -target_logit + np.sum(alpha * logits, axis=-1) + ent
+        ent = -np.sum(alpha0 * np.log(alpha0), axis=-1)
+        vals = -target_logit + np.sum(alpha0 * logits, axis=-1) + ent
     else:
         zmax = logits.max(axis=-1, keepdims=True)
         lse = zmax[..., 0] + np.log(np.sum(np.exp(logits - zmax), axis=-1))
@@ -361,20 +368,18 @@ def exact_xent_value(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(_loss(logits, _as_targets(targets, logits.shape), "xent_exact", None))
 
 
-def _step(f, w, targets, loss_kind: str, lr: float, frozen_alpha):
+def _step(f, w, targets, loss_kind: str, lr: float, alpha0):
     """The one gradient step, on the features: exact because S S^T = I."""
     # dot, not @: on matrices this small, matmul's dispatch dominates
-    lr_a = lr * _error_matrix(f.dot(w), targets, loss_kind, frozen_alpha)
+    lr_a = lr * _error_matrix(f.dot(w), targets, loss_kind, alpha0)
     return f - lr_a.dot(w.T), w - f.T.dot(lr_a)
 
 
-def gd_step(
-    state: ToyModelState, cfg: ToyConfig, frozen_alpha: Optional[np.ndarray] = None
-) -> ToyModelState:
+def gd_step(state: ToyModelState, cfg: ToyConfig) -> ToyModelState:
     """One simultaneous Euler step of the flow, theta rebuilt as
     theta + S^T (f' - f); raises on divergence."""
     f = state.features()
-    f_new, w = _step(f, state.w, state.targets, cfg.loss_kind, cfg.lr, frozen_alpha)
+    f_new, w = _step(f, state.w, state.targets, cfg.loss_kind, cfg.lr, state.alpha0)
     theta = state.theta + state.inputs.T @ (f_new - f)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
         raise DivergenceError(
@@ -416,11 +421,11 @@ def _alignment_error(
     return err, grouped
 
 
-def _observables(f, w, state: ToyModelState, loss_kind: str, frozen_alpha) -> dict:
+def _observables(f, w, state: ToyModelState, loss_kind: str) -> dict:
     """Every per-record column of ``TrajectoryRecord`` for a stack of
     snapshots f (n, b, d) and W (n, d, vocab)."""
     logits = f @ w
-    a = _error_matrix(logits, state.targets, loss_kind, frozen_alpha)
+    a = _error_matrix(logits, state.targets, loss_kind, state.alpha0)
     a = np.broadcast_to(a, logits.shape)  # the linearized A is one matrix
     u1, s1, v1t = np.linalg.svd(f, full_matrices=False)
     u2, s2, v2t = np.linalg.svd(w, full_matrices=False)
@@ -440,7 +445,7 @@ def _observables(f, w, state: ToyModelState, loss_kind: str, frozen_alpha) -> di
     margins = np.divide(sums, counts, out=np.full_like(sums, np.nan), where=counts > 0)
 
     return {
-        "loss": _loss(logits, state.targets, loss_kind, frozen_alpha),
+        "loss": _loss(logits, state.targets, loss_kind, state.alpha0),
         # RankMe is scale-free: that of f^T f equals that of f^T f / b
         "rankme": _entropy_rank(s1 * s1),
         "sigma_f": s1,
@@ -465,14 +470,10 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
     at the first record step whose parameters or logits are not finite.
     """
     state = init_balanced(cfg)
-    frozen_alpha = None
-    if cfg.loss_kind == "xent_linearized":
-        frozen_alpha = softmax_alpha(state.logits())
-
     steps = np.append(np.arange(0, cfg.steps, cfg.record_every), cfg.steps)
     f, w = state.features(), state.w
     fs, ws = np.empty((steps.size,) + f.shape), np.empty((steps.size,) + w.shape)
-    args = (state.targets, cfg.loss_kind, cfg.lr, frozen_alpha)
+    args = (state.targets, cfg.loss_kind, cfg.lr, state.alpha0)
     done = 0
     # a diverging run overflows to inf and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -489,8 +490,7 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
             fs[k], ws[k] = f, w
 
     blocks = [
-        _observables(fs[i:i + _BLOCK], ws[i:i + _BLOCK], state, cfg.loss_kind,
-                     frozen_alpha)
+        _observables(fs[i:i + _BLOCK], ws[i:i + _BLOCK], state, cfg.loss_kind)
         for i in range(0, steps.size, _BLOCK)
     ]
     cols = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
@@ -523,31 +523,25 @@ class PhaseSummary:
     smooth_window: int
 
 
-def phase_summary(
-    rank_series: np.ndarray, smooth_frac: float = 0.05, tolerance: float = 0.01
-) -> PhaseSummary:
+def phase_summary(rank_series: np.ndarray) -> PhaseSummary:
     """Locate the warmup end and any interior maximum of a RankMe series.
 
     The series is smoothed with a centered moving average (window =
-    ``smooth_frac`` of its length).  Warmup ends at the first local
-    minimum of the smoothed series (index 0 if it starts rising).  An
-    interior maximum requires the post-warmup peak to sit strictly before
-    the final ``tolerance``-fraction of the series and to exceed both the
-    preceding minimum and the final value by more than ``tolerance``.
+    ``_SMOOTH_FRAC`` = 5% of its length, made odd).  Warmup ends at the
+    first local minimum of the smoothed series (index 0 if it starts
+    rising; its minimum if it never rises).  An interior maximum requires
+    the post-warmup peak to sit strictly before the final 2% of the
+    smoothed series and to exceed both the preceding minimum and the
+    final value by more than ``_PHASE_TOL`` = 0.01.
     """
     x = np.asarray(rank_series, dtype=np.float64)
     if x.size < 3:
         raise ValueError("need at least 3 points to analyze a trajectory")
-    window = max(1, int(round(smooth_frac * x.size)))
+    window = max(1, int(round(_SMOOTH_FRAC * x.size))) | 1  # odd: centred
     s = smooth_series(x, window)
 
-    warmup_end = 0
-    for i in range(s.size - 1):
-        if s[i + 1] > s[i]:
-            warmup_end = i
-            break
-    else:
-        warmup_end = int(np.argmin(s))
+    rises = np.flatnonzero(s[1:] > s[:-1])
+    warmup_end = int(rises[0]) if rises.size else int(np.argmin(s))
 
     post = s[warmup_end:]
     peak_rel = int(np.argmax(post))
@@ -560,8 +554,8 @@ def phase_summary(
     interior = (
         peak_rel > 0
         and peak_index < s.size - max(1, int(0.02 * s.size))
-        and compression_depth > tolerance
-        and entropy_rise > tolerance
+        and compression_depth > _PHASE_TOL
+        and entropy_rise > _PHASE_TOL
     )
     running_max = np.maximum.accumulate(post)
     drawdown = float(np.max(running_max - post))
@@ -574,7 +568,7 @@ def phase_summary(
         entropy_rise=entropy_rise,
         has_interior_maximum=bool(interior),
         post_warmup_drawdown=drawdown,
-        smooth_window=window if window % 2 else window + 1,
+        smooth_window=window,
     )
 
 
@@ -600,11 +594,7 @@ def check_conservation(traj: TrajectoryRecord) -> dict:
     }
 
 
-def check_growth_law(
-    traj: TrajectoryRecord,
-    sigma_floor_rel: float = 1e-6,
-    rate_floor_rel: float = 1e-2,
-) -> dict:
+def check_growth_law(traj: TrajectoryRecord, sigma_floor_rel: float = 1e-6) -> dict:
     """Compare finite-difference singular-value velocities against the
     proportional-growth law sigma_dot_i = -eta * g_i * sigma_i.
 
@@ -613,7 +603,7 @@ def check_growth_law(
     Velocities pass through zero, where a pointwise ratio is meaningless
     (the law's absolute deviation, set by the finite-step alignment
     drift, does not vanish with the velocity), so the relative-error
-    denominator is floored at ``rate_floor_rel`` times that index's peak
+    denominator is floored at ``_RATE_FLOOR_REL`` times that index's peak
     velocity: the reported error reads "relative wherever the rate is
     resolvable, absolute against 1% of peak below that".
 
@@ -642,7 +632,7 @@ def check_growth_law(
     def _rel(fd, pred, mask):
         scale = np.abs(fd).max(axis=0, keepdims=True)  # per-index peak rate
         denom = np.maximum(
-            np.maximum(np.abs(fd), np.abs(pred)), rate_floor_rel * scale
+            np.maximum(np.abs(fd), np.abs(pred)), _RATE_FLOOR_REL * scale
         )
         err = np.where(denom > 0, np.abs(fd - pred) / denom, 0.0)
         return err[mask]

@@ -57,7 +57,7 @@ class TokenCorpus:
             raise ValueError(
                 f"token id {tokens.max()} >= vocab_size {self.vocab_size}"
             )
-        bounds = np.asarray(self.doc_boundaries, dtype=np.int64)
+        bounds = _whole_numbers(self.doc_boundaries, "doc_boundaries", "boundary")
         if bounds.ndim != 1:
             raise ValueError("doc_boundaries must be 1-D")
         if bounds.size:
@@ -169,16 +169,22 @@ def _check_probs(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} has entries that are NaN or outside [0, 1]")
 
 
-def _token_ids(seq: Sequence[int], name: str) -> np.ndarray:
-    """``seq`` as int64 token ids.  Floats must be whole numbers below 2^63,
-    which NaN and infinities are not; every id must be nonnegative."""
+def _whole_numbers(seq: Sequence[int], name: str, noun: str) -> np.ndarray:
+    """``seq`` as int64.  Floats must be whole numbers below 2^63 in
+    magnitude, which NaN and infinities are not."""
     values = np.asarray(seq)
     if values.dtype.kind == "f":
         whole = (values == np.round(values)) & (np.abs(values) < 2.0**63)
         if not whole.all():
-            raise ValueError(f"{name} has token id {float(values[~whole][0])!r}, "
+            raise ValueError(f"{name} has {noun} {float(values[~whole][0])!r}, "
                              "not an integer in [0, 2^63)")
-    ids = np.asarray(seq, dtype=np.int64)
+    return np.asarray(seq, dtype=np.int64)
+
+
+def _token_ids(seq: Sequence[int], name: str) -> np.ndarray:
+    """``seq`` as int64 token ids, whole numbers (see ``_whole_numbers``)
+    that must all be nonnegative."""
+    ids = _whole_numbers(seq, name, "token id")
     if ids.size and ids.min() < 0:
         raise ValueError(f"{name} has negative token id {ids.min()}")
     return ids

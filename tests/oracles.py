@@ -274,7 +274,7 @@ def trajectory_reference(cfg) -> dict:
             for name, value in dict(steps=t, **record).items():
                 cols.setdefault(name, []).append(value)
         if t < cfg.steps:
-            state = gd_step(state, cfg, frozen)
+            state = gd_step(state, cfg)
     return {name: np.asarray(values) for name, values in cols.items()}
 
 

@@ -304,7 +304,7 @@ class TestNgramCommands:
         code = cli_dispatch(["ngram-query", "--index", str(broken), "--context", "0"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "specgeo: error: suffix array is not in suffix order\n"
+        assert err == f"specgeo: error: {broken}: suffix array is not in suffix order\n"
 
     def test_memorize(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
@@ -802,17 +802,23 @@ def _contract_case(case: str, tmp_path) -> tuple:
         path.write_bytes(_matrix_bytes(rows))
         return ["ngram-build", "--corpus", str(path), "-o", out], \
             0 if name == "one-row" else 1
-    if kind == "index":
+    if kind == "text-corpus":
+        path = tmp_path / "corpus.txt"
+        path.write_text("0 1 2\n\n1 1.5 0\n", encoding="utf-8")
+        return ["ngram-build", "--corpus", str(path), "-o", out], 1
+    if kind in ("index", "context"):
         tokens = np.array([1, 2, 3, 1, 2])
         arrays = {"tokens": tokens, "doc_boundaries": np.array([5]),
-                  "vocab_size": np.int64(4), "sa": np.argsort(tokens, kind="stable")}
+                  "vocab_size": np.int64(4), "sa": np.array([3, 0, 4, 1, 2])}
         if name == "float-tokens":
             arrays["tokens"] = np.array([1.7, 2.2, 3.9, 1.1, 2.0])
-        else:
+        elif name == "float-bounds":
+            arrays["doc_boundaries"] = np.array([2.7, 5.0])
+        elif name == "vocab-size-array":
             arrays["vocab_size"] = np.array([4, 4])
         np.savez(tmp_path / "index.npz", **arrays)
         return ["ngram-query", "--index", str(tmp_path / "index.npz"),
-                "--context", "1", "--json"], 1
+                "--context", "2 x" if kind == "context" else "2", "--json"], 1
     if kind == "manifest":
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
@@ -829,10 +835,20 @@ _CONTRACT_CASES = (
     [f"{kind}:{name}" for kind in ("rankme", "no-center", "spectrum", "ablate", "sweep")
      for name in _BAD_MATRICES]
     + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
-    + ["index:float-tokens", "index:vocab-size-array"]
+    + ["index:float-tokens", "index:float-bounds", "index:vocab-size-array"]
+    + ["text-corpus:float", "context:word"]
     + [f"manifest:{name}" for name in _MANIFEST_HOLES]
     + ["toy:d = 0"]
 )
+
+
+# Where each of these error lines must name the input's source.
+_NAMED_SOURCES = {
+    "index:float-tokens": "error: {dir}/index.npz: tokens has token id 1.7,",
+    "index:float-bounds": "error: {dir}/index.npz: doc_boundaries has boundary 2.7,",
+    "text-corpus:float": "error: {dir}/corpus.txt: line 3: token '1.5' is not",
+    "context:word": "error: --context: token 'x' is not",
+}
 
 
 @pytest.mark.parametrize("case", _CONTRACT_CASES)
@@ -840,7 +856,8 @@ def test_bad_input_contract(tmp_path, capsys, case):
     """Each bad input exits 1 with at most one ``specgeo: error:`` line on
     stderr (a sweep records entry failures in its report instead), and
     nothing else: no numpy RuntimeWarning, no traceback.  A one-row matrix
-    corpus is no bad input: it is one document."""
+    corpus is no bad input: it is one document.  Where the input has a
+    source to name, the line names it."""
     argv, want = _contract_case(case, tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -855,5 +872,7 @@ def test_bad_input_contract(tmp_path, capsys, case):
     elif code:
         assert err.startswith("specgeo: error: ") and err.count("\n") == 1
         assert not list(tmp_path.glob("out*"))
+        if case in _NAMED_SOURCES:
+            assert _NAMED_SOURCES[case].format(dir=tmp_path) in err
     else:
         assert err == ""

@@ -348,6 +348,24 @@ class TestGdStep:
         np.testing.assert_allclose(traj.conserve_err, ref["conserve_err"], rtol=0,
                                    atol=1e-12 * ref["sigma_f"].max() ** 2)
 
+    @pytest.mark.parametrize("kind", ["xent_exact", "xent_linearized", "mse"])
+    def test_first_step_expands_at_initial_softmax(self, kind):
+        # the state carries alpha_0, so gd_step needs nothing else for any
+        # loss; its step is _step with alpha_0 = softmax of the init logits
+        from specgeo.dynamics import _step
+
+        cfg = ToyConfig(loss_kind=kind, seed=3)
+        state = init_balanced(cfg)
+        alpha0 = softmax_alpha(state.logits())
+        np.testing.assert_array_equal(state.alpha0, alpha0)
+        f = state.features()
+        f_new, w_new = _step(f, state.w, state.targets, kind, cfg.lr, alpha0)
+        after = gd_step(state, cfg)
+        np.testing.assert_array_equal(after.w, w_new)
+        np.testing.assert_array_equal(
+            after.theta, state.theta + state.inputs.T @ (f_new - f))
+        assert after.alpha0 is state.alpha0
+
     def test_divergence_detected(self):
         cfg = ToyConfig(lr=1e150, steps=2, loss_kind="mse")
         state = init_balanced(cfg)
@@ -503,7 +521,7 @@ class TestConservation:
         sigmas = np.array([[1.0, 1.0], [1.0, 0.5]])
         f = np.stack([q1 * s for s in sigmas])
         w = np.stack([rot @ (s[:, None] * q2.T) for s in sigmas])
-        obs = _observables(f, w, state, "mse", None)
+        obs = _observables(f, w, state, "mse")
         assert obs["align_grouped"].tolist() == [True, False]
         assert obs["align_err"][0] < 1e-12
         _, _, v1t = np.linalg.svd(f[1], full_matrices=False)

@@ -457,6 +457,17 @@ class TestTokenIdRule:
         idx = build_index(ints)
         assert pattern_count(idx, [1.0, 2.0]) == pattern_count(idx, [1, 2]) == 2
 
+    def test_float_boundaries_follow_the_rule(self):
+        ints = make_corpus([1, 2, 3, 1, 2], boundaries=[2, 5])
+        floats = TokenCorpus(tokens=[1, 2, 3, 1, 2], doc_boundaries=[2.0, 5.0],
+                             vocab_size=4)
+        assert floats.doc_boundaries.dtype == np.int64
+        assert floats.doc_boundaries.tolist() == ints.doc_boundaries.tolist()
+        with pytest.raises(ValueError, match=r"doc_boundaries has boundary 2\.7, "
+                                             r"not an integer in \[0, 2\^63\)"):
+            TokenCorpus(tokens=[1, 2, 3, 1, 2], doc_boundaries=[2.7, 5.0],
+                        vocab_size=4)
+
     def test_negative_whole_float_is_a_negative_id(self):
         with pytest.raises(ValueError, match="negative token id -1"):
             TokenCorpus(tokens=[1.0, -1.0], doc_boundaries=[2], vocab_size=4)

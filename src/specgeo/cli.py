@@ -111,10 +111,13 @@ def _parse_tokens(text: str, source: str) -> np.ndarray:
     """The space-separated decimal ids of ``text``; ``source`` names it in
     the error."""
     try:
-        return np.array(text.split(), dtype=np.int64)
+        ids = np.array(text.split(), dtype=np.int64)
     except (ValueError, OverflowError):
         bad = next(tok for tok in text.split() if not _converts(tok, np.int64))
         raise ValueError(f"{source}: token {bad!r} is not an integer id") from None
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"{source}: negative token id {ids.min()}")
+    return ids
 
 
 def _read_corpus(path, vocab_size=None):
@@ -312,59 +315,64 @@ def _parse_counts(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
-_TOY_KEYS = {
-    "d_in": int, "d": int, "vocab": int, "class_counts": _parse_counts,
-    "lr": float, "steps": int, "loss_kind": str, "seed": int,
-    "record_every": int, "label_odds": float,  # float() accepts "inf"
-}
-
-
 def _toy_config(path):
     """The defaults, or a key-value text file: one `key = value` pair per
-    line, # comments.
+    line, # comments.  The keys are the fields of ``ToyConfig``; each value
+    is converted by the type of its field's default (``float`` accepts
+    "inf"; a tuple is comma- or space-separated integers).
 
     Unknown keys are an error: a misspelt key would otherwise leave its
     field at the default without a word.
     """
+    from dataclasses import fields
+
     from .dynamics import ToyConfig
 
     if not path:
         return ToyConfig()
-    fields = {}
+    parsers = {f.name: _parse_counts if isinstance(f.default, tuple) else type(f.default)
+               for f in fields(ToyConfig)}
+    entries = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"expected key = value, got {line!r}")
+                raise ValueError(f"{path}: line {n}: expected key = value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            fields[key] = value
-    unknown = sorted(set(fields) - set(_TOY_KEYS))
+            entries[key] = n, value
+    unknown = sorted(set(entries) - set(parsers))
     if unknown:
         raise ValueError(
             f"{path}: unknown config key(s) {', '.join(unknown)}; "
-            f"known keys: {', '.join(_TOY_KEYS)}"
+            f"known keys: {', '.join(parsers)}"
         )
-    return ToyConfig(**{key: _TOY_KEYS[key](value) for key, value in fields.items()})
+    values = {}
+    for key, (n, value) in entries.items():
+        try:
+            values[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {key}: {exc}") from None
+    try:
+        return ToyConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _trajectory_csv(traj) -> str:
     """One row per record; each column is formatted in one pass."""
-    kf = traj.sigma_f.shape[1]
-    kw = traj.sigma_w.shape[1]
-    header = (
-        ["step", "loss", "rankme"]
-        + [f"sigma_f_{i+1}" for i in range(kf)]
-        + [f"sigma_w_{i+1}" for i in range(kw)]
-        + ["align_err", "conserve_err", "a_norm"]
+    names, columns = zip(
+        ("step", traj.steps), ("loss", traj.loss), ("rankme", traj.rankme),
+        *((f"sigma_f_{i}", col) for i, col in enumerate(traj.sigma_f.T, 1)),
+        *((f"sigma_w_{i}", col) for i, col in enumerate(traj.sigma_w.T, 1)),
+        ("align_err", traj.align_err), ("conserve_err", traj.conserve_err),
+        ("a_norm", traj.a_norm),
     )
-    floats = [traj.loss, traj.rankme, *traj.sigma_f.T, *traj.sigma_w.T,
-              traj.align_err, traj.conserve_err, traj.a_norm]
     # tolist() gives Python ints and floats, whose repr is the shortest
     # round-trip form
-    cols = [map(repr, col.tolist()) for col in (traj.steps, *floats)]
-    return "\n".join([",".join(header), *map(",".join, zip(*cols)), ""])
+    cols = [map(repr, col.tolist()) for col in columns]
+    return "\n".join([",".join(names), *map(",".join, zip(*cols)), ""])
 
 
 def _toy_checks(traj) -> dict:
@@ -379,34 +387,23 @@ def _toy_checks(traj) -> dict:
 
 
 def _cmd_toy_run(args) -> int:
+    from dataclasses import asdict
+
     from .dynamics import phase_summary, run_trajectory
 
     cfg = _toy_config(args.config)
     traj = run_trajectory(cfg)
-    summary = phase_summary(traj.rankme)
+    config = asdict(cfg)
+    if math.isinf(cfg.label_odds):  # strict JSON has no infinity; "inf" is
+        config["label_odds"] = "inf"  # also the config syntax
+    doc = {
+        "config": config,
+        "phases": asdict(phase_summary(traj.rankme)),
+        **_toy_checks(traj),
+    }
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "trajectory.csv").write_text(_trajectory_csv(traj), encoding="utf-8")
-    doc = {
-        "config": {
-            "d_in": cfg.d_in, "d": cfg.d, "vocab": cfg.vocab,
-            "class_counts": list(cfg.class_counts), "lr": cfg.lr,
-            "steps": cfg.steps, "loss_kind": cfg.loss_kind, "seed": cfg.seed,
-            # strict JSON has no infinity; "inf" is also the config syntax
-            "label_odds": cfg.label_odds if math.isfinite(cfg.label_odds) else "inf",
-        },
-        "phases": {
-            "warmup_end": summary.warmup_end,
-            "peak_index": summary.peak_index,
-            "peak_value": summary.peak_value,
-            "final_value": summary.final_value,
-            "compression_depth": summary.compression_depth,
-            "entropy_rise": summary.entropy_rise,
-            "has_interior_maximum": summary.has_interior_maximum,
-            "smooth_window": summary.smooth_window,
-        },
-        **_toy_checks(traj),
-    }
     (outdir / "summary.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
     )

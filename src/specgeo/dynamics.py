@@ -85,7 +85,7 @@ _RATE_FLOOR_REL = 1e-2
 
 
 class DivergenceError(RuntimeError):
-    """A gradient step produced non-finite parameters or logits."""
+    """A run reached non-finite parameters, logits or observables."""
 
 
 @dataclass(frozen=True)
@@ -466,8 +466,8 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
 
     Records every ``record_every`` steps and at the last step.
     Deterministic given the config (the seed fixes the initialization and
-    the rest of the run has no randomness).  Raises ``DivergenceError``
-    at the first record step whose parameters or logits are not finite.
+    the rest of the run has no randomness).  ``DivergenceError`` names
+    the first record step with a non-finite parameter, logit or observable.
     """
     state = init_balanced(cfg)
     steps = np.append(np.arange(0, cfg.steps, cfg.record_every), cfg.steps)
@@ -475,7 +475,8 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
     fs, ws = np.empty((steps.size,) + f.shape), np.empty((steps.size,) + w.shape)
     args = (state.targets, cfg.loss_kind, cfg.lr, state.alpha0)
     done = 0
-    # a diverging run overflows to inf and NaN; the record check reports it
+    # a diverging run overflows to inf and NaN (in its parameters, or only in
+    # an observable of finite ones); the record checks report it
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(steps.tolist()):
             for _ in range(t - done):
@@ -488,12 +489,19 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
                     f"with lr={cfg.lr}; reduce the learning rate or the step count"
                 )
             fs[k], ws[k] = f, w
-
-    blocks = [
-        _observables(fs[i:i + _BLOCK], ws[i:i + _BLOCK], state, cfg.loss_kind)
-        for i in range(0, steps.size, _BLOCK)
-    ]
+        blocks = [
+            _observables(fs[i:i + _BLOCK], ws[i:i + _BLOCK], state, cfg.loss_kind)
+            for i in range(0, steps.size, _BLOCK)
+        ]
     cols = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    # the margins are NaN for a class without rows; every other column is finite
+    finite = np.all([np.isfinite(col).reshape(steps.size, -1).all(axis=1)
+                     for name, col in cols.items() if name != "margins"], axis=0)
+    if not finite.all():
+        raise DivergenceError(
+            f"non-finite observables at record step {steps[np.argmin(finite)]} "
+            f"with lr={cfg.lr}; reduce the learning rate or the step count"
+        )
     return TrajectoryRecord(cfg=cfg, steps=steps, **cols)
 
 

@@ -90,7 +90,7 @@ def write_matrix(f: FeatureMatrix, path, dtype: str = "f64") -> None:
     header = _HEADER.pack(MAGIC, code, f.m, f.d)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data)  # the array's own buffer, no bytes copy
 
 
 def read_matrix(path) -> FeatureMatrix:

@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -462,6 +464,25 @@ class TestToyCommands:
         assert cli_dispatch(["toy-verify", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_every_field_round_trips(self, tmp_path, capsys):
+        from dataclasses import asdict, fields
+
+        from specgeo.dynamics import ToyConfig, phase_summary, run_trajectory
+
+        want = ToyConfig(d_in=12, d=3, vocab=5, class_counts=(3, 2, 2, 1, 1),
+                         lr=0.02, steps=30, loss_kind="mse", seed=7,
+                         record_every=2, label_odds=50.0)
+        assert all(getattr(want, f.name) != f.default for f in fields(ToyConfig))
+        code, doc = self._toy_run(tmp_path, capsys, (
+            "d_in = 12\nd = 3\nvocab = 5\nclass_counts = 3 2 2 1 1\nlr = 0.02\n"
+            "steps = 30\nloss_kind = mse\nseed = 7\nrecord_every = 2\nlabel_odds = 50\n"))
+        assert cli._toy_config(tmp_path / "toy.cfg") == want
+        assert code == 0
+        assert doc["config"] == {**asdict(want), "class_counts": [3, 2, 2, 1, 1]}
+        assert doc["phases"] == asdict(phase_summary(run_trajectory(want).rankme))
+        saved = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert saved == doc
+
     @pytest.mark.parametrize("name", sorted(DIVERGING))
     def test_divergence_is_one_error_line(self, tmp_path, capsys, name):
         with warnings.catch_warnings():
@@ -472,6 +493,71 @@ class TestToyCommands:
         assert err.startswith("specgeo: error:") and err.count("\n") == 1
         assert "record step" in err
         assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+
+# Values of each toy-config key, bounded so that no run is long: at most
+# 50 steps and 16 dimensions.  Any key may also get a junk value.
+_TOY_VALUES = {
+    "d_in": st.integers(-1, 16), "d": st.integers(-1, 16), "vocab": st.integers(-1, 16),
+    "class_counts": st.lists(st.integers(-1, 4), max_size=16).map(
+        lambda counts: ",".join(map(str, counts))),
+    "lr": st.sampled_from(["0.01", "0.3", "1e3", "0", "-1", "inf", "nan"]),
+    "steps": st.integers(-1, 50), "seed": st.integers(-1, 2**40),
+    "loss_kind": st.sampled_from(["xent_exact", "xent_linearized", "mse", "XENT"]),
+    "record_every": st.integers(-1, 60),
+    "label_odds": st.sampled_from(["1", "30", "inf", "0.5", "-1", "nan"]),
+}
+_JUNK = st.sampled_from(["", "nan", "-1", "inf", "1.5", "word", "1 2", "0x10", "1e2",
+                         "4,,2", "=", "# only a comment"])
+
+
+@st.composite
+def _toy_config_lines(draw) -> list:
+    """A config whose first line sets ``steps``, then lines that may set
+    any key (also twice), an unknown key or a junk value, miss the "=",
+    or hold only a comment."""
+    lines = [f"steps = {draw(st.integers(1, 50))}"]
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from([*_TOY_VALUES, "stpes", "d-in"]))
+        value = draw(st.one_of(_TOY_VALUES.get(key, _JUNK), _JUNK))
+        lines.append(draw(st.sampled_from([
+            f"{key} = {value}", f"  {key}={value}  # note", f"{key} {value}",
+            f"# {key} = {value}", ""])))
+    return lines
+
+
+class TestToyConfigContract:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=_toy_config_lines())
+    def test_exit_and_error_line(self, lines):
+        """Exit 0 or 1, and stderr empty or one ``specgeo: error:`` line;
+        when the reader rejects the file, that line is its error and names
+        the config path.  A config the reader accepts may still fail to
+        run (divergence, too few records), which names no file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "toy.cfg"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                cli._toy_config(path)
+                reader_error = None
+            except ValueError as exc:
+                reader_error = f"specgeo: error: {exc}\n"
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli_dispatch(["toy-run", "--config", str(path),
+                                     "-o", str(Path(tmp) / "out")])
+            err = err.getvalue()
+            assert [str(w.message) for w in caught] == []
+            assert code in (0, 1)
+            if reader_error is not None:
+                assert code == 1 and err == reader_error
+                assert err.startswith(f"specgeo: error: {path}: ")
+            elif code:
+                assert err.startswith("specgeo: error: ") and err.count("\n") == 1
+            else:
+                assert err == ""
 
 
 class TestEvalCommands:
@@ -779,6 +865,17 @@ _MANIFEST_HOLES = {
 }
 
 
+# A one-line toy config, and the start of its error after the path.
+_BAD_TOY_LINES = {
+    "d = 0": "d must be >= 1",
+    "steps = 1.5": "line 1: steps: ",
+    "lr = fast": "line 1: lr: ",
+    "class_counts = 4,x,1,1": "line 1: class_counts: ",
+    "seed =": "line 1: seed: ",
+    "steps 20": "line 1: expected key = value",
+}
+
+
 def _contract_case(case: str, tmp_path) -> tuple:
     """(argv, expected exit code) of one bad-input case; inputs go under
     ``tmp_path``, outputs under ``tmp_path / "out"``."""
@@ -804,7 +901,8 @@ def _contract_case(case: str, tmp_path) -> tuple:
             0 if name == "one-row" else 1
     if kind == "text-corpus":
         path = tmp_path / "corpus.txt"
-        path.write_text("0 1 2\n\n1 1.5 0\n", encoding="utf-8")
+        bad = {"float": "1 1.5 0", "negative": "3 -1 2"}[name]
+        path.write_text(f"0 1 2\n\n{bad}\n", encoding="utf-8")
         return ["ngram-build", "--corpus", str(path), "-o", out], 1
     if kind in ("index", "context"):
         tokens = np.array([1, 2, 3, 1, 2])
@@ -818,7 +916,8 @@ def _contract_case(case: str, tmp_path) -> tuple:
             arrays["vocab_size"] = np.array([4, 4])
         np.savez(tmp_path / "index.npz", **arrays)
         return ["ngram-query", "--index", str(tmp_path / "index.npz"),
-                "--context", "2 x" if kind == "context" else "2", "--json"], 1
+                "--context", {"word": "2 x", "negative": "1 -2"}.get(name, "2"),
+                "--json"], 1
     if kind == "manifest":
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
@@ -836,9 +935,9 @@ _CONTRACT_CASES = (
      for name in _BAD_MATRICES]
     + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
     + ["index:float-tokens", "index:float-bounds", "index:vocab-size-array"]
-    + ["text-corpus:float", "context:word"]
+    + ["text-corpus:float", "text-corpus:negative", "context:word", "context:negative"]
     + [f"manifest:{name}" for name in _MANIFEST_HOLES]
-    + ["toy:d = 0"]
+    + [f"toy:{line}" for line in _BAD_TOY_LINES]
 )
 
 
@@ -847,7 +946,11 @@ _NAMED_SOURCES = {
     "index:float-tokens": "error: {dir}/index.npz: tokens has token id 1.7,",
     "index:float-bounds": "error: {dir}/index.npz: doc_boundaries has boundary 2.7,",
     "text-corpus:float": "error: {dir}/corpus.txt: line 3: token '1.5' is not",
+    "text-corpus:negative": "error: {dir}/corpus.txt: line 3: negative token id -1",
     "context:word": "error: --context: token 'x' is not",
+    "context:negative": "error: --context: negative token id -2",
+    **{f"toy:{line}": f"error: {{dir}}/toy.cfg: {named}"
+       for line, named in _BAD_TOY_LINES.items()},
 }
 
 

@@ -35,6 +35,8 @@ INF = float("inf")
 DIVERGING = {
     "mse": dict(loss_kind="mse", lr=50.0),
     "xent": dict(lr=400.0, steps=2000),
+    # parameters stay finite, but conserve_err (a norm of f^T f) overflows
+    "observables": dict(lr=1e3, steps=30),
 }
 
 

@@ -71,6 +71,21 @@ class TestMatrixRoundTrip:
         expected = fm.data.astype(np.float32).astype(np.float64)
         assert back.data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dtype, code", [("f32", 1), ("f64", 2)])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "big-endian", "strided"])
+    def test_written_bytes(self, tmp_path, dtype, code, layout):
+        # the header, then the little-endian row-major payload, whatever
+        # the layout of the array in memory
+        data = np.random.default_rng(2).normal(size=(6, 4))
+        data = {"c": data, "fortran": np.asfortranarray(data),
+                "big-endian": data.astype(">f8"),
+                "strided": np.repeat(data, 2, axis=1)[:, ::2]}[layout]
+        path = tmp_path / "m.mat"
+        write_matrix(FeatureMatrix(data), path, dtype)
+        payload = np.asarray(data, dtype="<f4" if code == 1 else "<f8")
+        assert path.read_bytes() == (struct.pack("<8sBQQ", MAGIC, code, 6, 4)
+                                     + payload.tobytes(order="C"))
+
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "t.mat"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -33,6 +34,26 @@ def _emit(args, payload: dict, text) -> None:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text() if callable(text) else text)
+
+
+def _text_lines(path, newline=None) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, split as ``open`` with
+    ``newline`` splits them.  A byte that is not UTF-8 is an error that
+    names the file and the line of that byte."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # the decoder above counts positions from its last chunk: decode the
+        # whole file for the byte's offset, and the text before it for its line
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = io.StringIO(data[: exc.start].decode("utf-8") + ".", newline=newline)
+            raise ValueError(f"{path}: line {len(head.readlines())}: {exc}") from None
+        raise  # the file was rewritten in between
 
 
 # ---------------------------------------------------------------- spectral
@@ -132,9 +153,8 @@ def _read_corpus(path, vocab_size=None):
 
         docs = list(_token_ids(_read_payload(path), str(path)))
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            docs = [_parse_tokens(line, f"{path}: line {n}")
-                    for n, line in enumerate(fh, 1) if line.strip()]
+        docs = [_parse_tokens(line, f"{path}: line {n}")
+                for n, line in enumerate(_text_lines(path), 1) if line.strip()]
     lengths = [doc.size for doc in docs]
     if not sum(lengths):
         raise ValueError(f"no tokens found in {path}")
@@ -244,8 +264,7 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
     call; other text, or text that call rejects, is split by ``csv`` and
     converted field by field, which also finds the line of a bad row.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
+    lines = _text_lines(path, newline="")
     plain = _plain("".join(lines))
     if plain:
         numbers = [n for n, line in enumerate(lines, 1) if line.strip(_BLANK)]
@@ -333,15 +352,14 @@ def _toy_config(path):
     parsers = {f.name: _parse_counts if isinstance(f.default, tuple) else type(f.default)
                for f in fields(ToyConfig)}
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {n}: expected key = value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            entries[key] = n, value
+    for n, line in enumerate(_text_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {n}: expected key = value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        entries[key] = n, value
     unknown = sorted(set(entries) - set(parsers))
     if unknown:
         raise ValueError(
@@ -355,9 +373,15 @@ def _toy_config(path):
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {key}: {exc}") from None
     try:
-        return ToyConfig(**values)
+        cfg = ToyConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if cfg.record_every >= cfg.steps:  # only steps 0 and `steps` are recorded
+        raise ValueError(
+            f"{path}: steps = {cfg.steps} with record_every = {cfg.record_every} "
+            "records 2 points; the analysis needs 3, so record_every must be "
+            "less than steps")
+    return cfg
 
 
 def _trajectory_csv(traj) -> str:

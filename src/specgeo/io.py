@@ -122,13 +122,7 @@ def _read_payload(path, digest=None) -> np.ndarray:
         if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size != expected:
             raise _size_mismatch(st.st_size - _HEADER.size, expected)
         raw = np.empty(rows * cols, dtype=dtype)
-        view = memoryview(raw).cast("B")
-        got = 0
-        while got < expected:
-            n = fh.readinto(view[got:])
-            if not n:
-                break
-            got += n
+        got = fh.readinto(raw)  # reads until the array is full or the file ends
         # a pipe's length is known only once it is drained
         got += len(fh.read())
         if got != expected:
@@ -191,7 +185,10 @@ def load_manifest(path) -> RunManifest:
     directory and stored resolved; an absolute one is kept as it is.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
     manifest = _parse_manifest(doc, Path(path).parent)
     for entry in manifest.entries:
         if not Path(entry.path).exists():

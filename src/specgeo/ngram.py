@@ -18,6 +18,7 @@ arrive pre-aligned; producing them is the caller's problem).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -235,41 +236,26 @@ def build_index(corpus: TokenCorpus) -> SuffixIndex:
 
 
 def _sa_range(index: SuffixIndex, pattern: np.ndarray) -> tuple[int, int]:
-    """Half-open SA range of suffixes starting with ``pattern``."""
+    """Half-open SA range of the suffixes that start with ``pattern``; if
+    none does, an empty range whose ``lo`` callers do not read.  Narrowed
+    per token, an ended suffix first (as in ``_check_suffix_order``)."""
     # memoryviews index as plain ints, fast in the scalar loop, and copy nothing
-    tokens = memoryview(index.corpus.tokens)
-    sa = memoryview(index.sa)
-    n = len(sa)
-    pat = pattern.tolist()
-    L = len(pat)
-
-    def less_than(pos: int, strict_upper: bool) -> bool:
-        # compare suffix at pos against pattern; upper bound treats equal
-        # prefixes as still below the range end
-        for j in range(L):
-            if pos + j >= n:
-                return True  # suffix is a proper prefix of pattern
-            t, p = tokens[pos + j], pat[j]
-            if t != p:
-                return t < p
-        return strict_upper
-
+    tokens, sa = memoryview(index.corpus.tokens), memoryview(index.sa)
+    pat, n = pattern.tolist(), len(sa)
     lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if less_than(sa[mid], False):
-            lo = mid + 1
-        else:
-            hi = mid
-    first = lo
-    lo, hi = first, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if less_than(sa[mid], True):
-            lo = mid + 1
-        else:
-            hi = mid
-    return first, lo
+    for j, t in enumerate(pat):
+        def key(pos: int, j: int = j) -> int:
+            return tokens[pos + j] if pos + j < n else -1
+        lo = bisect_left(sa, t, lo, hi, key=key)
+        hi = bisect_right(sa, t, lo, hi, key=key)
+        if lo == hi:
+            break
+        if hi - lo == 1:  # one candidate left: compare the rest of it at once
+            rest = sa[lo] + j + 1
+            if tokens[rest : rest + len(pat) - j - 1].tolist() != pat[j + 1 :]:
+                hi = lo
+            break
+    return lo, hi
 
 
 def pattern_count(index: SuffixIndex, pattern: Sequence[int]) -> int:

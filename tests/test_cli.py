@@ -532,8 +532,8 @@ class TestToyConfigContract:
     def test_exit_and_error_line(self, lines):
         """Exit 0 or 1, and stderr empty or one ``specgeo: error:`` line;
         when the reader rejects the file, that line is its error and names
-        the config path.  A config the reader accepts may still fail to
-        run (divergence, too few records), which names no file."""
+        the config path.  A config the reader accepts may still diverge,
+        which names no file."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "toy.cfg"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -876,6 +876,24 @@ _BAD_TOY_LINES = {
 }
 
 
+# A file of each text reader with a byte that is not UTF-8, the argv that
+# reads it, and the line the byte is on (None: the reader counts no lines).
+# The corpus's bad byte lies past the decoder's first 8 KiB chunk.
+_NOT_UTF8 = {
+    "toy": ("toy.cfg", b"steps = 5\nseed = \xff\n",
+            ["toy-run", "--config", "{path}", "-o", "{out}"], 2),
+    "text-corpus": ("corpus.txt", b"0 1 2\n" * 2000 + b"\n1 \xff 0\n",
+                    ["ngram-build", "--corpus", "{path}", "-o", "{out}"], 2002),
+    "memorize": ("trace.csv", b"id,pos,p\na,0,0.5\nb,1,\xff\n",
+                 ["memorize", "--ref", "{path}", "--model", "{path}"], 3),
+    "passk": ("runs.csv", b"p0,4,1\n\xff,4,2\n", ["passk", "--input", "{path}", "--k", "1"], 2),
+    "dpo-check": ("rewards.csv", b"1.0,0.5\r\n2.0,\xff\r\n",
+                  ["dpo-check", "--input", "{path}"], 2),
+    "manifest": ("m.json", b'{"entries": \xff}',
+                 ["sweep", "--manifest", "{path}", "-o", "{out}"], None),
+}
+
+
 def _contract_case(case: str, tmp_path) -> tuple:
     """(argv, expected exit code) of one bad-input case; inputs go under
     ``tmp_path``, outputs under ``tmp_path / "out"``."""
@@ -918,6 +936,15 @@ def _contract_case(case: str, tmp_path) -> tuple:
         return ["ngram-query", "--index", str(tmp_path / "index.npz"),
                 "--context", {"word": "2 x", "negative": "1 -2"}.get(name, "2"),
                 "--json"], 1
+    if kind == "not-utf8":
+        name, data, argv, _ = _NOT_UTF8[name]
+        (tmp_path / name).write_bytes(data)
+        return [arg.format(path=tmp_path / name, out=out) for arg in argv], 1
+    if kind in ("toy-run", "toy-verify"):  # records steps 0 and 5 only
+        (tmp_path / "toy.cfg").write_text("steps = 5\nrecord_every = 10\n",
+                                          encoding="utf-8")
+        return [kind, "--config", str(tmp_path / "toy.cfg"),
+                *(["-o", out] if kind == "toy-run" else [])], 1
     if kind == "manifest":
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
@@ -938,7 +965,19 @@ _CONTRACT_CASES = (
     + ["text-corpus:float", "text-corpus:negative", "context:word", "context:negative"]
     + [f"manifest:{name}" for name in _MANIFEST_HOLES]
     + [f"toy:{line}" for line in _BAD_TOY_LINES]
+    + [f"not-utf8:{name}" for name in _NOT_UTF8]
+    + ["toy-run:short", "toy-verify:short"]
 )
+
+
+def _not_utf8_error(name: str) -> str:
+    """The error line of a ``_NOT_UTF8`` file: its path, its line if the
+    reader counts lines, and the decoder's message."""
+    file, data, _, line = _NOT_UTF8[name]
+    where = f"line {line}: " if line else ""
+    start = data.index(b"\xff")
+    return (f"error: {{dir}}/{file}: {where}'utf-8' codec can't decode byte 0xff "
+            f"in position {start}: invalid start byte\n")
 
 
 # Where each of these error lines must name the input's source.
@@ -951,6 +990,10 @@ _NAMED_SOURCES = {
     "context:negative": "error: --context: negative token id -2",
     **{f"toy:{line}": f"error: {{dir}}/toy.cfg: {named}"
        for line, named in _BAD_TOY_LINES.items()},
+    **{f"not-utf8:{name}": _not_utf8_error(name) for name in _NOT_UTF8},
+    **{f"{command}:short": "error: {dir}/toy.cfg: steps = 5 with record_every = 10 "
+       "records 2 points; the analysis needs 3, so record_every must be less "
+       "than steps\n" for command in ("toy-run", "toy-verify")},
 }
 
 
@@ -968,7 +1011,7 @@ def test_bad_input_contract(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
     assert code == want
-    if argv[0] == "sweep" and not case.startswith("manifest"):
+    if case.startswith("sweep:"):
         assert err == ""
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["records"] == [] and len(report["errors"]) == 1

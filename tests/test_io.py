@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -155,30 +156,42 @@ class TestMatrixRoundTrip:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("cut", [0, -8, 8], ids=["whole", "truncated", "padded"])
     def test_reads_a_pipe(self, tmp_path, cut):
-        """A pipe has no size to check first; its length is checked once read."""
+        """A pipe has no size to check first; its length is checked once read.
+        The second payload, 720 kB, outgrows a pipe's buffer and arrives in
+        delayed writes, so no single read of the pipe returns all of it."""
         rng = np.random.default_rng(38)
-        path = tmp_path / "m.mat"
-        write_matrix(random_matrix(rng, 5, 3), path, dtype="f32")
-        raw = path.read_bytes()
-        raw = raw[:cut] if cut < 0 else raw + bytes(cut)
-        path.write_bytes(raw)
-        fifo = tmp_path / "m.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
-        writer.start()
-        try:
-            if cut == 0:
-                got = read_matrix(fifo).data
-                assert got.tobytes() == read_matrix(path).data.tobytes()
-            else:
-                with pytest.raises(SizeMismatchError) as piped:
-                    read_matrix(fifo)
-                with pytest.raises(SizeMismatchError) as regular:
-                    read_matrix(path)
-                assert str(piped.value) == str(regular.value)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        for rows, cols, dtype, chunk in [(5, 3, "f32", 1 << 20), (300, 300, "f64", 70_000)]:
+            path = tmp_path / f"m{rows}.mat"
+            write_matrix(random_matrix(rng, rows, cols), path, dtype=dtype)
+            raw = path.read_bytes()
+            raw = raw[:cut] if cut < 0 else raw + bytes(cut)
+            path.write_bytes(raw)
+            fifo = tmp_path / f"m{rows}.fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=_feed, args=(fifo, raw, chunk), daemon=True)
+            writer.start()
+            try:
+                if cut == 0:
+                    got = read_matrix(fifo).data
+                    assert got.tobytes() == read_matrix(path).data.tobytes()
+                else:
+                    with pytest.raises(SizeMismatchError) as piped:
+                        read_matrix(fifo)
+                    with pytest.raises(SizeMismatchError) as regular:
+                        read_matrix(path)
+                    assert str(piped.value) == str(regular.value)
+            finally:
+                writer.join(timeout=10)
+            assert not writer.is_alive()
+
+
+def _feed(fifo, data: bytes, chunk: int) -> None:
+    """Write ``data`` to the pipe ``fifo`` ``chunk`` bytes at a time, with a
+    pause after each write."""
+    with open(fifo, "wb", buffering=0) as fh:
+        for start in range(0, len(data), chunk):
+            fh.write(data[start : start + chunk])
+            time.sleep(0.02)
 
 
 def _reference_reader(path, center, digest):
@@ -280,6 +293,13 @@ class TestManifest:
         path = self.write_manifest(tmp_path, [])
         with pytest.raises(ValueError):
             load_manifest(path)
+
+    def test_unparsable_manifest_names_its_path(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"entries": [', encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: Expecting value: line 1 column 14 (char 13)"
 
     def test_every_option_parsed(self, tmp_path):
         write_matrix(random_matrix(np.random.default_rng(7)), tmp_path / "a.mat")

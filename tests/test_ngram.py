@@ -10,6 +10,7 @@ from specgeo.ngram import (
     SuffixIndex,
     TokenCorpus,
     _average_ranks,
+    _sa_range,
     _suffix_array,
     build_index,
     distributional_memorization,
@@ -116,6 +117,44 @@ class TestSuffixArray:
         huge = np.broadcast_to(np.int64(0), (3_100_000_000,))
         with pytest.raises(ValueError, match="too long"):
             _suffix_array(huge)
+
+
+@st.composite
+def corpus_and_patterns(draw):
+    """A corpus over at most 3 token ids, whose suffixes share long prefixes
+    and often leave one candidate, and patterns to look up in it: stretches
+    of the corpus, its tails run on past its end, and random token lists
+    (the id 3 occurs in no corpus)."""
+    tokens = draw(st.lists(st.integers(0, draw(st.integers(0, 2))),
+                           min_size=1, max_size=80))
+    n = len(tokens)
+    token = st.integers(0, 3)
+    stretch = st.builds(lambda start, length: tokens[start : start + length],
+                        st.integers(0, n - 1), st.integers(0, n))
+    tail = st.builds(lambda start, more: tokens[start:] + more,
+                     st.integers(0, n - 1), st.lists(token, min_size=1, max_size=3))
+    patterns = st.lists(st.one_of(stretch, tail, st.lists(token, max_size=6)),
+                        min_size=1, max_size=20)
+    return tokens, draw(patterns)
+
+
+class TestSaRange:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_and_patterns())
+    def test_matches_sorted_suffixes(self, case):
+        """A pattern that occurs gets the range of the sorted suffixes that
+        start with it; one that does not gets an empty range."""
+        tokens, patterns = case
+        index = build_index(make_corpus(tokens))
+        suffixes = [tokens[p:] for p in sorted_suffixes(tokens)]
+        for pattern in patterns:
+            hits = [i for i, suffix in enumerate(suffixes)
+                    if suffix[: len(pattern)] == pattern]
+            lo, hi = _sa_range(index, np.array(pattern, dtype=np.int64))
+            if hits:
+                assert (lo, hi) == (hits[0], hits[-1] + 1)
+            else:
+                assert 0 <= lo == hi <= len(tokens)
 
 
 class TestSuffixIndexCheck:

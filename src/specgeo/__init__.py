@@ -12,6 +12,8 @@ touch.
 """
 
 import importlib
+from contextlib import contextmanager
+from io import StringIO  # a plain ``import io`` would be shadowed by specgeo.io
 
 __version__ = "0.1.0"
 
@@ -79,3 +81,29 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+@contextmanager
+def _naming(path):
+    """Start the message of a ValueError raised in the block with ``path``:
+    the one place where an input file's errors come to name it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_text(path, newline=None) -> tuple[str, list[str]]:
+    """The text of the UTF-8 file ``path`` less one leading byte-order mark,
+    and its lines as ``open(path, newline=newline)`` splits them.  A byte
+    that is not UTF-8 is an error giving its line and file offset; call
+    this inside ``_naming(path)``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")  # a mark decodes, so offsets are the file's
+    except UnicodeDecodeError as exc:
+        head = StringIO(data[: exc.start].decode("utf-8") + ".", newline=newline)
+        raise ValueError(f"line {len(head.readlines())}: {exc}") from None
+    text = text.removeprefix("\ufeff")
+    return text, StringIO(text, newline=newline).readlines()

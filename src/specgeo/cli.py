@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _naming, _read_text
 
 # Each handler imports the tool modules it uses, so a child process loads
 # only what its subcommand needs.
@@ -36,33 +35,20 @@ def _emit(args, payload: dict, text) -> None:
         print(text() if callable(text) else text)
 
 
-def _text_lines(path, newline=None) -> list[str]:
-    """The lines of the UTF-8 text file ``path``, split as ``open`` with
-    ``newline`` splits them.  A byte that is not UTF-8 is an error that
-    names the file and the line of that byte."""
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        # the decoder above counts positions from its last chunk: decode the
-        # whole file for the byte's offset, and the text before it for its line
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = io.StringIO(data[: exc.start].decode("utf-8") + ".", newline=newline)
-            raise ValueError(f"{path}: line {len(head.readlines())}: {exc}") from None
-        raise  # the file was rewritten in between
-
-
 # ---------------------------------------------------------------- spectral
 
-def _cmd_spectrum(args) -> int:
+def _features(path, center: bool):
+    """The matrix file ``path`` read by ``io._read_features``."""
     from .io import _read_features
+
+    with _naming(path):
+        return _read_features(path, center)
+
+
+def _cmd_spectrum(args) -> int:
     from .spectral import covariance_spectrum
 
-    fm = _read_features(args.matrix, not args.no_center)
+    fm = _features(args.matrix, not args.no_center)
     spec = covariance_spectrum(fm)
     vals = spec.values.tolist()
     _emit(args, {"eigenvalues": vals, "m": fm.m, "d": fm.d},
@@ -71,20 +57,18 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_rankme(args) -> int:
-    from .io import _read_features
     from .spectral import covariance_spectrum, rankme
 
-    fm = _read_features(args.matrix, not args.no_center)
+    fm = _features(args.matrix, not args.no_center)
     value = rankme(covariance_spectrum(fm))
     _emit(args, {"rankme": value}, f"rankme: {value!r}")
     return 0
 
 
 def _cmd_alphareq(args) -> int:
-    from .io import _read_features
     from .spectral import spectral_metrics
 
-    fm = _read_features(args.matrix, not args.no_center)
+    fm = _features(args.matrix, not args.no_center)
     window = tuple(args.window) if args.window else None
     metrics = spectral_metrics(fm, window)
     alpha, r2 = metrics.alpha_req, metrics.fit_r2
@@ -97,10 +81,10 @@ def _cmd_alphareq(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .io import _read_features, write_matrix
+    from .io import write_matrix
     from .spectral import ablate_spectrum
 
-    fm = _read_features(args.matrix, center=True)
+    fm = _features(args.matrix, center=True)
     out = ablate_spectrum(fm, args.k, args.mode)
     write_matrix(out, args.output)
     _emit(args, {"written": str(args.output), "k": args.k, "mode": args.mode},
@@ -148,23 +132,24 @@ def _read_corpus(path, vocab_size=None):
 
     with open(path, "rb") as fh:
         magic = fh.read(8)
-    if magic == b"SPECGEO1":
-        from .io import _read_payload
+    with _naming(path):
+        if magic == b"SPECGEO1":
+            from .io import _read_payload
 
-        docs = list(_token_ids(_read_payload(path), str(path)))
-    else:
-        docs = [_parse_tokens(line, f"{path}: line {n}")
-                for n, line in enumerate(_text_lines(path), 1) if line.strip()]
-    lengths = [doc.size for doc in docs]
-    if not sum(lengths):
-        raise ValueError(f"no tokens found in {path}")
-    tokens = np.concatenate(docs)
-    boundaries = np.cumsum(lengths)
-    if vocab_size is None:
-        vocab_size = int(tokens.max()) + 1
-    return TokenCorpus(
-        tokens=tokens, doc_boundaries=boundaries, vocab_size=int(vocab_size)
-    )
+            docs = list(_token_ids(_read_payload(path), "matrix"))
+        else:
+            docs = [_parse_tokens(line, f"line {n}")
+                    for n, line in enumerate(_read_text(path)[1], 1) if line.strip()]
+        lengths = [doc.size for doc in docs]
+        if not sum(lengths):
+            raise ValueError("no tokens found")
+        tokens = np.concatenate(docs)
+        boundaries = np.cumsum(lengths)
+        if vocab_size is None:
+            vocab_size = int(tokens.max()) + 1
+        return TokenCorpus(
+            tokens=tokens, doc_boundaries=boundaries, vocab_size=int(vocab_size)
+        )
 
 
 def _cmd_ngram_build(args) -> int:
@@ -189,30 +174,34 @@ _INDEX_KEYS = ("tokens", "doc_boundaries", "vocab_size", "sa")
 
 
 def _load_index(path):
-    """The index ``ngram-build`` wrote; SuffixIndex verifies the stored
-    suffix array against the tokens instead of rebuilding it."""
+    """The index ``ngram-build`` wrote, a zip of ``.npy`` arrays; SuffixIndex
+    verifies the stored suffix array against the tokens, not rebuilding it."""
     import zipfile
+    import zlib
 
     from .ngram import SuffixIndex, TokenCorpus
 
-    try:
-        with np.load(path) as doc:
-            missing = [key for key in _INDEX_KEYS if key not in doc.files]
-            if missing:
-                raise ValueError(f"{path}: index file has no {missing[0]!r} array")
-            tokens, bounds, vocab_size, sa = (doc[key] for key in _INDEX_KEYS)
-    except (zipfile.BadZipFile, EOFError) as exc:  # truncated or damaged archive
-        raise ValueError(f"{path}: damaged index file: {exc}") from exc
-    if vocab_size.shape or vocab_size.dtype.kind not in "iu":
-        raise ValueError(f"{path}: index vocab_size must be an integer "
-                         f"scalar, got {vocab_size.dtype} {vocab_size.shape}")
-    try:
+    with _naming(path), open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as archive:
+                missing = [key for key in _INDEX_KEYS
+                           if f"{key}.npy" not in archive.namelist()]
+                if missing:
+                    raise ValueError(f"index file has no {missing[0]!r} array")
+                tokens, bounds, vocab_size, sa = (  # read_array refuses pickles
+                    np.lib.format.read_array(archive.open(f"{key}.npy"))
+                    for key in _INDEX_KEYS)
+        # a damaged archive: OSError is a seek out of the file, RuntimeError
+        # an unsupported compression, version or encryption flag
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, zlib.error) as exc:
+            raise ValueError(f"damaged index file: {exc}") from None
+        if vocab_size.shape or vocab_size.dtype.kind not in "iu":
+            raise ValueError(f"index vocab_size must be an integer "
+                             f"scalar, got {vocab_size.dtype} {vocab_size.shape}")
         corpus = TokenCorpus(
             tokens=tokens, doc_boundaries=bounds, vocab_size=int(vocab_size)
         )
         return SuffixIndex(corpus=corpus, sa=sa)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_ngram_query(args) -> int:
@@ -264,45 +253,49 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
     call; other text, or text that call rejects, is split by ``csv`` and
     converted field by field, which also finds the line of a bad row.
     """
-    lines = _text_lines(path, newline="")
-    plain = _plain("".join(lines))
-    if plain:
-        numbers = [n for n, line in enumerate(lines, 1) if line.strip(_BLANK)]
-        rows = [lines[n - 1] for n in numbers]
-    else:
-        reader = csv.reader(lines)
-        rows, numbers = [], []
-        for row in reader:
-            if "".join(row).strip():
-                rows.append(row)
-                numbers.append(reader.line_num)
-    if rows:
-        first = rows[0].rstrip("\r\n").split(",") if plain else rows[0]
-        if not any(_converts(field, np.float64) for field, dtype
-                   in zip(first, dtypes) if dtype is not str):
-            del rows[0], numbers[0]
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    if plain:
-        try:
-            table = np.loadtxt(
-                rows, delimiter=",", comments=None, ndmin=1,
-                usecols=range(len(dtypes)),
-                dtype=[(f"f{i}", object if dtype is str else dtype)
-                       for i, dtype in enumerate(dtypes)])
-        except ValueError:  # a bad row, or a number only Python reads ("1_0")
-            rows = [row.rstrip("\r\n").split(",") for row in rows]
+    with _naming(path):
+        text, lines = _read_text(path, newline="")
+        plain = _plain(text)
+        if plain:
+            numbers = [n for n, line in enumerate(lines, 1) if line.strip(_BLANK)]
+            rows = [lines[n - 1] for n in numbers]
         else:
-            return [table[f"f{i}"].astype(dtype)
+            reader = csv.reader(lines)
+            rows, numbers = [], []
+            try:
+                for row in reader:
+                    if "".join(row).strip():
+                        rows.append(row)
+                        numbers.append(reader.line_num)
+            except csv.Error as exc:  # a field longer than csv's limit
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+        if rows:
+            first = rows[0].rstrip("\r\n").split(",") if plain else rows[0]
+            if not any(_converts(field, np.float64) for field, dtype
+                       in zip(first, dtypes) if dtype is not str):
+                del rows[0], numbers[0]
+        if not rows:
+            raise ValueError("no data rows")
+        if plain:
+            try:
+                table = np.loadtxt(
+                    rows, delimiter=",", comments=None, ndmin=1,
+                    usecols=range(len(dtypes)),
+                    dtype=[(f"f{i}", object if dtype is str else dtype)
+                           for i, dtype in enumerate(dtypes)])
+            except ValueError:  # a bad row, or a number only Python reads ("1_0")
+                rows = [row.rstrip("\r\n").split(",") for row in rows]
+            else:
+                return [table[f"f{i}"].astype(dtype)
+                        for i, dtype in enumerate(dtypes)], numbers
+        try:
+            return [np.array([row[i] for row in rows], dtype=dtype)
                     for i, dtype in enumerate(dtypes)], numbers
-    try:
-        return [np.array([row[i] for row in rows], dtype=dtype)
-                for i, dtype in enumerate(dtypes)], numbers
-    except (IndexError, ValueError, OverflowError):  # a short or unconvertible row
-        width = len(dtypes)
-        line, row = next((line, row) for line, row in zip(numbers, rows)
-                         if len(row) < width or not all(map(_converts, row, dtypes)))
-        raise ValueError(f"{path}: malformed row at line {line}: {row}") from None
+        except (IndexError, ValueError, OverflowError):  # a short or unconvertible row
+            width = len(dtypes)
+            line, row = next((line, row) for line, row in zip(numbers, rows)
+                             if len(row) < width or not all(map(_converts, row, dtypes)))
+            raise ValueError(f"malformed row at line {line}: {row}") from None
 
 
 def _read_trace_csv(path) -> tuple:
@@ -352,35 +345,33 @@ def _toy_config(path):
     parsers = {f.name: _parse_counts if isinstance(f.default, tuple) else type(f.default)
                for f in fields(ToyConfig)}
     entries = {}
-    for n, line in enumerate(_text_lines(path), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {n}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        entries[key] = n, value
-    unknown = sorted(set(entries) - set(parsers))
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown config key(s) {', '.join(unknown)}; "
-            f"known keys: {', '.join(parsers)}"
-        )
-    values = {}
-    for key, (n, value) in entries.items():
-        try:
-            values[key] = parsers[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {n}: {key}: {exc}") from None
-    try:
+    with _naming(path):
+        for n, line in enumerate(_read_text(path)[1], 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"line {n}: expected key = value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            entries[key] = n, value
+        unknown = sorted(set(entries) - set(parsers))
+        if unknown:
+            raise ValueError(
+                f"unknown config key(s) {', '.join(unknown)}; "
+                f"known keys: {', '.join(parsers)}"
+            )
+        values = {}
+        for key, (n, value) in entries.items():
+            try:
+                values[key] = parsers[key](value)
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {key}: {exc}") from None
         cfg = ToyConfig(**values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if cfg.record_every >= cfg.steps:  # only steps 0 and `steps` are recorded
-        raise ValueError(
-            f"{path}: steps = {cfg.steps} with record_every = {cfg.record_every} "
-            "records 2 points; the analysis needs 3, so record_every must be "
-            "less than steps")
+        if cfg.record_every >= cfg.steps:  # only steps 0 and `steps` are recorded
+            raise ValueError(
+                f"steps = {cfg.steps} with record_every = {cfg.record_every} "
+                "records 2 points; the analysis needs 3, so record_every must be "
+                "less than steps")
     return cfg
 
 
@@ -465,8 +456,8 @@ def _cmd_dpo_check(args) -> int:
     (r_w, r_l), lines = _read_columns(args.input, (np.float64, np.float64))
     finite = np.isfinite(r_w) & np.isfinite(r_l)
     if not finite.all():
-        line = lines[int(np.argmin(finite))]
-        raise ValueError(f"{args.input}: line {line}: rewards must be finite")
+        with _naming(args.input):
+            raise ValueError(f"line {lines[int(np.argmin(finite))]}: rewards must be finite")
     loss, gap = _dpo_loss_and_gap(r_w, r_l)
     _emit(args, {"dpo_loss": loss, "max_identity_gap": gap},
           f"dpo_loss: {loss!r}  max identity gap: {gap!r}")

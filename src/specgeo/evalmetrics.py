@@ -2,9 +2,10 @@
 
 pass@k: probability that at least one of k draws (without replacement)
 from N generated samples is correct, given c correct among the N, that
-is 1 - C(N-c, k) / C(N, k).  The ratio is an exact Fraction of integer
-binomials, so operating points like N=512, k=256 cost nothing in
-precision and cannot overflow.
+is (C(N, k) - C(N-c, k)) / C(N, k).  Both binomials are exact Python
+integers, and their quotient is one correctly rounded integer division,
+so operating points like N=512, k=256 cost nothing in precision and
+cannot overflow.
 
 DPO loss: mean of -log sigmoid(r_w - r_l) over preference pairs, with a
 softplus evaluation that stays finite for reward gaps out to 1e4.  The
@@ -52,24 +53,34 @@ def _validate_counts(n: int, c: int, k: int) -> None:
         raise ValueError(f"k={k} outside [1, N={n}]")
 
 
+def _pass_counts(n: int, c: int, k: int) -> tuple[int, int]:
+    """pass@k for one problem as (draws of k holding a correct sample,
+    draws of k)."""
+    _validate_counts(n, c, k)
+    draws = math.comb(n, k)
+    # comb(n - c, k) is 0 when fewer than k samples are wrong
+    return draws - math.comb(n - c, k), draws
+
+
 def pass_at_k_exact(n: int, c: int, k: int) -> Fraction:
     """Exact rational pass@k for one problem."""
-    _validate_counts(n, c, k)
-    # comb(n - c, k) is 0 when fewer than k samples are wrong
-    return 1 - Fraction(math.comb(n - c, k), math.comb(n, k))
+    return Fraction(*_pass_counts(n, c, k))
 
 
 def pass_at_k_single(n: int, c: int, k: int) -> float:
     """pass@k for one problem as a float in [0, 1]."""
-    return float(pass_at_k_exact(n, c, k))
+    hits, draws = _pass_counts(n, c, k)
+    return hits / draws  # int / int rounds the exact quotient correctly
 
 
 def pass_at_k(problems: Iterable[tuple[int, int]], k: int) -> float:
-    """Mean pass@k over (N, c) problem records sharing one k."""
-    vals = [pass_at_k_single(n, c, k) for n, c in problems]
-    if not vals:
+    """Mean pass@k over (N, c) problem records sharing one k.  Each
+    distinct record is computed once; the sum runs in problem order."""
+    problems = [(n, c) for n, c in problems]
+    if not problems:
         raise ValueError("need at least one problem")
-    return sum(vals) / len(vals)
+    value = {p: pass_at_k_single(*p, k) for p in dict.fromkeys(problems)}
+    return sum(value[p] for p in problems) / len(problems)
 
 
 def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:

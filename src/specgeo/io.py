@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _naming, _read_text
 from .spectral import (
     EigenSpectrum,
     FeatureMatrix,
@@ -184,12 +184,8 @@ def load_manifest(path) -> RunManifest:
     ValueError.  A relative entry path is resolved against the manifest's
     directory and stored resolved; an absolute one is kept as it is.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValueError(f"{path}: {exc}") from None
-    manifest = _parse_manifest(doc, Path(path).parent)
+    with _naming(path):
+        manifest = _parse_manifest(json.loads(_read_text(path)[0]), Path(path).parent)
     for entry in manifest.entries:
         if not Path(entry.path).exists():
             raise FileNotFoundError(

@@ -171,9 +171,11 @@ def _check_probs(name: str, arr: np.ndarray) -> None:
 
 
 def _whole_numbers(seq: Sequence[int], name: str, noun: str) -> np.ndarray:
-    """``seq`` as int64.  Floats must be whole numbers below 2^63 in
-    magnitude, which NaN and infinities are not."""
+    """``seq`` as int64: integers, or real floats that are whole numbers
+    below 2^63 in magnitude, which NaN and infinities are not."""
     values = np.asarray(seq)
+    if values.dtype.kind not in "iuf":  # complex, bool, text, objects
+        raise ValueError(f"{name} must hold integers or floats, got {values.dtype}")
     if values.dtype.kind == "f":
         whole = (values == np.round(values)) & (np.abs(values) < 2.0**63)
         if not whole.all():

@@ -409,7 +409,7 @@ def read_columns_csv(path, dtypes) -> tuple[list, list]:
     import csv
 
     rows, lines = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if "".join(row).strip():
@@ -419,7 +419,7 @@ def read_columns_csv(path, dtypes) -> tuple[list, list]:
                         in zip(rows[0], dtypes) if dtype is not str):
         del rows[0], lines[0]
     if not rows:
-        raise ValueError(f"no data rows in {path}")
+        raise ValueError(f"{path}: no data rows")
     try:
         return [np.array([row[i] for row in rows], dtype=dtype)
                 for i, dtype in enumerate(dtypes)], lines

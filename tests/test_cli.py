@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import specgeo
 from specgeo import cli
 from specgeo.cli import cli_dispatch
-from specgeo.io import read_matrix, write_matrix
+from specgeo.io import load_manifest, read_matrix, write_matrix
 from specgeo.ngram import TokenCorpus, build_index
 from specgeo.spectral import FeatureMatrix
 
@@ -624,7 +624,7 @@ class TestEvalCommands:
         code = cli_dispatch([arg.format(path=path) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == f"specgeo: error: no data rows in {path}\n"
+        assert err == f"specgeo: error: {path}: no data rows\n"
 
 
 class TestDpoCheckFiniteness:
@@ -877,8 +877,9 @@ _BAD_TOY_LINES = {
 
 
 # A file of each text reader with a byte that is not UTF-8, the argv that
-# reads it, and the line the byte is on (None: the reader counts no lines).
-# The corpus's bad byte lies past the decoder's first 8 KiB chunk.
+# reads it, and the line the byte is on.  The corpus's bad byte lies past
+# the decoder's first 8 KiB chunk; the offset after a byte-order mark is
+# the file's, not the one the utf-8-sig decoder counts from after the mark.
 _NOT_UTF8 = {
     "toy": ("toy.cfg", b"steps = 5\nseed = \xff\n",
             ["toy-run", "--config", "{path}", "-o", "{out}"], 2),
@@ -890,8 +891,16 @@ _NOT_UTF8 = {
     "dpo-check": ("rewards.csv", b"1.0,0.5\r\n2.0,\xff\r\n",
                   ["dpo-check", "--input", "{path}"], 2),
     "manifest": ("m.json", b'{"entries": \xff}',
-                 ["sweep", "--manifest", "{path}", "-o", "{out}"], None),
+                 ["sweep", "--manifest", "{path}", "-o", "{out}"], 1),
+    "bom-toy": ("toy.cfg", b"\xef\xbb\xbfsteps = 5\n\xff\n",
+                ["toy-run", "--config", "{path}", "-o", "{out}"], 2),
 }
+
+
+# Index files that are no zip archive.
+_NOT_ZIP = {"random-bytes": bytes(np.random.default_rng(0).integers(0, 256, 64,
+                                                                    dtype=np.uint8)),
+            "text": b"1 2 3 1 2\n"}
 
 
 def _contract_case(case: str, tmp_path) -> tuple:
@@ -932,10 +941,21 @@ def _contract_case(case: str, tmp_path) -> tuple:
             arrays["doc_boundaries"] = np.array([2.7, 5.0])
         elif name == "vocab-size-array":
             arrays["vocab_size"] = np.array([4, 4])
+        elif name == "complex-tokens":
+            arrays["tokens"] = tokens + 0j
+        elif name == "complex-bounds":
+            arrays["doc_boundaries"] = np.array([5 + 0j])
+        elif name == "object-tokens":
+            arrays["tokens"] = tokens.astype(object)
         np.savez(tmp_path / "index.npz", **arrays)
+        if name in _NOT_ZIP:
+            (tmp_path / "index.npz").write_bytes(_NOT_ZIP[name])
         return ["ngram-query", "--index", str(tmp_path / "index.npz"),
                 "--context", {"word": "2 x", "negative": "1 -2"}.get(name, "2"),
                 "--json"], 1
+    if kind == "csv":  # one quoted field longer than csv's field limit
+        (tmp_path / "rewards.csv").write_bytes(b'1.0,"' + b"9" * 140_000 + b'"\n')
+        return ["dpo-check", "--input", str(tmp_path / "rewards.csv")], 1
     if kind == "not-utf8":
         name, data, argv, _ = _NOT_UTF8[name]
         (tmp_path / name).write_bytes(data)
@@ -961,7 +981,10 @@ _CONTRACT_CASES = (
     [f"{kind}:{name}" for kind in ("rankme", "no-center", "spectrum", "ablate", "sweep")
      for name in _BAD_MATRICES]
     + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
-    + ["index:float-tokens", "index:float-bounds", "index:vocab-size-array"]
+    + ["index:float-tokens", "index:float-bounds", "index:vocab-size-array",
+       "index:complex-tokens", "index:complex-bounds", "index:object-tokens"]
+    + [f"index:{name}" for name in _NOT_ZIP]
+    + ["csv:long-field"]
     + ["text-corpus:float", "text-corpus:negative", "context:word", "context:negative"]
     + [f"manifest:{name}" for name in _MANIFEST_HOLES]
     + [f"toy:{line}" for line in _BAD_TOY_LINES]
@@ -971,19 +994,30 @@ _CONTRACT_CASES = (
 
 
 def _not_utf8_error(name: str) -> str:
-    """The error line of a ``_NOT_UTF8`` file: its path, its line if the
-    reader counts lines, and the decoder's message."""
+    """The error line of a ``_NOT_UTF8`` file: its path, its line, and the
+    decoder's message with the byte's offset in the file."""
     file, data, _, line = _NOT_UTF8[name]
-    where = f"line {line}: " if line else ""
     start = data.index(b"\xff")
-    return (f"error: {{dir}}/{file}: {where}'utf-8' codec can't decode byte 0xff "
-            f"in position {start}: invalid start byte\n")
+    return (f"error: {{dir}}/{file}: line {line}: 'utf-8' codec can't decode byte "
+            f"0xff in position {start}: invalid start byte\n")
 
 
 # Where each of these error lines must name the input's source.
 _NAMED_SOURCES = {
     "index:float-tokens": "error: {dir}/index.npz: tokens has token id 1.7,",
     "index:float-bounds": "error: {dir}/index.npz: doc_boundaries has boundary 2.7,",
+    "index:complex-tokens": "error: {dir}/index.npz: tokens must hold integers or "
+                            "floats, got complex128\n",
+    "index:complex-bounds": "error: {dir}/index.npz: doc_boundaries must hold "
+                            "integers or floats, got complex128\n",
+    "index:object-tokens": "error: {dir}/index.npz: Object arrays cannot be loaded",
+    **{f"index:{name}": "error: {dir}/index.npz: damaged index file: File is not a "
+       "zip file\n" for name in _NOT_ZIP},
+    "csv:long-field": "error: {dir}/rewards.csv: line 1: field larger than field "
+                      "limit (131072)\n",
+    **{f"manifest:{name}": "error: {dir}/m.json: manifest" for name in _MANIFEST_HOLES},
+    "manifest:entries-string": "error: {dir}/m.json: manifest.entries must be a list, "
+                               "got a string\n",
     "text-corpus:float": "error: {dir}/corpus.txt: line 3: token '1.5' is not",
     "text-corpus:negative": "error: {dir}/corpus.txt: line 3: negative token id -1",
     "context:word": "error: --context: token 'x' is not",
@@ -1022,3 +1056,166 @@ def test_bad_input_contract(tmp_path, capsys, case):
             assert _NAMED_SOURCES[case].format(dir=tmp_path) in err
     else:
         assert err == ""
+
+
+# One input of each text reader, and the argv that reads it from the
+# working directory; outputs go to "out" or "out.npz".  Both CSV routes
+# are covered: plain files and quoted fields.
+_TEXT_INPUTS = {
+    "toy": ("toy.cfg", "steps = 30\r\nlr = 0.05\n",
+            ["toy-run", "--config", "toy.cfg", "-o", "out"]),
+    "text-corpus": ("corpus.txt", "0 1 2 1\n2 0 1\n",
+                    ["ngram-build", "--corpus", "corpus.txt", "-o", "out.npz"]),
+    "memorize": ("trace.csv", "a,0,0.5\na,1,0.25\nb,0,0.125\nc,0,0.75\n",
+                 ["memorize", "--ref", "trace.csv", "--model", "trace.csv"]),
+    "memorize-quoted": ("trace.csv",
+                        'example_id,token_index,prob\n"a,1",0,0.5\nb,0,0.25\nc,0,0.75\n',
+                        ["memorize", "--ref", "trace.csv", "--model", "trace.csv"]),
+    "passk": ("runs.csv", "p0,4,1\np1,8,3\n", ["passk", "--input", "runs.csv", "--k", "1,2"]),
+    "dpo-check": ("rewards.csv", "1.0,0.5\n-0.25,2.0\n",
+                  ["dpo-check", "--input", "rewards.csv"]),
+    "manifest": ("m.json", '{"entries": [{"label": "a", "path": "a.mat"}]}',
+                 ["sweep", "--manifest", "m.json", "-o", "out"]),
+}
+
+
+def _outputs(work: Path, input_name: str) -> dict:
+    """Every file a command left in ``work`` but its input: bytes, or the
+    arrays of an ``.npz``, whose zip entries carry the time of writing."""
+    files = {}
+    for path in sorted(work.rglob("*")):
+        if path.is_file() and path.name != input_name:
+            if path.suffix == ".npz":
+                with np.load(path) as doc:
+                    files[path.name] = {key: doc[key].tolist() for key in doc.files}
+            else:
+                files[path.name] = path.read_bytes()
+    return files
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("name", _TEXT_INPUTS)
+def test_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, name):
+    """A text input that starts with a UTF-8 byte-order mark gives the same
+    exit code, stdout and output files as the same input without it."""
+    file, text, argv = _TEXT_INPUTS[name]
+    runs = []
+    for mark in (b"", _BOM):
+        work = tmp_path / ("mark" if mark else "plain")
+        work.mkdir()
+        write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
+                     work / "a.mat")
+        (work / file).write_bytes(mark + text.encode("utf-8"))
+        monkeypatch.chdir(work)
+        code = cli_dispatch(argv)
+        runs.append((code, *capsys.readouterr(), _outputs(work, file)))
+    code, _, err, _ = runs[0]
+    assert code == 0 and err == ""
+    assert runs[1] == runs[0]
+
+
+@st.composite
+def _mutations(draw, data: bytes) -> bytes:
+    """``data`` after one to three byte flips, truncations, appended junk
+    or prepended byte-order marks."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "truncate", "append", "mark"]))
+        if kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "append":
+            data += draw(st.binary(min_size=1, max_size=8))
+        else:
+            data = _BOM + data
+    return data
+
+
+def _index_bytes() -> bytes:
+    tokens = np.array([1, 2, 3, 1, 2])
+    corpus = TokenCorpus(tokens=tokens, doc_boundaries=[3, 5], vocab_size=4)
+    buf = io.BytesIO()
+    np.savez(buf, tokens=tokens, doc_boundaries=corpus.doc_boundaries,
+             vocab_size=np.int64(4), sa=build_index(corpus).sa)
+    return buf.getvalue()
+
+
+# Each file-reading subcommand: its input file, the input's bytes, the argv
+# (inputs and outputs under the working directory) and its reader, the
+# function the subcommand reads that input with.
+_READERS = {
+    "manifest": ("m.json", json.dumps({"entries": [{"label": "a", "path": "a.mat"}],
+                                       "options": {"alpha_window": [1, 3]}}).encode(),
+                 ["sweep", "--manifest", "m.json", "-o", "out"], load_manifest),
+    "toy": ("toy.cfg", b"steps = 20\nlr = 0.05\nclass_counts = 4,2,1,1\nsteps = 20\n",
+            ["toy-run", "--config", "toy.cfg", "-o", "out"], cli._toy_config),
+    "memorize": ("ref.csv", b"example_id,token_index,prob\na,0,0.5\nb,0,0.25\nc,0,0.75\n",
+                 ["memorize", "--ref", "ref.csv", "--model", "ref.csv"], cli._read_trace_csv),
+    "passk": ("runs.csv", b"problem_id,N,c\np0,4,1\np1,8,3\n",
+              ["passk", "--input", "runs.csv", "--k", "1,2"],
+              lambda path: cli._read_columns(path, PASSK)),
+    "dpo-check": ("rewards.csv", b"r_w,r_l\n1.0,0.5\n-0.25,2.0\n",
+                  ["dpo-check", "--input", "rewards.csv"],
+                  lambda path: cli._read_columns(path, DPO)),
+    "index": ("index.npz", _index_bytes(),
+              ["ngram-query", "--index", "index.npz", "--context", "1 2"], cli._load_index),
+    "matrix": ("a.mat", _matrix_bytes(np.arange(24.0).reshape(6, 4) % 5),
+               ["rankme", "a.mat"], lambda path: cli._features(path, True)),
+    "text-corpus": ("corpus.txt", b"0 1 2 1\n2 0 1\n",
+                    ["ngram-build", "--corpus", "corpus.txt", "-o", "out.npz"],
+                    cli._read_corpus),
+    "matrix-corpus": ("corpus.mat", _matrix_bytes([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0]]),
+                      ["ngram-build", "--corpus", "corpus.mat", "-o", "out.npz"],
+                      cli._read_corpus),
+}
+
+
+class TestReaderMutationContract:
+    @pytest.mark.parametrize("name", _READERS)
+    def test_exit_and_error_line(self, name):
+        """On a mutated input: exit 0 or 1; stderr empty or one ``specgeo:
+        error:`` line, which for an error of the reader is that error and
+        names the file; no output after an error line.  A sweep whose entry
+        fails exits 1 with its report written, and a missing manifest entry
+        names the missing file."""
+        file, data, argv, reader = _READERS[name]
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(mutated=_mutations(data))
+        def check(mutated):
+            with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+                work = Path(tmp)
+                if name == "manifest":
+                    Path("a.mat").write_bytes(_READERS["matrix"][1])
+                Path(file).write_bytes(mutated)
+                try:
+                    value = reader(file)
+                    reader_error = None
+                except (ValueError, FileNotFoundError) as exc:
+                    reader_error = exc
+                # an empty or commented-out toy config runs 50 000 steps
+                assume(name != "toy" or reader_error or value.steps <= 1000)
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = cli_dispatch(argv)
+                err = err.getvalue()
+                assert [str(w.message) for w in caught] == []
+                assert code in (0, 1)
+                assert err == "" or (err.startswith("specgeo: error: ")
+                                     and err.count("\n") == 1)
+                if reader_error is not None:
+                    assert code == 1 and err == f"specgeo: error: {reader_error}\n"
+                    if isinstance(reader_error, ValueError):
+                        assert err.startswith(f"specgeo: error: {file}: ")
+                if err:
+                    assert code == 1 and not list(work.glob("out*"))
+                elif code:
+                    assert name == "manifest"
+
+        check()

@@ -71,6 +71,20 @@ class TestPassAtK:
         if c + 1 <= n:
             assert pass_at_k_exact(n, c + 1, k) >= base
 
+    @given(st.lists(st.tuples(st.integers(1, 600), st.integers(0, 600)),
+                    min_size=1, max_size=20), st.integers(1, 600))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_floats_are_the_rounded_exact_values(self, records, k):
+        """Bit for bit: each float is the exact Fraction rounded, and the
+        mean sums those floats in problem order, repeated records too."""
+        problems = [(n, min(c, n)) for n, c in records]
+        problems += problems[::2]
+        k = min(k, *(n for n, _ in problems))
+        floats = [float(pass_at_k_exact(n, c, k)) for n, c in problems]
+        assert [pass_at_k_single(n, c, k).hex() for n, c in problems] == \
+            [f.hex() for f in floats]
+        assert pass_at_k(problems, k).hex() == (sum(floats) / len(floats)).hex()
+
     def test_pass_at_n_iff_any_correct(self):
         for n in range(1, 10):
             assert pass_at_k_single(n, 0, n) == 0.0

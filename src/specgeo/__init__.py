@@ -17,6 +17,8 @@ from io import StringIO  # a plain ``import io`` would be shadowed by specgeo.io
 
 __version__ = "0.1.0"
 
+# The public names of each tool module, listed here only: each module's
+# ``__all__`` is read from this table.
 _EXPORTS = {
     "spectral": (
         "EigenSpectrum",
@@ -46,6 +48,7 @@ _EXPORTS = {
         "dpo_loss",
         "dpo_nce_identity",
         "pass_at_k",
+        "pass_at_k_exact",
         "pass_at_k_single",
     ),
     "dynamics": (

@@ -46,24 +46,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import _EXPORTS
 from .spectral import _entropy_rank
 
-__all__ = [
-    "ToyConfig",
-    "ToyModelState",
-    "TrajectoryRecord",
-    "DivergenceError",
-    "init_balanced",
-    "softmax_alpha",
-    "a_matrix",
-    "target_matrix",
-    "gd_step",
-    "run_trajectory",
-    "check_conservation",
-    "check_growth_law",
-    "primacy_selection_probe",
-    "phase_summary",
-]
+__all__ = list(_EXPORTS["dynamics"])
 
 LOSS_KINDS = ("xent_exact", "xent_linearized", "mse")
 
@@ -198,18 +184,15 @@ def _orthonormal_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarr
     return q[:, :rows].T
 
 
-def init_balanced(cfg: ToyConfig, scale: float = _INIT_SCALE) -> ToyModelState:
-    """Draw theta, then build W from the SVD of f = S theta as V1 S1 Q^T
-    (Q random orthogonal), which enforces f^T f = W W^T exactly.
-
-    ``scale`` sets the size of theta's entries; scale 0 yields the
-    degenerate all-zero model (W is then 0 too), which is not rejected.
-    """
+def init_balanced(cfg: ToyConfig) -> ToyModelState:
+    """Draw theta with entries of size ``_INIT_SCALE``, then build W from
+    the SVD of f = S theta as V1 S1 Q^T (Q random orthogonal), which
+    enforces f^T f = W W^T exactly."""
     rng = np.random.default_rng(cfg.seed)
     b = cfg.batch_size
     inputs = _orthonormal_rows(rng, b, cfg.d_in)
     labels = np.repeat(np.arange(cfg.vocab), cfg.class_counts)
-    theta = scale * rng.standard_normal((cfg.d_in, cfg.d))
+    theta = _INIT_SCALE * rng.standard_normal((cfg.d_in, cfg.d))
     f = inputs @ theta
     u1, s1, v1t = np.linalg.svd(f, full_matrices=False)
     r = s1.size
@@ -702,12 +685,10 @@ def primacy_selection_probe(
 
     summary = phase_summary(traj.rankme)
     if summary.has_interior_maximum:
-        start, stop = summary.peak_index, len(traj)  # compression window
+        start = summary.peak_index  # compression window
     else:
-        start, stop = 3 * len(traj) // 4, len(traj)  # late phase
-    start = min(start, len(traj) - 2)
-    stop = max(stop, start + 2)
-    sig = traj.sigma_f[start:stop]
+        start = 3 * len(traj) // 4  # late phase
+    sig = traj.sigma_f[min(start, len(traj) - 2):]
     # per-step correlation ACROSS directions between sigma_i and its
     # increment, averaged over the window: positive means growth lands
     # preferentially on already-dominant directions

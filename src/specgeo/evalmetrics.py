@@ -22,14 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "PreferenceTriple",
-    "pass_at_k",
-    "pass_at_k_single",
-    "pass_at_k_exact",
-    "dpo_loss",
-    "dpo_nce_identity",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["evalmetrics"])
 
 
 @dataclass(frozen=True)

@@ -180,17 +180,21 @@ class RunManifest:
 def load_manifest(path) -> RunManifest:
     """Parse a JSON manifest and verify every listed file exists.
 
-    A manifest that breaks the schema of ``_parse_manifest`` raises
-    ValueError.  A relative entry path is resolved against the manifest's
-    directory and stored resolved; an absolute one is kept as it is.
+    A manifest that breaks the schema of ``_parse_manifest``, nests deeper
+    than the JSON decoder can follow or lists a missing file raises
+    ValueError naming it.  A relative entry path is resolved against the
+    manifest's directory and stored resolved; an absolute one is kept as
+    it is.
     """
     with _naming(path):
-        manifest = _parse_manifest(json.loads(_read_text(path)[0]), Path(path).parent)
-    for entry in manifest.entries:
-        if not Path(entry.path).exists():
-            raise FileNotFoundError(
-                f"manifest entry {entry.label!r}: missing {entry.path}"
-            )
+        try:
+            doc = json.loads(_read_text(path)[0])
+        except RecursionError as exc:
+            raise ValueError(str(exc)) from None
+        manifest = _parse_manifest(doc, Path(path).parent)
+        for entry in manifest.entries:
+            if not Path(entry.path).exists():
+                raise ValueError(f"manifest entry {entry.label!r}: missing {entry.path}")
     return manifest
 
 
@@ -199,8 +203,9 @@ def _parse_manifest(doc, base: Path) -> RunManifest:
     each an object of a string ``label`` and a string ``path``, and an
     optional object ``options`` of a boolean ``center``, two integers
     ``alpha_window`` and an object ``ablation`` of an integer ``k`` and an
-    optional string ``mode``.  Options left out take their defaults;
-    unknown keys are errors, and so is null in place of any value."""
+    optional string ``mode``.  Options left out take the defaults of
+    ``SweepOptions``; unknown keys are errors, and so is null in place of
+    any value."""
     doc = _fields(doc, "manifest", ("entries",), ("options",))
     entries = []
     for i, entry in enumerate(_typed(doc["entries"], list, "manifest.entries")):
@@ -211,22 +216,23 @@ def _parse_manifest(doc, base: Path) -> RunManifest:
         entries.append(ManifestEntry(label=label, path=str(base / path)))
     opts = _fields(doc.get("options", {}), "manifest.options", (),
                    ("center", "alpha_window", "ablation"))
-    center = _typed(opts.get("center", True), bool, "manifest.options.center")
-    window = None
+    options = {}
+    if "center" in opts:
+        options["center"] = _typed(opts["center"], bool, "manifest.options.center")
     if "alpha_window" in opts:
         where = "manifest.options.alpha_window"
         window = _typed(opts["alpha_window"], list, where)
         if len(window) != 2:
             raise ValueError(f"{where} must hold 2 integers, got {len(window)}")
-        window = tuple(_typed(v, int, f"{where}[{i}]") for i, v in enumerate(window))
-    k, mode = None, "retain_top"
+        options["alpha_window"] = tuple(
+            _typed(v, int, f"{where}[{i}]") for i, v in enumerate(window))
     if "ablation" in opts:
         where = "manifest.options.ablation"
         ablation = _fields(opts["ablation"], where, ("k",), ("mode",))
-        k = _typed(ablation["k"], int, f"{where}.k")
-        mode = _typed(ablation.get("mode", mode), str, f"{where}.mode")
-    return RunManifest(entries=tuple(entries),
-                       options=SweepOptions(center, window, k, mode))
+        options["ablation_k"] = _typed(ablation["k"], int, f"{where}.k")
+        if "mode" in ablation:
+            options["ablation_mode"] = _typed(ablation["mode"], str, f"{where}.mode")
+    return RunManifest(entries=tuple(entries), options=SweepOptions(**options))
 
 
 def _fields(value, where: str, required: tuple, optional: tuple = ()) -> dict:
@@ -303,11 +309,11 @@ def _sweep_entry(entry: ManifestEntry, options: SweepOptions) -> dict:
         k, mode = options.ablation_k, options.ablation_mode
         _check_ablation(fm, k, mode)
         kept = spec.values[:k] if mode == "retain_top" else spec.values[k:]
-        total = float(spec.values.sum())
+        total = float(spec.values.sum())  # > 0, or the metrics above raised
         record["ablation"] = {
             "k": k,
             "mode": mode,
-            "retained_energy": float(kept.sum()) / total if total else 0.0,
+            "retained_energy": float(kept.sum()) / total,
             "rankme": rankme(EigenSpectrum(values=kept)) if kept.sum() > 0 else None,
         }
     return record
@@ -317,14 +323,16 @@ def sweep(manifest: RunManifest) -> MetricsReport:
     """Compute spectral metrics for every manifest entry.
 
     Entries run one at a time in manifest order (BLAS parallelises each
-    eigensolve), so output bytes are fixed.  Per-entry failures become
-    error records and processing continues.
+    eigensolve), so output bytes are fixed.  An entry that fails with an
+    error of its data (the errors the CLI reports, and MemoryError) becomes
+    an error record and processing continues; any other error is a bug and
+    propagates.
     """
     records, errors = [], []
     for entry in manifest.entries:
         try:
             records.append(_sweep_entry(entry, manifest.options))
-        except Exception as exc:  # recorded, sweep continues
+        except (ValueError, OverflowError, OSError, RuntimeError, MemoryError) as exc:
             error = f"{type(exc).__name__}: {exc}"
             errors.append({"label": entry.label, "error": error})
     return MetricsReport(records=records, errors=errors)

@@ -24,18 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "TokenCorpus",
-    "SuffixIndex",
-    "NgramPrediction",
-    "ProbTrace",
-    "build_index",
-    "pattern_count",
-    "infty_gram_next",
-    "joint_loglik",
-    "spearman_rho",
-    "distributional_memorization",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["ngram"])
 
 # Zero probabilities are floored at this value inside logs only; raw zeros
 # stay visible in returned traces.

@@ -20,17 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "FeatureMatrix",
-    "EigenSpectrum",
-    "SpectralMetrics",
-    "center_features",
-    "covariance_spectrum",
-    "rankme",
-    "alpha_req",
-    "spectral_metrics",
-    "ablate_spectrum",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["spectral"])
 
 # Negative eigenvalues within this relative tolerance of the top eigenvalue
 # are symmetric-solver round-off and get clamped to zero.
@@ -191,8 +183,7 @@ def covariance_spectrum(f: FeatureMatrix, want_vectors: bool = False) -> EigenSp
 
 
 def _clamp_eigenvalues(values: np.ndarray) -> np.ndarray:
-    top = values[0] if values.size else 0.0
-    floor = -_EIG_CLAMP_RTOL * max(top, 0.0)
+    floor = -_EIG_CLAMP_RTOL * max(values[0], 0.0)
     if np.any(values < floor):
         raise ValueError(
             f"eigenvalue {values.min():.3e} below round-off tolerance {floor:.3e}"
@@ -255,9 +246,7 @@ def _fit_power_law(values: np.ndarray, window) -> tuple:
     x = np.log(idx.astype(np.float64))
     y = np.log(lam)
     xm = x.mean()
-    sxx = np.sum((x - xm) ** 2)
-    if sxx == 0.0:
-        raise ValueError("zero variance in ln(i); cannot fit a slope")
+    sxx = np.sum((x - xm) ** 2)  # > 0: the ranks are distinct
     slope = np.sum((x - xm) * (y - y.mean())) / sxx
     intercept = y.mean() - slope * xm
     resid = y - (slope * x + intercept)
@@ -291,8 +280,6 @@ def _metrics_of_spectrum(
 def _check_ablation(f: FeatureMatrix, k: int, mode: str) -> None:
     if mode not in ("retain_top", "remove_top"):
         raise ValueError(f"mode must be retain_top or remove_top, got {mode!r}")
-    if not f.centered:
-        raise ValueError("ablate_spectrum requires centered features")
     if not 1 <= k <= f.d:
         raise ValueError(f"k must be in [1, {f.d}], got {k}")
 

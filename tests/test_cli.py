@@ -150,7 +150,7 @@ class TestSpectralCommands:
         assert cli_dispatch(["sweep", "--manifest", "sub/m.json",
                              "-o", "out"]) == cli.COMPUTE_ERROR
         assert capsys.readouterr().err == (
-            "specgeo: error: manifest entry 'gone': missing sub/nope.mat\n")
+            "specgeo: error: sub/m.json: manifest entry 'gone': missing sub/nope.mat\n")
 
 
 
@@ -772,11 +772,24 @@ class TestModuleLoading:
         (["dpo-check", "--input", "{dir}/rewards.csv"], {"evalmetrics"}),
         (["ngram-query", "--index", "{dir}/index.npz", "--context", "1"], {"ngram"}),
         (["rankme", "{matrix}"], {"io", "spectral"}),
-    ], ids=["passk", "dpo-check", "ngram-query", "rankme"])
+        (["ngram-build", "--corpus", "{dir}/corpus.txt", "-o", "{dir}/built.npz"],
+         {"ngram"}),
+        (["memorize", "--ref", "{dir}/trace.csv", "--model", "{dir}/trace.csv"],
+         {"ngram"}),
+        (["toy-run", "--config", "{dir}/toy.cfg", "-o", "{dir}/toy"],
+         {"dynamics", "spectral"}),
+        (["sweep", "--manifest", "{dir}/m.json", "-o", "{dir}/sweep"], {"io", "spectral"}),
+    ], ids=["passk", "dpo-check", "ngram-query", "rankme", "ngram-build", "memorize",
+            "toy-run", "sweep"])
     def test_subcommand_loads_only_its_tools(self, tmp_path, matrix_file, argv, loaded):
         (tmp_path / "runs.csv").write_text("p0,4,1\n", encoding="utf-8")
         (tmp_path / "rewards.csv").write_text("1.0,0.5\n", encoding="utf-8")
         (tmp_path / "corpus.txt").write_text("1 2 3 1 2\n", encoding="utf-8")
+        (tmp_path / "trace.csv").write_text("a,0,0.5\nb,0,0.25\nc,0,0.75\n",
+                                            encoding="utf-8")
+        (tmp_path / "toy.cfg").write_text("steps = 30\n", encoding="utf-8")
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"entries": [{"label": "a", "path": str(matrix_file)}]}), encoding="utf-8")
         assert cli_dispatch(["ngram-build", "--corpus", str(tmp_path / "corpus.txt"),
                              "-o", str(tmp_path / "index.npz")]) == 0
         argv = [arg.format(dir=tmp_path, matrix=matrix_file) for arg in argv]
@@ -860,6 +873,7 @@ _MANIFEST_HOLES = {
     "ablation-k-bool": {"options": {"ablation": {"k": True}}},
     "ablation-k-float": {"options": {"ablation": {"k": 2.0}}},
     "ablation-no-k": {"options": {"ablation": {"mode": "remove_top"}}},
+    "missing-entry": {"entries": [{"label": "x", "path": "gone.mat"}]},
     "ablation-mode-number": {"options": {"ablation": {"k": 2, "mode": 1}}},
     "ablation-unknown-key": {"options": {"ablation": {"k": 2, "modes": "x"}}},
 }
@@ -873,6 +887,9 @@ _BAD_TOY_LINES = {
     "class_counts = 4,x,1,1": "line 1: class_counts: ",
     "seed =": "line 1: seed: ",
     "steps 20": "line 1: expected key = value",
+    "steps = 0": "steps and record_every must be >= 1",
+    "class_counts = 4,-1,1,1": "class counts must be nonnegative",
+    "class_counts = 0,0,0,0": "batch must be nonempty",
 }
 
 
@@ -968,13 +985,37 @@ def _contract_case(case: str, tmp_path) -> tuple:
     if kind == "manifest":
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
-        doc = _MANIFEST_HOLES[name]
-        if isinstance(doc, dict) and "entries" not in doc and name != "no-entries":
-            doc = {"entries": [{"label": "x", "path": "a.mat"}], **doc}
-        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        if name == "deep":  # nested deeper than the JSON decoder follows
+            text = "[" * 100_000
+        else:
+            doc = _MANIFEST_HOLES[name]
+            if isinstance(doc, dict) and "entries" not in doc and name != "no-entries":
+                doc = {"entries": [{"label": "x", "path": "a.mat"}], **doc}
+            text = json.dumps(doc)
+        (tmp_path / "m.json").write_text(text, encoding="utf-8")
         return ["sweep", "--manifest", str(tmp_path / "m.json"), "-o", out], 1
+    if kind == "passk":  # a problem with no samples
+        (tmp_path / "runs.csv").write_text("p0,4,1\np1,0,0\n", encoding="utf-8")
+        return ["passk", "--input", str(tmp_path / "runs.csv"), "--k", "1"], 1
+    if kind == "alphareq":  # a fit window that starts before rank 1
+        write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
+                     tmp_path / "a.mat")
+        return ["alphareq", str(tmp_path / "a.mat"), "--window", "0", "5"], 1
+    if kind == "ngram-build":  # a corpus id at --vocab-size
+        (tmp_path / "corpus.txt").write_text("0 1 2\n", encoding="utf-8")
+        return ["ngram-build", "--corpus", str(tmp_path / "corpus.txt"),
+                "--vocab-size", "2", "-o", out], 1
     (tmp_path / "toy.cfg").write_text(f"{name}\n", encoding="utf-8")
     return ["toy-run", "--config", str(tmp_path / "toy.cfg"), "-o", out], 1
+
+
+# Errors of a run or of an argument, not of a file, and their whole text.
+_RUN_ERRORS = {
+    "toy:d = 5": "cannot balance: rank(f)=5 exceeds vocab=4, so no W with "
+                 "W W^T = f^T f exists",
+    "passk:no-samples": "need at least one sample, got N=0",
+    "alphareq:window": "window (0, 5) out of range for d=24",
+}
 
 
 _CONTRACT_CASES = (
@@ -986,10 +1027,11 @@ _CONTRACT_CASES = (
     + [f"index:{name}" for name in _NOT_ZIP]
     + ["csv:long-field"]
     + ["text-corpus:float", "text-corpus:negative", "context:word", "context:negative"]
-    + [f"manifest:{name}" for name in _MANIFEST_HOLES]
+    + [f"manifest:{name}" for name in (*_MANIFEST_HOLES, "deep")]
     + [f"toy:{line}" for line in _BAD_TOY_LINES]
     + [f"not-utf8:{name}" for name in _NOT_UTF8]
-    + ["toy-run:short", "toy-verify:short"]
+    + ["toy-run:short", "toy-verify:short", "ngram-build:vocab-size"]
+    + list(_RUN_ERRORS)
 )
 
 
@@ -1016,6 +1058,10 @@ _NAMED_SOURCES = {
     "csv:long-field": "error: {dir}/rewards.csv: line 1: field larger than field "
                       "limit (131072)\n",
     **{f"manifest:{name}": "error: {dir}/m.json: manifest" for name in _MANIFEST_HOLES},
+    "manifest:missing-entry": "error: {dir}/m.json: manifest entry 'x': missing "
+                              "{dir}/gone.mat\n",
+    "manifest:deep": "error: {dir}/m.json: maximum recursion depth exceeded",
+    "ngram-build:vocab-size": "error: {dir}/corpus.txt: token id 2 >= vocab_size 2\n",
     "manifest:entries-string": "error: {dir}/m.json: manifest.entries must be a list, "
                                "got a string\n",
     "text-corpus:float": "error: {dir}/corpus.txt: line 3: token '1.5' is not",
@@ -1037,7 +1083,8 @@ def test_bad_input_contract(tmp_path, capsys, case):
     stderr (a sweep records entry failures in its report instead), and
     nothing else: no numpy RuntimeWarning, no traceback.  A one-row matrix
     corpus is no bad input: it is one document.  Where the input has a
-    source to name, the line names it."""
+    source to name, the line names it; an error of a run or of an argument
+    is its whole text."""
     argv, want = _contract_case(case, tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1054,6 +1101,8 @@ def test_bad_input_contract(tmp_path, capsys, case):
         assert not list(tmp_path.glob("out*"))
         if case in _NAMED_SOURCES:
             assert _NAMED_SOURCES[case].format(dir=tmp_path) in err
+        if case in _RUN_ERRORS:
+            assert err == f"specgeo: error: {_RUN_ERRORS[case]}\n"
     else:
         assert err == ""
 
@@ -1177,10 +1226,9 @@ class TestReaderMutationContract:
     @pytest.mark.parametrize("name", _READERS)
     def test_exit_and_error_line(self, name):
         """On a mutated input: exit 0 or 1; stderr empty or one ``specgeo:
-        error:`` line, which for an error of the reader is that error and
-        names the file; no output after an error line.  A sweep whose entry
-        fails exits 1 with its report written, and a missing manifest entry
-        names the missing file."""
+        error:`` line, which for an error of the reader is that ValueError
+        and names the file; no output after an error line.  A sweep whose
+        entry fails exits 1 with its report written."""
         file, data, argv, reader = _READERS[name]
 
         @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1194,7 +1242,7 @@ class TestReaderMutationContract:
                 try:
                     value = reader(file)
                     reader_error = None
-                except (ValueError, FileNotFoundError) as exc:
+                except ValueError as exc:
                     reader_error = exc
                 # an empty or commented-out toy config runs 50 000 steps
                 assume(name != "toy" or reader_error or value.steps <= 1000)
@@ -1211,11 +1259,37 @@ class TestReaderMutationContract:
                                      and err.count("\n") == 1)
                 if reader_error is not None:
                     assert code == 1 and err == f"specgeo: error: {reader_error}\n"
-                    if isinstance(reader_error, ValueError):
-                        assert err.startswith(f"specgeo: error: {file}: ")
+                    assert err.startswith(f"specgeo: error: {file}: ")
                 if err:
                     assert code == 1 and not list(work.glob("out*"))
                 elif code:
                     assert name == "manifest"
+
+        check()
+
+    def test_sweep_entry(self):
+        """A sweep over a mutated matrix file exits 0 or 1 with stderr empty
+        and its report written; an error of any other type than the sweep
+        records propagates and fails the test."""
+        data = _READERS["matrix"][1]
+        manifest = json.dumps({"entries": [{"label": "a", "path": "a.mat"}],
+                               "options": {"ablation": {"k": 2}}})
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(mutated=_mutations(data))
+        def check(mutated):
+            with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+                Path("m.json").write_text(manifest, encoding="utf-8")
+                Path("a.mat").write_bytes(mutated)
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = cli_dispatch(["sweep", "--manifest", "m.json", "-o", "out"])
+                assert [str(w.message) for w in caught] == []
+                assert code in (0, 1) and err.getvalue() == ""
+                report = json.loads(Path("out/report.json").read_text(encoding="utf-8"))
+                assert code == len(report["errors"]) == 1 - len(report["records"])
 
         check()

@@ -65,11 +65,6 @@ class TestInitBalanced:
         np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(a.inputs, b.inputs)
 
-    def test_zero_theta_degenerate(self):
-        state = init_balanced(ToyConfig(seed=0), scale=0.0)
-        assert np.all(state.w == 0.0)
-        assert state.balance_residual == 0.0
-
     def test_batch_too_large(self):
         with pytest.raises(ValueError, match="orthonormal"):
             ToyConfig(d_in=4, class_counts=(4, 2, 1, 1))
@@ -510,6 +505,21 @@ class TestConservation:
         err, grouped = _alignment_error(v1t, u2, np.array([[1.0, 1.0 - 1e-9]]))
         assert grouped[0] and err[0] < 1e-10  # degenerate: subspace is what counts
 
+    def test_singleton_block_of_a_degenerate_record(self):
+        # d = 3 with sigma_1 = sigma_2 != sigma_3: the tied pair is compared
+        # through its projectors, the lone third pair by the per-pair formula
+        from specgeo.dynamics import _alignment_error
+
+        rng = np.random.default_rng(2)
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        err, grouped = _alignment_error(v.T[None], u[None], np.array([[2.0, 2.0, 1.0]]))
+        pair = v[:, :2] @ v[:, :2].T - u[:, :2] @ u[:, :2].T
+        lone = abs(v[:, 2] @ u[:, 2]) - 1.0
+        assert grouped[0] and lone ** 2 > 1e-3
+        assert err[0] == pytest.approx(np.sqrt(np.sum(pair * pair) + lone ** 2),
+                                       rel=1e-12)
+
     def test_stacked_records_group_only_degenerate_rows(self):
         from specgeo.dynamics import _alignment_error, _observables
 
@@ -564,6 +574,16 @@ class TestGrowthLaw:
         traj = run_trajectory(ToyConfig(steps=50))
         report = check_growth_law(traj, sigma_floor_rel=0.99)
         assert report["skipped_small_sigma"] > 0
+        report = check_growth_law(traj, sigma_floor_rel=2.0)  # every index skipped
+        empty = {"max": 0.0, "p95": 0.0, "count": 0}
+        assert [report[key] for key in ("f_side", "w_side", "rate_identity",
+                                        "rate_identity_fd")] == [empty] * 4
+
+    def test_short_and_sparse_runs_rejected(self):
+        with pytest.raises(ValueError, match="need at least 3 recorded steps"):
+            check_growth_law(run_trajectory(ToyConfig(steps=1)))
+        with pytest.raises(ValueError, match="needs per-step records"):
+            check_growth_law(run_trajectory(ToyConfig(steps=20, record_every=2)))
 
 
 class TestPrimacyProbe:
@@ -582,10 +602,13 @@ class TestPrimacyProbe:
 
     def test_uniform_spread_reported(self):
         cfg = ToyConfig(class_counts=(2, 2, 2, 2), steps=2500)
-        probe = primacy_selection_probe(run_trajectory(cfg),
-                                        margin_threshold=0.5)
+        traj = run_trajectory(cfg)
+        probe = primacy_selection_probe(traj, margin_threshold=0.5)
         assert probe["crossing_spread"] is not None
         assert probe["crossing_spread"] >= 0
+        never = primacy_selection_probe(traj, margin_threshold=np.inf)
+        assert set(never["margin_crossing_step"].values()) == {None}
+        assert never["crossing_spread"] is None
 
     @pytest.mark.parametrize("cfg, ties", [
         (ToyConfig(steps=2500), False),
@@ -627,6 +650,10 @@ class TestPhaseSummary:
         summary = phase_summary(series)
         assert not summary.has_interior_maximum
         assert summary.post_warmup_drawdown <= 1e-12
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="need at least 3 points"):
+            phase_summary(np.array([1.0, 2.0]))
 
     def test_collapse_then_rise(self):
         t = np.linspace(0, 1, 500)

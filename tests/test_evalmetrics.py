@@ -93,6 +93,10 @@ class TestPassAtK:
 
 
 class TestDpoLoss:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="need at least one preference triple"):
+            dpo_loss([])
+
     def test_indifference(self):
         loss = dpo_loss([PreferenceTriple(1.3, 1.3)])
         assert loss == pytest.approx(math.log(2), abs=1e-15)

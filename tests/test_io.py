@@ -123,6 +123,9 @@ class TestMatrixRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(BadDtypeError):
             read_matrix(path)
+        with pytest.raises(BadDtypeError, match="dtype must be f32 or f64, got 'f16'"):
+            write_matrix(random_matrix(rng), tmp_path / "w.mat", dtype="f16")
+        assert not (tmp_path / "w.mat").exists()
 
     def test_header_byte_fuzz(self, tmp_path):
         """Flipping any single header byte must raise a format error."""
@@ -286,8 +289,10 @@ class TestManifest:
 
     def test_missing_file_rejected(self, tmp_path):
         path = self.write_manifest(tmp_path, [{"label": "x", "path": "nope.mat"}])
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ValueError) as caught:
             load_manifest(path)
+        assert str(caught.value) == (
+            f"{path}: manifest entry 'x': missing {tmp_path / 'nope.mat'}")
 
     def test_empty_rejected(self, tmp_path):
         path = self.write_manifest(tmp_path, [])
@@ -313,6 +318,8 @@ class TestManifest:
         path = self.write_manifest(tmp_path, [{"label": "x", "path": "a.mat"}],
                                    {"ablation": {"k": 3}})
         assert load_manifest(path).options == SweepOptions(ablation_k=3)
+        path = self.write_manifest(tmp_path, [{"label": "x", "path": "a.mat"}])
+        assert load_manifest(path).options == SweepOptions()
 
 
 class TestSweep:
@@ -335,6 +342,16 @@ class TestSweep:
         assert report.ok
         got = [rec["alpha_req"] for rec in report.records]
         np.testing.assert_allclose(got, [0.5, 1.0, 2.0], atol=1e-6)
+
+    def test_bug_in_an_entry_propagates(self, tmp_path, monkeypatch):
+        # an error of the data becomes an error record; any other is a bug
+        def broken(fm, want_vectors=False):
+            raise TypeError("broken solve")
+
+        path = self.build(tmp_path, [1.0])
+        monkeypatch.setattr(sio, "covariance_spectrum", broken)
+        with pytest.raises(TypeError, match="broken solve"):
+            sweep(load_manifest(path))
 
     def test_unreadable_entry_recorded(self, tmp_path):
         path = self.build(tmp_path, [0.5, 1.0, 2.0])

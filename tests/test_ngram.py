@@ -62,8 +62,8 @@ class TestBuildIndex:
         assert idx.sa.tolist() == [0]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            build_index(make_corpus([], vocab=1))
+        with pytest.raises(ValueError, match="cannot index an empty corpus"):
+            build_index(make_corpus([], boundaries=[], vocab=1))
 
     def test_sorted_order_random(self):
         rng = np.random.default_rng(0)
@@ -470,6 +470,22 @@ class TestNegativeIds:
             pattern_count(idx, [-1])
 
 
+class TestTokenCorpus:
+    @pytest.mark.parametrize("tokens, bounds, message", [
+        ([[1, 2], [3, 1]], [4], "tokens must be 1-D"),
+        ([1, 2, 3, 1], [[2, 4]], "doc_boundaries must be 1-D"),
+        ([1, 2, 3, 1], [2, 2, 4], "strictly increasing"),
+        ([1, 2, 3, 1], [3, 2], "strictly increasing"),
+        ([], [0], "out of range"),
+        ([1, 2], [3], "out of range"),
+    ], ids=["2-D-tokens", "2-D-bounds", "repeated-bound", "decreasing-bounds",
+            "empty-corpus-bound", "bound-past-end"])
+    def test_rejects_bad_shapes_and_bounds(self, tokens, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            TokenCorpus(tokens=np.array(tokens), doc_boundaries=np.array(bounds),
+                        vocab_size=4)
+
+
 class TestTokenIdRule:
     """One rule for every token-id input: floats pass only as whole numbers
     below 2^63; nothing is truncated."""
@@ -547,6 +563,14 @@ class TestSpearman:
         tr = ProbTrace(p_ref=np.array([0.5]), p_model=np.array([0.1]))
         with pytest.raises(ValueError):
             spearman_rho(tr)
+
+    @pytest.mark.parametrize("p_ref, p_model", [
+        ([0.1, 0.2, 0.3], [0.1, 0.2]),
+        ([[0.1, 0.2]], [[0.1, 0.2]]),
+    ], ids=["lengths", "2-D"])
+    def test_trace_rejects_shape_mismatch(self, p_ref, p_model):
+        with pytest.raises(ValueError, match="equal-length 1-D"):
+            ProbTrace(p_ref=np.array(p_ref), p_model=np.array(p_model))
 
     @pytest.mark.parametrize("bad", [np.nan, 1.7, -0.2])
     def test_trace_rejects_nan_and_out_of_range(self, bad):

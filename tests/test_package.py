@@ -47,7 +47,11 @@ def test_import_loads_no_tool_module():
 
 
 def test_exports_agree_with_module_all():
-    # _EXPORTS repeats each tool module's public names; keep the two in step
-    for module, names in specgeo._EXPORTS.items():
+    # each tool module's __all__ is read from _EXPORTS, the one list
+    names = set()
+    for module, exported in specgeo._EXPORTS.items():
         home = importlib.import_module(f"specgeo.{module}")
-        assert set(names) <= set(home.__all__), module
+        assert set(home.__all__) == set(exported), module
+        names |= set(home.__all__)
+    assert set(specgeo.__all__) - {"__version__"} == names
+    assert specgeo.pass_at_k_exact is specgeo.evalmetrics.pass_at_k_exact

@@ -23,6 +23,20 @@ def spec_of(values):
     return EigenSpectrum(values=np.asarray(values, dtype=float))
 
 
+class TestEigenSpectrum:
+    @pytest.mark.parametrize("values, vectors, message", [
+        (np.ones((2, 2)), None, "nonempty 1-D"),
+        (np.zeros(0), None, "nonempty 1-D"),
+        ([1.0, 2.0], None, "nonincreasing"),
+        ([1.0, -0.5], None, "nonnegative"),
+        ([1.0, 0.5], np.eye(3), "must be 2x2"),
+        ([1.0, 0.5], [[1.0, 1.0], [0.0, 1.0]], "not orthonormal"),
+    ], ids=["2-D", "empty", "increasing", "negative", "vector-shape", "skewed"])
+    def test_rules(self, values, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            EigenSpectrum(values=values, vectors=vectors)
+
+
 class TestCenterFeatures:
     def test_mean_subtraction(self):
         fm = FeatureMatrix(np.array([[1.0, 3.0], [3.0, 5.0]]))
@@ -49,6 +63,14 @@ class TestCenterFeatures:
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
             FeatureMatrix(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("data, message", [
+        (np.ones(4), r"must be 2-D, got shape \(4,\)"),
+        (np.ones((3, 0)), "need at least 1 column"),
+    ], ids=["1-D", "no-columns"])
+    def test_rejects_other_shapes(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureMatrix(data)
 
     def test_centered_flag_validated(self):
         with pytest.raises(ValueError):
@@ -292,6 +314,12 @@ class TestAblation:
     def test_bad_mode(self, features):
         with pytest.raises(ValueError):
             ablate_spectrum(features, 2, "keep_top")
+
+    def test_requires_centered(self):
+        fm = FeatureMatrix(np.array([[1.0, 2.0], [3.0, 5.0]]))
+        with pytest.raises(ValueError, match="^covariance_spectrum requires centered "
+                                             "features$"):
+            ablate_spectrum(fm, 1, "retain_top")
 
     def test_tie_break_deterministic(self):
         rng = np.random.default_rng(12)

@@ -64,13 +64,17 @@ _EXPORTS = {
         "primacy_selection_probe",
         "run_trajectory",
         "softmax_alpha",
-        "a_matrix",
         "target_matrix",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = ["__version__", *_HOME]
+
+
+# Errors of a run's data or inputs: the CLI reports one as a single error
+# line with exit code 1, and a sweep records one per failed entry.
+_DATA_ERRORS = (ValueError, OverflowError, OSError, RuntimeError)
 
 
 def __getattr__(name):

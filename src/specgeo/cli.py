@@ -13,11 +13,12 @@ import csv
 import json
 import math
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _naming, _read_text
+from . import _DATA_ERRORS, __version__, _naming, _read_text
 
 # Each handler imports the tool modules it uses, so a child process loads
 # only what its subcommand needs.
@@ -298,23 +299,58 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
             raise ValueError(f"malformed row at line {line}: {row}") from None
 
 
+def _by_row(path, lines, fn, *columns):
+    """``fn(*columns)``.  When that raises ValueError, ``fn`` runs on one
+    row of the columns at a time, and the error of the first row it
+    rejects names ``path`` and that row's line."""
+    try:
+        return fn(*columns)
+    except ValueError:
+        with _naming(path):
+            for i, line in enumerate(lines):
+                try:
+                    fn(*(col[i:i + 1] for col in columns))
+                except ValueError as exc:
+                    raise ValueError(f"line {line}: {exc}") from None
+        raise
+
+
 def _read_trace_csv(path) -> tuple:
-    """(example ids, token indices, probs), sorted by id, then index."""
-    (ids, pos, probs), _ = _read_columns(path, (str, np.int64, np.float64))
+    """(example ids, token indices, probs, lines), sorted by id, then
+    index.  A prob that is NaN or outside [0, 1] is an error naming its
+    line."""
+    from .ngram import _check_probs
+
+    (ids, pos, probs), lines = _read_columns(path, (str, np.int64, np.float64))
+    _by_row(path, lines, lambda p: _check_probs("prob", p), probs)
     ids = np.char.strip(ids)
     order = np.lexsort((pos, ids))
-    return ids[order], pos[order], probs[order]
+    return ids[order], pos[order], probs[order], np.asarray(lines)[order]
+
+
+def _unmatched_row(*traces) -> ValueError:
+    """The error of two traces, each (path, ids, indices, probs, lines)
+    sorted by key, whose keys differ: it names the first row, in key
+    order, that has no matching row in the other file."""
+    keys = [list(zip(t[1].tolist(), t[2].tolist())) for t in traces]
+    i = next(i for i, (a, b) in enumerate(zip_longest(*keys)) if a != b)
+    # there the smaller key, or the key of the file that has rows left while
+    # the other has none, is the one without a match
+    side = int(i == len(keys[0]) or (i < len(keys[1]) and keys[1][i] < keys[0][i]))
+    (path, *_, lines), other = traces[side], traces[1 - side][0]
+    example, token = keys[side][i]
+    return ValueError(f"{path}: line {lines[i]}: example {example!r} token {token} "
+                      f"has no matching row in {other}")
 
 
 def _cmd_memorize(args) -> int:
     from .ngram import distributional_memorization
 
-    ref_ids, ref_pos, ref_probs = _read_trace_csv(args.ref)
-    model_ids, model_pos, model_probs = _read_trace_csv(args.model)
-    if not (np.array_equal(ref_ids, model_ids) and np.array_equal(ref_pos, model_pos)):
-        raise ValueError("trace files do not cover the same (example, token) keys")
+    ref, model = _read_trace_csv(args.ref), _read_trace_csv(args.model)
+    if not all(map(np.array_equal, ref[:2], model[:2])):  # ids, token indices
+        raise _unmatched_row((args.ref, *ref), (args.model, *model))
     rho = distributional_memorization(
-        ref_probs, model_probs, ref_ids, per_token=args.per_token
+        ref[2], model[2], ref[0], per_token=args.per_token
     )
     _emit(args, {"memorization": rho, "per_token": bool(args.per_token)},
           f"memorization: {rho!r}")
@@ -441,10 +477,19 @@ def _cmd_passk(args) -> int:
     from .evalmetrics import pass_at_k
 
     # CSV of (problem_id, N, c)
-    (_, n, c), _ = _read_columns(args.input, (str, np.int64, np.int64))
-    problems = list(zip(n.tolist(), c.tolist()))
-    ks = [int(v) for v in args.k.split(",")]
-    result = {str(k): pass_at_k(problems, k) for k in ks}
+    (_, n, c), lines = _read_columns(args.input, (str, np.int64, np.int64))
+    ks = []
+    for v in args.k.split(","):
+        try:
+            ks.append(int(v))
+        except ValueError:
+            raise ValueError(f"--k: {v!r} is not an integer") from None
+
+    def mean_pass(n, c):
+        problems = list(zip(n.tolist(), c.tolist()))
+        return {str(k): pass_at_k(problems, k) for k in ks}
+
+    result = _by_row(args.input, lines, mean_pass, n, c)
     _emit(args, result,
           "\n".join(f"pass@{k}: {result[str(k)]!r}" for k in ks))
     return 0
@@ -544,7 +589,7 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError, RuntimeError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"specgeo: error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

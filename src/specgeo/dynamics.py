@@ -21,7 +21,8 @@ the next-token target matrix P (one distribution per row, see
 Row r of P is the unigram distribution of the batch (``class_counts``)
 with the odds of the row's own token multiplied by ``label_odds``; at
 ``label_odds = inf`` P is the one-hot label matrix.  Every row of A sums
-to zero for all three losses.
+to zero for the two cross-entropy losses, whose rows of alpha and P are
+distributions; the ``mse`` rows sum to the row sum of the logits less 1.
 
 Because S S^T = I, the theta step is exactly f <- f - eta * A W^T.
 ``run_trajectory`` steps (f, W) only, copies them into snapshot arrays at
@@ -261,40 +262,6 @@ def target_matrix(
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def _as_targets(targets, shape: tuple[int, int]) -> np.ndarray:
-    """A label vector becomes its one-hot matrix; a b x vocab matrix must
-    hold one probability distribution per row."""
-    b, vocab = shape
-    targets = np.asarray(targets)
-    if targets.ndim == 1:
-        labels = targets.astype(np.int64)
-        if labels.shape != (b,):
-            raise ValueError("labels must have one entry per row of alpha")
-        if labels.size and (labels.min() < 0 or labels.max() >= vocab):
-            raise ValueError("label out of range")
-        return _onehot(labels, vocab)
-    targets = targets.astype(np.float64)
-    if targets.shape != (b, vocab):
-        raise ValueError(f"targets must be {b} x {vocab}, got {targets.shape}")
-    if not (
-        np.all(np.isfinite(targets))
-        and targets.min(initial=0.0) >= 0.0
-        and np.allclose(targets.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-    ):
-        raise ValueError("every target row must be a probability distribution")
-    return targets
-
-
-def a_matrix(alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Error matrix alpha - P; every row sums to zero.
-
-    ``targets`` is either a label per row (P = onehot(labels)) or a
-    b x vocab matrix of target distributions.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return alpha - _as_targets(targets, alpha.shape)
-
-
 def _error_matrix(
     logits: np.ndarray, targets: np.ndarray, loss_kind: str, alpha0: np.ndarray
 ) -> np.ndarray:
@@ -314,7 +281,8 @@ def _loss(
     alpha0: Optional[np.ndarray],
 ) -> np.ndarray:
     """Loss whose logit gradient is ``_error_matrix``, summed over the
-    batch: one value per b x vocab logit matrix of a stack.
+    batch: one value per b x vocab logit matrix of a stack.  The tests
+    check that gradient by central differences for every loss kind.
 
     Cross-entropy against P is bounded below by the target entropy
     sum_r H(P_r), which is 0 only for one-hot targets.
@@ -331,24 +299,6 @@ def _loss(
         lse = zmax[..., 0] + np.log(np.sum(np.exp(logits - zmax), axis=-1))
         vals = lse - target_logit
     return np.sum(vals, axis=-1)
-
-
-def linearized_loss_value(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Tangent-plane cross-entropy evaluated at its own expansion point:
-    -P^T z + alpha^T z + H(alpha), summed over the batch.  Equal to the
-    exact cross-entropy at that point.  ``targets`` as in ``a_matrix``."""
-    logits = np.asarray(logits, dtype=np.float64)
-    alpha = softmax_alpha(logits)
-    return float(
-        _loss(logits, _as_targets(targets, logits.shape), "xent_linearized", alpha)
-    )
-
-
-def exact_xent_value(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Cross-entropy -sum_c P_c log softmax(logits)_c, summed over the
-    batch.  ``targets`` as in ``a_matrix``."""
-    logits = np.asarray(logits, dtype=np.float64)
-    return float(_loss(logits, _as_targets(targets, logits.shape), "xent_exact", None))
 
 
 def _step(f, w, targets, loss_kind: str, lr: float, alpha0):
@@ -670,9 +620,10 @@ def primacy_selection_probe(
     logit margin exceeds ``margin_threshold`` (None if never).  The
     selection correlation is the Pearson correlation across directions
     between sigma_i and its per-step increment delta sigma_i, averaged over
-    the steps of the post-peak (compression) window, or of the final
-    quarter when no interior peak exists; steps where either side is
-    constant are skipped.  At d = 2 each step's correlation is +-1, so the
+    the steps of the compression window, from the record the smoothed
+    RankMe peak is centred on to the end, or of the final quarter when
+    no interior peak exists; steps where either side is constant are
+    skipped.  At d = 2 each step's correlation is +-1, so the
     value is the mean sign of (sigma_1 - sigma_2)(delta sigma_1 - delta
     sigma_2).
     """
@@ -685,7 +636,8 @@ def primacy_selection_probe(
 
     summary = phase_summary(traj.rankme)
     if summary.has_interior_maximum:
-        start = summary.peak_index  # compression window
+        # compression window; smoothed entry i is centred on record i + window // 2
+        start = summary.peak_index + summary.smooth_window // 2
     else:
         start = 3 * len(traj) // 4  # late phase
     sig = traj.sigma_f[min(start, len(traj) - 2):]

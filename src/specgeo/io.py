@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, _naming, _read_text
+from . import _DATA_ERRORS, __version__, _naming, _read_text
 from .spectral import (
     EigenSpectrum,
     FeatureMatrix,
@@ -332,7 +332,7 @@ def sweep(manifest: RunManifest) -> MetricsReport:
     for entry in manifest.entries:
         try:
             records.append(_sweep_entry(entry, manifest.options))
-        except (ValueError, OverflowError, OSError, RuntimeError, MemoryError) as exc:
+        except (*_DATA_ERRORS, MemoryError) as exc:
             error = f"{type(exc).__name__}: {exc}"
             errors.append({"label": entry.label, "error": error})
     return MetricsReport(records=records, errors=errors)

@@ -156,9 +156,12 @@ class ProbTrace:
 
 
 def _check_probs(name: str, arr: np.ndarray) -> None:
+    """Raise ValueError naming the first entry of ``arr`` that is NaN or
+    outside [0, 1]."""
     # written so that NaN fails too: every comparison with NaN is false
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError(f"{name} has entries that are NaN or outside [0, 1]")
+    ok = (arr >= 0.0) & (arr <= 1.0)
+    if not ok.all():
+        raise ValueError(f"{name} {float(arr[np.argmin(ok)])!r} is NaN or outside [0, 1]")
 
 
 def _whole_numbers(seq: Sequence[int], name: str, noun: str) -> np.ndarray:
@@ -378,13 +381,11 @@ def distributional_memorization(
     product (a zero anywhere would collapse the example to an uninformative
     exact zero); the floor is monotone so rankings are unaffected.
     """
-    ref = np.asarray(ref_probs, dtype=np.float64)
-    mod = np.asarray(model_probs, dtype=np.float64)
+    trace = ProbTrace(ref_probs, model_probs)
+    ref, mod = trace.p_ref, trace.p_model
     ids = np.asarray(example_ids)
-    if not (ref.shape == mod.shape == ids.shape) or ref.ndim != 1:
-        raise ValueError("ref, model, and example ids must be aligned 1-D arrays")
-    _check_probs("ref_probs", ref)
-    _check_probs("model_probs", mod)
+    if ids.shape != ref.shape:
+        raise ValueError("example ids must be aligned with the probability traces")
     if per_token:
         return _spearman(ref, mod)
     uniq, inv = np.unique(ids, return_inverse=True)

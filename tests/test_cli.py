@@ -920,6 +920,31 @@ _NOT_ZIP = {"random-bytes": bytes(np.random.default_rng(0).integers(0, 256, 64,
             "text": b"1 2 3 1 2\n"}
 
 
+# A passk input's second row, the --k value, and the error line, which
+# names the file and line of the bad row, or the flag.
+_BAD_PASSK = {
+    "no-samples": ("p1,0,0", "1", "{dir}/runs.csv: line 2: need at least one "
+                   "sample, got N=0"),
+    "c-above-n": ("p1,4,5", "1", "{dir}/runs.csv: line 2: correct count c=5 "
+                  "outside [0, N=4]"),
+    "n-below-k": ("p1,3,2", "1,4", "{dir}/runs.csv: line 2: k=4 outside [1, N=3]"),
+    "k-flag": ("p1,4,2", "1,x", "--k: 'x' is not an integer"),
+}
+
+
+# The --ref and --model traces of memorize, and the error line, which
+# names the file and line of the bad row.
+_TRACE = "example_id,token_index,prob\na,0,0.5\nb,1,0.25\nc,0,0.75\n"
+_BAD_TRACES = {
+    "prob-above-one": (_TRACE.replace("0.25", "1.5"), _TRACE,
+                       "{dir}/ref.csv: line 3: prob 1.5 is NaN or outside [0, 1]"),
+    "prob-nan": (_TRACE, _TRACE.replace("0.75", "nan"),
+                 "{dir}/model.csv: line 4: prob nan is NaN or outside [0, 1]"),
+    "keys": (_TRACE, _TRACE.replace("b,1", "b,2"), "{dir}/ref.csv: line 3: example "
+             "'b' token 1 has no matching row in {dir}/model.csv"),
+}
+
+
 def _contract_case(case: str, tmp_path) -> tuple:
     """(argv, expected exit code) of one bad-input case; inputs go under
     ``tmp_path``, outputs under ``tmp_path / "out"``."""
@@ -994,9 +1019,16 @@ def _contract_case(case: str, tmp_path) -> tuple:
             text = json.dumps(doc)
         (tmp_path / "m.json").write_text(text, encoding="utf-8")
         return ["sweep", "--manifest", str(tmp_path / "m.json"), "-o", out], 1
-    if kind == "passk":  # a problem with no samples
-        (tmp_path / "runs.csv").write_text("p0,4,1\np1,0,0\n", encoding="utf-8")
-        return ["passk", "--input", str(tmp_path / "runs.csv"), "--k", "1"], 1
+    if kind == "passk":
+        row, ks, _ = _BAD_PASSK[name]
+        (tmp_path / "runs.csv").write_text(f"p0,4,1\n{row}\n", encoding="utf-8")
+        return ["passk", "--input", str(tmp_path / "runs.csv"), "--k", ks], 1
+    if kind == "memorize":
+        ref, model, _ = _BAD_TRACES[name]
+        (tmp_path / "ref.csv").write_text(ref, encoding="utf-8")
+        (tmp_path / "model.csv").write_text(model, encoding="utf-8")
+        return ["memorize", "--ref", str(tmp_path / "ref.csv"),
+                "--model", str(tmp_path / "model.csv")], 1
     if kind == "alphareq":  # a fit window that starts before rank 1
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
@@ -1013,7 +1045,6 @@ def _contract_case(case: str, tmp_path) -> tuple:
 _RUN_ERRORS = {
     "toy:d = 5": "cannot balance: rank(f)=5 exceeds vocab=4, so no W with "
                  "W W^T = f^T f exists",
-    "passk:no-samples": "need at least one sample, got N=0",
     "alphareq:window": "window (0, 5) out of range for d=24",
 }
 
@@ -1031,6 +1062,8 @@ _CONTRACT_CASES = (
     + [f"toy:{line}" for line in _BAD_TOY_LINES]
     + [f"not-utf8:{name}" for name in _NOT_UTF8]
     + ["toy-run:short", "toy-verify:short", "ngram-build:vocab-size"]
+    + [f"passk:{name}" for name in _BAD_PASSK]
+    + [f"memorize:{name}" for name in _BAD_TRACES]
     + list(_RUN_ERRORS)
 )
 
@@ -1074,6 +1107,9 @@ _NAMED_SOURCES = {
     **{f"{command}:short": "error: {dir}/toy.cfg: steps = 5 with record_every = 10 "
        "records 2 points; the analysis needs 3, so record_every must be less "
        "than steps\n" for command in ("toy-run", "toy-verify")},
+    **{f"{kind}:{name}": f"error: {named}\n"
+       for kind, cases in (("passk", _BAD_PASSK), ("memorize", _BAD_TRACES))
+       for name, (*_, named) in cases.items()},
 }
 
 
@@ -1222,6 +1258,19 @@ _READERS = {
 }
 
 
+@contextlib.contextmanager
+def _in_temp_dir():
+    """A new temporary directory as the working directory, for the
+    duration of the block (``contextlib.chdir`` needs Python 3.11)."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield Path(tmp)
+        finally:
+            os.chdir(old)
+
+
 class TestReaderMutationContract:
     @pytest.mark.parametrize("name", _READERS)
     def test_exit_and_error_line(self, name):
@@ -1234,8 +1283,7 @@ class TestReaderMutationContract:
         @settings(max_examples=40, deadline=None, derandomize=True)
         @given(mutated=_mutations(data))
         def check(mutated):
-            with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-                work = Path(tmp)
+            with _in_temp_dir() as work:
                 if name == "manifest":
                     Path("a.mat").write_bytes(_READERS["matrix"][1])
                 Path(file).write_bytes(mutated)
@@ -1278,7 +1326,7 @@ class TestReaderMutationContract:
         @settings(max_examples=40, deadline=None, derandomize=True)
         @given(mutated=_mutations(data))
         def check(mutated):
-            with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            with _in_temp_dir():
                 Path("m.json").write_text(manifest, encoding="utf-8")
                 Path("a.mat").write_bytes(mutated)
                 err = io.StringIO()

@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 
 from specgeo.dynamics import (
+    LOSS_KINDS,
     DivergenceError,
     ToyConfig,
+    _error_matrix,
+    _loss,
     check_conservation,
     check_growth_law,
-    exact_xent_value,
     gd_step,
     init_balanced,
-    linearized_loss_value,
     phase_summary,
     primacy_selection_probe,
     run_trajectory,
     softmax_alpha,
-    a_matrix,
     target_matrix,
 )
 from specgeo.spectral import EigenSpectrum, rankme
@@ -163,74 +163,51 @@ class TestSoftmax:
 
 
 class TestAMatrix:
+    """The run's own error matrix A against the run's own loss."""
+
     def test_uniform_alpha(self):
-        alpha = np.full((1, 4), 0.25)
-        a = a_matrix(alpha, np.array([2]))
+        a = _error_matrix(np.zeros((1, 4)), np.eye(4)[[2]], "xent_exact", None)
         np.testing.assert_allclose(a, [[0.25, 0.25, -0.75, 0.25]])
 
     def test_perfect_prediction(self):
-        alpha = np.array([[0.0, 1.0, 0.0]])
-        a = a_matrix(alpha, np.array([1]))
+        targets = np.eye(3)[[1]]
+        a = _error_matrix(np.array([[0.0, 1000.0, 0.0]]), targets, "xent_exact", None)
         np.testing.assert_allclose(a, 0.0, atol=1e-15)
+        np.testing.assert_array_equal(_error_matrix(targets, targets, "mse", None), 0.0)
 
     def test_rows_sum_to_zero(self):
+        # alpha and P rows are both distributions for the cross-entropy kinds
         rng = np.random.default_rng(2)
-        alpha = softmax_alpha(rng.normal(size=(8, 6)))
-        labels = rng.integers(0, 6, size=8)
-        a = a_matrix(alpha, labels)
-        np.testing.assert_allclose(a.sum(axis=1), 0.0, atol=1e-12)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            a_matrix(np.full((1, 3), 1 / 3), np.array([3]))
+        logits = rng.normal(size=(8, 6)) * 3
+        targets = _random_targets(rng, 8, 6)
+        alpha0 = softmax_alpha(rng.normal(size=(8, 6)))
+        for kind in ("xent_exact", "xent_linearized"):
+            a = _error_matrix(logits, targets, kind, alpha0)
+            np.testing.assert_allclose(a.sum(axis=1), 0.0, atol=1e-12, err_msg=kind)
 
     @staticmethod
-    def _check_fd_gradient(logits, targets):
-        a = a_matrix(softmax_alpha(logits), targets)
+    def _check_fd_gradient(logits, targets, alpha0):
+        # A is the gradient of the summed loss w.r.t. the logits, for every
+        # kind; _loss takes the stack of all bumped logit matrices at once
         h = 1e-6
-        for i in range(logits.shape[0]):
-            for j in range(logits.shape[1]):
-                up = logits.copy()
-                up[i, j] += h
-                down = logits.copy()
-                down[i, j] -= h
-                fd = (exact_xent_value(up, targets)
-                      - exact_xent_value(down, targets)) / (2 * h)
-                assert a[i, j] == pytest.approx(fd, abs=1e-6)
+        bump = h * np.eye(logits.size).reshape(-1, *logits.shape)
+        for kind in LOSS_KINDS:
+            a = _error_matrix(logits, targets, kind, alpha0)
+            fd = (_loss(logits + bump, targets, kind, alpha0)
+                  - _loss(logits - bump, targets, kind, alpha0)) / (2 * h)
+            np.testing.assert_allclose(a.ravel(), fd, rtol=0, atol=1e-6, err_msg=kind)
 
     def test_matches_finite_difference_gradient(self):
-        # A is the gradient of summed cross-entropy w.r.t. the logits
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(4, 6))
-        self._check_fd_gradient(logits, rng.integers(0, 6, size=4))
+        onehot = np.eye(6)[rng.integers(0, 6, size=4)]
+        self._check_fd_gradient(logits, onehot, softmax_alpha(rng.normal(size=(4, 6))))
 
     def test_soft_targets_match_finite_difference_gradient(self):
-        # A = softmax - P is the gradient of sum_r -P_r . log softmax(z_r)
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(4, 6)) * 2
         targets = _random_targets(rng, 4, 6)
-        np.testing.assert_allclose(
-            a_matrix(softmax_alpha(logits), targets).sum(axis=1), 0.0, atol=1e-12)
-        self._check_fd_gradient(logits, targets)
-
-    def test_labels_and_their_onehot_agree(self):
-        rng = np.random.default_rng(6)
-        logits = rng.normal(size=(5, 4))
-        labels = rng.integers(0, 4, size=5)
-        onehot = np.eye(4)[labels]
-        alpha = softmax_alpha(logits)
-        np.testing.assert_array_equal(a_matrix(alpha, labels),
-                                      a_matrix(alpha, onehot))
-        assert exact_xent_value(logits, labels) == exact_xent_value(logits, onehot)
-
-    def test_bad_target_rows_rejected(self):
-        alpha = np.full((2, 3), 1 / 3)
-        for bad in ([[0.5, 0.5, 0.0], [0.5, 0.6, -0.1]],  # negative entry
-                    [[0.5, 0.5, 0.0], [0.5, 0.4, 0.0]],  # row sums to 0.9
-                    [[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]],
-                    [[1.0, 0.0], [0.0, 1.0]]):  # wrong shape
-            with pytest.raises(ValueError):
-                a_matrix(alpha, np.array(bad))
+        self._check_fd_gradient(logits, targets, softmax_alpha(rng.normal(size=(4, 6))))
 
     def test_xent_bounded_below_by_target_entropy(self):
         # Gibbs: sum_r -P_r . log softmax(z_r) >= sum_r H(P_r), with
@@ -240,8 +217,8 @@ class TestAMatrix:
         entropy = float(-np.sum(targets * np.log(targets)))
         for _ in range(10):
             logits = rng.normal(size=(6, 5)) * 3
-            assert exact_xent_value(logits, targets) >= entropy
-        assert exact_xent_value(np.log(targets), targets) == pytest.approx(
+            assert _loss(logits, targets, "xent_exact", None) >= entropy
+        assert _loss(np.log(targets), targets, "xent_exact", None) == pytest.approx(
             entropy, rel=1e-14)
 
 
@@ -375,16 +352,17 @@ class TestGdStep:
 class TestLegendreTangency:
     @staticmethod
     def _check_tangency(rng, draw_targets):
+        # the linearized loss expanded at softmax(z) equals the exact one at z
         for _ in range(20):
             logits = rng.normal(size=(5, 7)) * rng.uniform(0.1, 5)
             targets = draw_targets()
-            lin = linearized_loss_value(logits, targets)
-            exact = exact_xent_value(logits, targets)
+            lin = _loss(logits, targets, "xent_linearized", softmax_alpha(logits))
+            exact = _loss(logits, targets, "xent_exact", None)
             assert lin == pytest.approx(exact, abs=1e-12 * max(1.0, abs(exact)))
 
     def test_linearized_equals_exact_at_expansion(self):
         rng = np.random.default_rng(4)
-        self._check_tangency(rng, lambda: rng.integers(0, 7, size=5))
+        self._check_tangency(rng, lambda: np.eye(7)[rng.integers(0, 7, size=5)])
 
     def test_linearized_equals_exact_at_expansion_soft_targets(self):
         rng = np.random.default_rng(8)
@@ -615,7 +593,9 @@ class TestPrimacyProbe:
         (ToyConfig(d=3, steps=2500, seed=4), False),
         (ToyConfig(d=3, steps=2500, seed=4), True),
         (ToyConfig(d=1, steps=200), False),
-    ], ids=["d2", "d3", "d3_ties", "one_direction"])
+        # RankMe has an interior maximum: the window starts past the peak
+        (ToyConfig(steps=30_000, record_every=10), False),
+    ], ids=["d2", "d3", "d3_ties", "one_direction", "interior_peak"])
     def test_selection_correlation_matches_per_step_loop(self, cfg, ties):
         traj = run_trajectory(cfg)
         if ties:  # steps whose directions are equal, then steps with no increment
@@ -624,8 +604,8 @@ class TestPrimacyProbe:
             sig[-40:] = sig[-40]
             traj = dataclasses.replace(traj, sigma_f=sig)
         summary = phase_summary(traj.rankme)
-        start = (summary.peak_index if summary.has_interior_maximum
-                 else 3 * len(traj) // 4)
+        start = (summary.peak_index + summary.smooth_window // 2
+                 if summary.has_interior_maximum else 3 * len(traj) // 4)
         start = min(start, len(traj) - 2)
         got = primacy_selection_probe(traj)["selection_correlation"]
         want = selection_correlation_loop(traj.sigma_f[start:])

@@ -55,3 +55,20 @@ def test_exports_agree_with_module_all():
         names |= set(home.__all__)
     assert set(specgeo.__all__) - {"__version__"} == names
     assert specgeo.pass_at_k_exact is specgeo.evalmetrics.pass_at_k_exact
+
+
+def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
+    # the benchmark's traced run wraps package functions by name, so a
+    # renamed or dropped name breaks it; build its patch, then undo it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    spans = importlib.import_module("spans")
+    modules = [importlib.import_module(f"specgeo.{name}") for name in spans.MODULES]
+    before = [{k: id(v) for k, v in vars(mod).items()} for mod in modules]
+    patch = spans.Patch(spans.Recorder())
+    try:
+        wrapped = {(mod.__name__, attr) for mod, attr, _ in patch.saved}
+    finally:
+        patch.restore()
+    assert {(f"specgeo.{layer}", name) for layer, names in spans.TRACED.items()
+            for name in names} <= wrapped
+    assert [{k: id(v) for k, v in vars(mod).items()} for mod in modules] == before

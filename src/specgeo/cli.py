@@ -116,14 +116,14 @@ def _cmd_sweep(args) -> int:
 def _parse_tokens(text: str, source: str) -> np.ndarray:
     """The space-separated decimal ids of ``text``; ``source`` names it in
     the error."""
+    from .ngram import _token_ids
+
     try:
         ids = np.array(text.split(), dtype=np.int64)
     except (ValueError, OverflowError):
         bad = next(tok for tok in text.split() if not _converts(tok, np.int64))
         raise ValueError(f"{source}: token {bad!r} is not an integer id") from None
-    if ids.size and ids.min() < 0:
-        raise ValueError(f"{source}: negative token id {ids.min()}")
-    return ids
+    return _token_ids(ids, source)
 
 
 def _read_corpus(path, vocab_size=None):
@@ -317,15 +317,21 @@ def _by_row(path, lines, fn, *columns):
 
 def _read_trace_csv(path) -> tuple:
     """(example ids, token indices, probs, lines), sorted by id, then
-    index.  A prob that is NaN or outside [0, 1] is an error naming its
-    line."""
+    index.  A prob that is NaN or outside [0, 1], and a key that an
+    earlier row holds, are errors naming their line."""
     from .ngram import _check_probs
 
     (ids, pos, probs), lines = _read_columns(path, (str, np.int64, np.float64))
     _by_row(path, lines, lambda p: _check_probs("prob", p), probs)
     ids = np.char.strip(ids)
-    order = np.lexsort((pos, ids))
-    return ids[order], pos[order], probs[order], np.asarray(lines)[order]
+    order = np.lexsort((pos, ids))  # stable: a repeat sorts after the row it repeats
+    ids, pos, probs, lines = ids[order], pos[order], probs[order], np.asarray(lines)[order]
+    repeats = np.flatnonzero((ids[1:] == ids[:-1]) & (pos[1:] == pos[:-1])) + 1
+    if repeats.size:
+        i = repeats[np.argmin(lines[repeats])]
+        raise ValueError(f"{path}: line {lines[i]}: example {ids[i].item()!r} token "
+                         f"{pos[i]} repeats line {lines[i - 1]}")
+    return ids, pos, probs, lines
 
 
 def _unmatched_row(*traces) -> ValueError:
@@ -474,16 +480,18 @@ def _cmd_toy_verify(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def _cmd_passk(args) -> int:
-    from .evalmetrics import pass_at_k
+    from .evalmetrics import _check_k, pass_at_k
 
     # CSV of (problem_id, N, c)
     (_, n, c), lines = _read_columns(args.input, (str, np.int64, np.int64))
     ks = []
-    for v in args.k.split(","):
-        try:
-            ks.append(int(v))
-        except ValueError:
-            raise ValueError(f"--k: {v!r} is not an integer") from None
+    with _naming("--k"):  # before the rows, so that no row is blamed for a k
+        for v in args.k.split(","):
+            try:
+                ks.append(int(v))
+            except ValueError:
+                raise ValueError(f"{v!r} is not an integer") from None
+            _check_k(ks[-1])
 
     def mean_pass(n, c):
         problems = list(zip(n.tolist(), c.tolist()))
@@ -499,11 +507,7 @@ def _cmd_dpo_check(args) -> int:
     from .evalmetrics import _dpo_loss_and_gap
 
     (r_w, r_l), lines = _read_columns(args.input, (np.float64, np.float64))
-    finite = np.isfinite(r_w) & np.isfinite(r_l)
-    if not finite.all():
-        with _naming(args.input):
-            raise ValueError(f"line {lines[int(np.argmin(finite))]}: rewards must be finite")
-    loss, gap = _dpo_loss_and_gap(r_w, r_l)
+    loss, gap = _by_row(args.input, lines, _dpo_loss_and_gap, r_w, r_l)
     _emit(args, {"dpo_loss": loss, "max_identity_gap": gap},
           f"dpo_loss: {loss!r}  max identity gap: {gap!r}")
     return 0

@@ -123,11 +123,7 @@ class ToyConfig:
             raise ValueError("learning rate must be positive")
         if self.steps < 1 or self.record_every < 1:
             raise ValueError("steps and record_every must be >= 1")
-        if not self.label_odds >= 1.0:  # also rejects NaN
-            raise ValueError(
-                f"label_odds must be >= 1 (inf gives one-hot targets), "
-                f"got {self.label_odds!r}"
-            )
+        target_matrix((), self.class_counts, self.label_odds)  # checks label_odds
 
     @property
     def batch_size(self) -> int:
@@ -252,7 +248,7 @@ def target_matrix(
     = inf returns the one-hot label matrix exactly.
     """
     if not label_odds >= 1.0:  # also rejects NaN
-        raise ValueError(f"label_odds must be >= 1, got {label_odds!r}")
+        raise ValueError(f"label_odds must be in [1, inf], got {label_odds!r}")
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.asarray(class_counts, dtype=np.float64)
     onehot = _onehot(labels, counts.size)

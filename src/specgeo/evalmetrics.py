@@ -35,8 +35,17 @@ class PreferenceTriple:
     r_l: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_w) and math.isfinite(self.r_l)):
-            raise ValueError("rewards must be finite")
+        _check_finite(self.r_w, self.r_l)
+
+
+def _check_finite(r_w, r_l) -> None:
+    if not np.isfinite((r_w, r_l)).all():  # two floats, or two arrays of them
+        raise ValueError("rewards must be finite")
+
+
+def _check_k(k: int) -> None:
+    if k < 1:  # k's own bound; k <= N is a bound of each problem
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _validate_counts(n: int, c: int, k: int) -> None:
@@ -44,8 +53,9 @@ def _validate_counts(n: int, c: int, k: int) -> None:
         raise ValueError(f"need at least one sample, got N={n}")
     if not 0 <= c <= n:
         raise ValueError(f"correct count c={c} outside [0, N={n}]")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, N={n}]")
+    _check_k(k)
+    if k > n:
+        raise ValueError(f"k={k} exceeds N={n}")
 
 
 def _pass_counts(n: int, c: int, k: int) -> tuple[int, int]:
@@ -85,6 +95,7 @@ def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:
     log(e^r_w + e^r_l) - r_w."""
     if r_w.size == 0:
         raise ValueError("need at least one preference triple")
+    _check_finite(r_w, r_l)
     sigmoid = np.logaddexp(0.0, r_l - r_w)
     softmax = np.logaddexp(r_w, r_l) - r_w
     loss = math.fsum(sigmoid.tolist()) / sigmoid.size

@@ -183,7 +183,7 @@ def _token_ids(seq: Sequence[int], name: str) -> np.ndarray:
     that must all be nonnegative."""
     ids = _whole_numbers(seq, name, "token id")
     if ids.size and ids.min() < 0:
-        raise ValueError(f"{name} has negative token id {ids.min()}")
+        raise ValueError(f"{name}: negative token id {ids.min()}")
     return ids
 
 
@@ -197,6 +197,8 @@ def _suffix_array(tokens: np.ndarray) -> np.ndarray:
     result: an unstable sort returns the same array, faster.
     """
     n = tokens.size
+    if n == 0:  # the empty array, which SuffixIndex rejects
+        return np.arange(0)
     if (n + 1) ** 2 > np.iinfo(np.int64).max:
         raise ValueError(f"corpus of {n} tokens is too long to pack rank pairs")
     rank = np.unique(tokens, return_inverse=True)[1].reshape(-1).astype(np.int64)
@@ -226,8 +228,6 @@ def _doc_ends(corpus: TokenCorpus) -> np.ndarray:
 
 def build_index(corpus: TokenCorpus) -> SuffixIndex:
     """Build the suffix array of the corpus; SuffixIndex derives doc_end."""
-    if len(corpus) == 0:
-        raise ValueError("cannot index an empty corpus")
     return SuffixIndex(corpus=corpus, sa=_suffix_array(corpus.tokens))
 
 

@@ -890,6 +890,7 @@ _BAD_TOY_LINES = {
     "steps = 0": "steps and record_every must be >= 1",
     "class_counts = 4,-1,1,1": "class counts must be nonnegative",
     "class_counts = 0,0,0,0": "batch must be nonempty",
+    "label_odds = 0.5": "label_odds must be in [1, inf], got 0.5\n",
 }
 
 
@@ -921,14 +922,17 @@ _NOT_ZIP = {"random-bytes": bytes(np.random.default_rng(0).integers(0, 256, 64,
 
 
 # A passk input's second row, the --k value, and the error line, which
-# names the file and line of the bad row, or the flag.
+# names the file and line of the bad row, or the flag alone: a k below 1
+# is no row's fault.
 _BAD_PASSK = {
     "no-samples": ("p1,0,0", "1", "{dir}/runs.csv: line 2: need at least one "
                    "sample, got N=0"),
     "c-above-n": ("p1,4,5", "1", "{dir}/runs.csv: line 2: correct count c=5 "
                   "outside [0, N=4]"),
-    "n-below-k": ("p1,3,2", "1,4", "{dir}/runs.csv: line 2: k=4 outside [1, N=3]"),
+    "n-below-k": ("p1,3,2", "1,4", "{dir}/runs.csv: line 2: k=4 exceeds N=3"),
     "k-flag": ("p1,4,2", "1,x", "--k: 'x' is not an integer"),
+    "k-zero": ("p1,4,2", "0", "--k: k must be >= 1, got 0"),
+    "k-negative": ("p1,4,2", "1,-3", "--k: k must be >= 1, got -3"),
 }
 
 
@@ -942,6 +946,8 @@ _BAD_TRACES = {
                  "{dir}/model.csv: line 4: prob nan is NaN or outside [0, 1]"),
     "keys": (_TRACE, _TRACE.replace("b,1", "b,2"), "{dir}/ref.csv: line 3: example "
              "'b' token 1 has no matching row in {dir}/model.csv"),
+    "duplicate-key": (_TRACE, _TRACE + "a,0,0.5\n", "{dir}/model.csv: line 5: example "
+                      "'a' token 0 repeats line 2"),
 }
 
 

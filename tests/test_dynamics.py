@@ -77,7 +77,7 @@ class TestInitBalanced:
         assert ToyConfig(label_odds=INF).label_odds == INF
         assert ToyConfig(label_odds=1.0).label_odds == 1.0
         for bad in (float("nan"), 0.999, 0.0, -INF):
-            with pytest.raises(ValueError, match="label_odds"):
+            with pytest.raises(ValueError, match=r"label_odds must be in \[1, inf\]"):
                 ToyConfig(label_odds=bad)
 
     def test_nan_learning_rate_rejected(self):
@@ -108,7 +108,7 @@ class TestTargetMatrix:
 
     def test_odds_below_one_rejected(self):
         for bad in (0.5, float("nan")):
-            with pytest.raises(ValueError, match="label_odds"):
+            with pytest.raises(ValueError, match=r"label_odds must be in \[1, inf\]"):
                 target_matrix(self.LABELS, self.COUNTS, bad)
 
     def test_own_token_odds_scaled_by_beta(self):

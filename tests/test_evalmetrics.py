@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from specgeo.evalmetrics import (
     PreferenceTriple,
+    _dpo_loss_and_gap,
     dpo_loss,
     dpo_nce_identity,
     pass_at_k,
@@ -147,6 +148,15 @@ class TestDpoLoss:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             PreferenceTriple(float("inf"), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1], ids=["r_w", "r_l"])
+    def test_arrays_with_nonfinite_rejected(self, bad, column):
+        # the array route of dpo_loss and dpo-check applies the triple's rule
+        rewards = [np.array([0.5, -1.0, 2.0]), np.array([0.0, 1.0, -2.0])]
+        rewards[column][1] = bad
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            _dpo_loss_and_gap(*rewards)
 
 
 class TestNceIdentity:

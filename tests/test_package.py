@@ -1,7 +1,9 @@
 """The package namespace: public names load their tool module on first use."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,3 +74,23 @@ def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
     assert {(f"specgeo.{layer}", name) for layer, names in spans.TRACED.items()
             for name in names} <= wrapped
     assert [{k: id(v) for k, v in vars(mod).items()} for mod in modules] == before
+
+
+# The text of each input rule that a library function or type owns.  The
+# CLI reaches the rule through its owner and adds only the file, line or
+# flag, so the text is built in exactly one place in the package.
+_OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds must be",
+                r"cannot index an empty corpus", r"\bk must be >= 1")
+
+
+def test_each_owned_input_rule_is_raised_from_one_place():
+    sites = {rule: [] for rule in _OWNED_RULES}
+    for path in sorted(Path(specgeo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):  # every exception built, raised or returned
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id.endswith("Error")):
+                for rule, found in sites.items():
+                    if re.search(rule, ast.unparse(node)):
+                        found.append(f"{path.name}:{node.lineno}")
+    assert all(len(found) == 1 for found in sites.values()), sites

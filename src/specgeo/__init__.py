@@ -72,9 +72,9 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = ["__version__", *_HOME]
 
 
-# Errors of a run's data or inputs: the CLI reports one as a single error
-# line with exit code 1, and a sweep records one per failed entry.
-_DATA_ERRORS = (ValueError, OverflowError, OSError, RuntimeError)
+# Errors of a run's data or inputs, a failed allocation among them: the CLI
+# reports one as a single error line with exit code 1, a sweep as an error record.
+_DATA_ERRORS = (ValueError, OverflowError, OSError, RuntimeError, MemoryError)
 
 
 def __getattr__(name):

@@ -128,7 +128,8 @@ def _parse_tokens(text: str, source: str) -> np.ndarray:
 
 def _read_corpus(path, vocab_size=None):
     """Token corpus from text (one document per line, space-separated
-    decimal ids) or from a matrix file whose rows are documents."""
+    decimal ids) or from a matrix file whose rows are documents, skipping
+    blank lines and empty rows; SuffixIndex rejects a corpus of no tokens."""
     from .ngram import TokenCorpus, _token_ids
 
     with open(path, "rb") as fh:
@@ -137,27 +138,23 @@ def _read_corpus(path, vocab_size=None):
         if magic == b"SPECGEO1":
             from .io import _read_payload
 
-            docs = list(_token_ids(_read_payload(path), "matrix"))
+            docs = [row for row in _token_ids(_read_payload(path), "matrix") if row.size]
         else:
             docs = [_parse_tokens(line, f"line {n}")
                     for n, line in enumerate(_read_text(path)[1], 1) if line.strip()]
-        lengths = [doc.size for doc in docs]
-        if not sum(lengths):
-            raise ValueError("no tokens found")
-        tokens = np.concatenate(docs)
-        boundaries = np.cumsum(lengths)
+        tokens = np.concatenate([np.empty(0, np.int64), *docs])
         if vocab_size is None:
-            vocab_size = int(tokens.max()) + 1
-        return TokenCorpus(
-            tokens=tokens, doc_boundaries=boundaries, vocab_size=int(vocab_size)
-        )
+            vocab_size = int(tokens.max(initial=-1)) + 1
+        return TokenCorpus(tokens=tokens, vocab_size=int(vocab_size),
+                           doc_boundaries=np.cumsum([doc.size for doc in docs]))
 
 
 def _cmd_ngram_build(args) -> int:
     from .ngram import build_index
 
     corpus = _read_corpus(args.corpus, args.vocab_size)
-    index = build_index(corpus)
+    with _naming(args.corpus):
+        index = build_index(corpus)
     np.savez(
         args.output,
         tokens=corpus.tokens,
@@ -380,7 +377,7 @@ def _toy_config(path):
     """
     from dataclasses import fields
 
-    from .dynamics import ToyConfig
+    from .dynamics import ToyConfig, _check_records, _record_count
 
     if not path:
         return ToyConfig()
@@ -409,11 +406,7 @@ def _toy_config(path):
             except ValueError as exc:
                 raise ValueError(f"line {n}: {key}: {exc}") from None
         cfg = ToyConfig(**values)
-        if cfg.record_every >= cfg.steps:  # only steps 0 and `steps` are recorded
-            raise ValueError(
-                f"steps = {cfg.steps} with record_every = {cfg.record_every} "
-                "records 2 points; the analysis needs 3, so record_every must be "
-                "less than steps")
+        _check_records(_record_count(cfg))  # before the run, not after it
     return cfg
 
 

@@ -75,6 +75,11 @@ class DivergenceError(RuntimeError):
     """A run reached non-finite parameters, logits or observables."""
 
 
+def _diverged(what: str, lr: float) -> DivergenceError:
+    return DivergenceError(f"non-finite {what} with lr={lr}; "
+                           "reduce the learning rate or the step count")
+
+
 @dataclass(frozen=True)
 class ToyConfig:
     """Dimensions, class skew, targets, and optimization settings for one run.
@@ -311,10 +316,7 @@ def gd_step(state: ToyModelState, cfg: ToyConfig) -> ToyModelState:
     f_new, w = _step(f, state.w, state.targets, cfg.loss_kind, cfg.lr, state.alpha0)
     theta = state.theta + state.inputs.T @ (f_new - f)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
-        raise DivergenceError(
-            f"non-finite parameters after a step at lr={cfg.lr}; "
-            "reduce the learning rate or the step count"
-        )
+        raise _diverged("parameters after a step", cfg.lr)
     return replace(state, theta=theta, w=w)
 
 
@@ -390,6 +392,16 @@ def _observables(f, w, state: ToyModelState, loss_kind: str) -> dict:
     }
 
 
+def _record_count(cfg: ToyConfig) -> int:
+    """The length of ``run_trajectory``'s record steps, from ``cfg`` alone."""
+    return -(-cfg.steps // cfg.record_every) + 1  # 0, record_every, ... < steps; steps
+
+
+def _check_records(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"need at least 3 records to analyze a trajectory, got {n}")
+
+
 def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
     """Run the configured number of steps and record spectral observables.
 
@@ -413,10 +425,7 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
             done = t
             # non-finite parameters make the logits non-finite too
             if not np.isfinite(f.dot(w)).all():
-                raise DivergenceError(
-                    f"non-finite parameters or logits at record step {t} "
-                    f"with lr={cfg.lr}; reduce the learning rate or the step count"
-                )
+                raise _diverged(f"parameters or logits at record step {t}", cfg.lr)
             fs[k], ws[k] = f, w
         blocks = [
             _observables(fs[i:i + _BLOCK], ws[i:i + _BLOCK], state, cfg.loss_kind)
@@ -427,10 +436,7 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
     finite = np.all([np.isfinite(col).reshape(steps.size, -1).all(axis=1)
                      for name, col in cols.items() if name != "margins"], axis=0)
     if not finite.all():
-        raise DivergenceError(
-            f"non-finite observables at record step {steps[np.argmin(finite)]} "
-            f"with lr={cfg.lr}; reduce the learning rate or the step count"
-        )
+        raise _diverged(f"observables at record step {steps[np.argmin(finite)]}", cfg.lr)
     return TrajectoryRecord(cfg=cfg, steps=steps, **cols)
 
 
@@ -472,8 +478,7 @@ def phase_summary(rank_series: np.ndarray) -> PhaseSummary:
     final value by more than ``_PHASE_TOL`` = 0.01.
     """
     x = np.asarray(rank_series, dtype=np.float64)
-    if x.size < 3:
-        raise ValueError("need at least 3 points to analyze a trajectory")
+    _check_records(x.size)
     window = max(1, int(round(_SMOOTH_FRAC * x.size))) | 1  # odd: centred
     s = smooth_series(x, window)
 
@@ -550,8 +555,7 @@ def check_growth_law(traj: TrajectoryRecord, sigma_floor_rel: float = 1e-6) -> d
     round-off alone (e.g. a reordered matrix product in the step), so
     compare them across versions to that tolerance.
     """
-    if len(traj) < 3:
-        raise ValueError("need at least 3 recorded steps")
+    _check_records(len(traj))
     if traj.cfg.record_every != 1:
         raise ValueError("growth-law check needs per-step records")
     eta = traj.cfg.lr

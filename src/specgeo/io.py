@@ -36,7 +36,7 @@ from . import _DATA_ERRORS, __version__, _naming, _read_text
 from .spectral import (
     EigenSpectrum,
     FeatureMatrix,
-    _centered,
+    _center_in_place,
     _check_ablation,
     _metrics_of_spectrum,
     covariance_spectrum,
@@ -141,13 +141,8 @@ def _size_mismatch(payload: int, expected: int) -> SizeMismatchError:
 def _read_features(path, center: bool, digest=None) -> FeatureMatrix:
     """Read a matrix file and centre its columns in place; with ``center``
     false take the data as already centred, which FeatureMatrix checks."""
-    data = _read_payload(path, digest)
-    if not center:
-        return FeatureMatrix(data, centered=True)
-    FeatureMatrix(data)  # the shape checks come before the column means
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the solve
-        data -= data.mean(axis=0)  # the buffer is ours alone
-    return _centered(data)
+    data = _read_payload(path, digest)  # a buffer of ours alone
+    return _center_in_place(data) if center else FeatureMatrix(data, centered=True)
 
 
 @dataclass(frozen=True)
@@ -324,15 +319,14 @@ def sweep(manifest: RunManifest) -> MetricsReport:
 
     Entries run one at a time in manifest order (BLAS parallelises each
     eigensolve), so output bytes are fixed.  An entry that fails with an
-    error of its data (the errors the CLI reports, and MemoryError) becomes
-    an error record and processing continues; any other error is a bug and
-    propagates.
+    error of its data (the errors the CLI reports) becomes an error record
+    and processing continues; any other error is a bug and propagates.
     """
     records, errors = [], []
     for entry in manifest.entries:
         try:
             records.append(_sweep_entry(entry, manifest.options))
-        except (*_DATA_ERRORS, MemoryError) as exc:
+        except _DATA_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
             errors.append({"label": entry.label, "error": error})
     return MetricsReport(records=records, errors=errors)

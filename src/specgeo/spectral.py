@@ -132,7 +132,15 @@ class SpectralMetrics:
 
 def center_features(f: FeatureMatrix) -> FeatureMatrix:
     """Subtract column means. Idempotent; requires at least two rows."""
-    return _centered(f.data - f.data.mean(axis=0, keepdims=True))
+    return _center_in_place(f.data.copy(order="K"))  # f's layout: f's summation order
+
+
+def _center_in_place(data: np.ndarray) -> FeatureMatrix:
+    """Centre the columns of ``data``, a float64 buffer no one else holds."""
+    fm = _centered(data)  # the shape checks come before the column means
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the solve
+        np.subtract(fm.data, fm.data.mean(axis=0), out=fm.data)  # fm is frozen
+    return fm
 
 
 def _centered(data: np.ndarray) -> FeatureMatrix:

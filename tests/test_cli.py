@@ -825,6 +825,17 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
 
+    def test_memory_error_is_one_error_line(self, matrix_file, capsys, monkeypatch):
+        from specgeo import spectral
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(spectral, "covariance_spectrum", no_memory)
+        assert cli_dispatch(["rankme", str(matrix_file)]) == 1
+        assert capsys.readouterr() == ("", "specgeo: error: Unable to allocate "
+                                           "7.11 PiB\n")
+
     def test_no_center_validates(self, tmp_path, capsys):
         # uncentered file with --no-center is a computation error
         rng = np.random.default_rng(3)
@@ -951,6 +962,25 @@ _BAD_TRACES = {
 }
 
 
+# Corpora without tokens, each as file name and bytes.
+_EMPTY_CORPORA = {"empty-text": ("corpus.txt", b""),
+                  "blank-lines": ("corpus.txt", b"\n  \n\r\n"),
+                  "no-rows": ("corpus.mat", _matrix_bytes(np.zeros((0, 3)))),
+                  "no-columns": ("corpus.mat", _matrix_bytes(np.zeros((3, 0))))}
+
+
+# Toy configs whose run is refused before its first step: two that record
+# steps 0 and `steps` only, and one of 10^15 steps, whose 7.11 PiB of record
+# steps no machine can allocate (x86-64 user space is 128 TiB).
+_TOY_RUNS = {"short": "steps = 5\nrecord_every = 10\n",
+             "equal": "steps = 10\nrecord_every = 10\n",
+             "10^15": "steps = 1000000000000000\n"}
+
+# The message of an allocation of 10^15 int64 values.
+_NO_MEMORY = ("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+              "and data type int64")
+
+
 def _contract_case(case: str, tmp_path) -> tuple:
     """(argv, expected exit code) of one bad-input case; inputs go under
     ``tmp_path``, outputs under ``tmp_path / "out"``."""
@@ -974,6 +1004,10 @@ def _contract_case(case: str, tmp_path) -> tuple:
         path.write_bytes(_matrix_bytes(rows))
         return ["ngram-build", "--corpus", str(path), "-o", out], \
             0 if name == "one-row" else 1
+    if kind == "empty-corpus":
+        path = tmp_path / _EMPTY_CORPORA[name][0]
+        path.write_bytes(_EMPTY_CORPORA[name][1])
+        return ["ngram-build", "--corpus", str(path), "-o", out], 1
     if kind == "text-corpus":
         path = tmp_path / "corpus.txt"
         bad = {"float": "1 1.5 0", "negative": "3 -1 2"}[name]
@@ -995,6 +1029,8 @@ def _contract_case(case: str, tmp_path) -> tuple:
             arrays["doc_boundaries"] = np.array([5 + 0j])
         elif name == "object-tokens":
             arrays["tokens"] = tokens.astype(object)
+        elif name == "vocab-10^15":  # as `ngram-build --vocab-size 10^15` writes it
+            arrays["vocab_size"] = np.int64(10**15)
         np.savez(tmp_path / "index.npz", **arrays)
         if name in _NOT_ZIP:
             (tmp_path / "index.npz").write_bytes(_NOT_ZIP[name])
@@ -1008,9 +1044,8 @@ def _contract_case(case: str, tmp_path) -> tuple:
         name, data, argv, _ = _NOT_UTF8[name]
         (tmp_path / name).write_bytes(data)
         return [arg.format(path=tmp_path / name, out=out) for arg in argv], 1
-    if kind in ("toy-run", "toy-verify"):  # records steps 0 and 5 only
-        (tmp_path / "toy.cfg").write_text("steps = 5\nrecord_every = 10\n",
-                                          encoding="utf-8")
+    if kind in ("toy-run", "toy-verify"):
+        (tmp_path / "toy.cfg").write_text(_TOY_RUNS[name], encoding="utf-8")
         return [kind, "--config", str(tmp_path / "toy.cfg"),
                 *(["-o", out] if kind == "toy-run" else [])], 1
     if kind == "manifest":
@@ -1047,11 +1082,15 @@ def _contract_case(case: str, tmp_path) -> tuple:
     return ["toy-run", "--config", str(tmp_path / "toy.cfg"), "-o", out], 1
 
 
-# Errors of a run or of an argument, not of a file, and their whole text.
+# Errors of a run or of an argument, not of a file, and their whole text;
+# each is a case of the contract.
 _RUN_ERRORS = {
     "toy:d = 5": "cannot balance: rank(f)=5 exceeds vocab=4, so no W with "
                  "W W^T = f^T f exists",
     "alphareq:window": "window (0, 5) out of range for d=24",
+    "index:vocab-10^15": _NO_MEMORY,
+    "toy-run:10^15": _NO_MEMORY,
+    "toy-verify:10^15": _NO_MEMORY,
 }
 
 
@@ -1063,11 +1102,14 @@ _CONTRACT_CASES = (
        "index:complex-tokens", "index:complex-bounds", "index:object-tokens"]
     + [f"index:{name}" for name in _NOT_ZIP]
     + ["csv:long-field"]
+    + [f"empty-corpus:{name}" for name in _EMPTY_CORPORA]
     + ["text-corpus:float", "text-corpus:negative", "context:word", "context:negative"]
     + [f"manifest:{name}" for name in (*_MANIFEST_HOLES, "deep")]
     + [f"toy:{line}" for line in _BAD_TOY_LINES]
     + [f"not-utf8:{name}" for name in _NOT_UTF8]
-    + ["toy-run:short", "toy-verify:short", "ngram-build:vocab-size"]
+    + [f"{command}:{name}" for command in ("toy-run", "toy-verify")
+       for name in ("short", "equal")]
+    + ["ngram-build:vocab-size"]
     + [f"passk:{name}" for name in _BAD_PASSK]
     + [f"memorize:{name}" for name in _BAD_TRACES]
     + list(_RUN_ERRORS)
@@ -1110,23 +1152,32 @@ _NAMED_SOURCES = {
     **{f"toy:{line}": f"error: {{dir}}/toy.cfg: {named}"
        for line, named in _BAD_TOY_LINES.items()},
     **{f"not-utf8:{name}": _not_utf8_error(name) for name in _NOT_UTF8},
-    **{f"{command}:short": "error: {dir}/toy.cfg: steps = 5 with record_every = 10 "
-       "records 2 points; the analysis needs 3, so record_every must be less "
-       "than steps\n" for command in ("toy-run", "toy-verify")},
+    **{f"{command}:{name}": "error: {dir}/toy.cfg: need at least 3 records to "
+       "analyze a trajectory, got 2\n" for command in ("toy-run", "toy-verify")
+       for name in ("short", "equal")},
+    **{f"empty-corpus:{name}": f"error: {{dir}}/{file}: cannot index an empty corpus\n"
+       for name, (file, _) in _EMPTY_CORPORA.items()},
     **{f"{kind}:{name}": f"error: {named}\n"
        for kind, cases in (("passk", _BAD_PASSK), ("memorize", _BAD_TRACES))
        for name, (*_, named) in cases.items()},
 }
 
 
+def _no_step(*args):
+    raise AssertionError("a gradient step ran")
+
+
 @pytest.mark.parametrize("case", _CONTRACT_CASES)
-def test_bad_input_contract(tmp_path, capsys, case):
+def test_bad_input_contract(tmp_path, capsys, monkeypatch, case):
     """Each bad input exits 1 with at most one ``specgeo: error:`` line on
     stderr (a sweep records entry failures in its report instead), and
     nothing else: no numpy RuntimeWarning, no traceback.  A one-row matrix
     corpus is no bad input: it is one document.  Where the input has a
     source to name, the line names it; an error of a run or of an argument
-    is its whole text."""
+    is its whole text.  A refused toy run fails before its first step."""
+    from specgeo import dynamics
+
+    monkeypatch.setattr(dynamics, "_step", _no_step)
     argv, want = _contract_case(case, tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -557,8 +557,16 @@ class TestGrowthLaw:
         assert [report[key] for key in ("f_side", "w_side", "rate_identity",
                                         "rate_identity_fd")] == [empty] * 4
 
+    @pytest.mark.parametrize("steps, record_every", [
+        (1, 1), (7, 1), (9, 3), (10, 3), (10, 10), (5, 10)])
+    def test_record_count_is_the_runs(self, steps, record_every):
+        from specgeo.dynamics import _record_count
+
+        cfg = ToyConfig(steps=steps, record_every=record_every)
+        assert _record_count(cfg) == len(run_trajectory(cfg))
+
     def test_short_and_sparse_runs_rejected(self):
-        with pytest.raises(ValueError, match="need at least 3 recorded steps"):
+        with pytest.raises(ValueError, match="need at least 3 records"):
             check_growth_law(run_trajectory(ToyConfig(steps=1)))
         with pytest.raises(ValueError, match="needs per-step records"):
             check_growth_law(run_trajectory(ToyConfig(steps=20, record_every=2)))
@@ -632,7 +640,7 @@ class TestPhaseSummary:
         assert summary.post_warmup_drawdown <= 1e-12
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="need at least 3 points"):
+        with pytest.raises(ValueError, match="need at least 3 records"):
             phase_summary(np.array([1.0, 2.0]))
 
     def test_collapse_then_rise(self):

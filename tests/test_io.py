@@ -7,6 +7,7 @@ import struct
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,29 @@ class TestReader:
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_center_features_equals_the_sweeps_buffer(self, tmp_path, dtype):
+        # one centring routine: run on a copy, and on the sweep's own buffer
+        path = tmp_path / "a.mat"
+        data = np.random.default_rng(41).normal(3.0, 2.0, size=(40, 9))
+        write_matrix(FeatureMatrix(data), path, dtype)
+        assert np.array_equal(center_features(read_matrix(path)).data,
+                              sio._read_features(path, True).data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_file_rejected_by_both_routes(self, tmp_path, bad):
+        data = np.random.default_rng(42).normal(size=(10, 4))
+        data[3, 1] = bad
+        path = tmp_path / "a.mat"
+        write_matrix(FeatureMatrix(data), path)
+        error = "feature matrix contains non-finite entries"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither route warns on the way
+            with pytest.raises(ValueError, match=error):
+                covariance_spectrum(center_features(read_matrix(path)))
+            report = sweep(RunManifest(entries=(ManifestEntry("a", str(path)),)))
+        assert report.errors == [{"label": "a", "error": f"ValueError: {error}"}]
+
     @pytest.mark.parametrize("dtype, bound, center", [
         pytest.param("f32", 1.6, True, id="f32-1.6"),
         pytest.param("f64", 1.1, True, id="f64-1.1"),
@@ -335,6 +359,17 @@ class TestSweep:
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(json.dumps(doc), encoding="utf-8")
         return manifest_path
+
+    def test_memory_error_is_an_error_record(self, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        manifest = load_manifest(self.build(tmp_path, [0.5, 1.0]))
+        monkeypatch.setattr(sio, "covariance_spectrum", no_memory)
+        report = sweep(manifest)
+        assert report.records == []
+        assert report.errors == [{"label": f"step{i}", "error": "MemoryError: "
+                                  "Unable to allocate 7.11 PiB"} for i in range(2)]
 
     def test_alpha_recovery(self, tmp_path):
         path = self.build(tmp_path, [0.5, 1.0, 2.0])

@@ -80,7 +80,8 @@ def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
 # CLI reaches the rule through its owner and adds only the file, line or
 # flag, so the text is built in exactly one place in the package.
 _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds must be",
-                r"cannot index an empty corpus", r"\bk must be >= 1")
+                r"cannot index an empty corpus", r"\bk must be >= 1",
+                r"need at least 3 records")
 
 
 def test_each_owned_input_rule_is_raised_from_one_place():

@@ -145,7 +145,7 @@ def _read_corpus(path, vocab_size=None):
         tokens = np.concatenate([np.empty(0, np.int64), *docs])
         if vocab_size is None:
             vocab_size = int(tokens.max(initial=-1)) + 1
-        return TokenCorpus(tokens=tokens, vocab_size=int(vocab_size),
+        return TokenCorpus(tokens=tokens, vocab_size=vocab_size,
                            doc_boundaries=np.cumsum([doc.size for doc in docs]))
 
 
@@ -193,12 +193,7 @@ def _load_index(path):
         # an unsupported compression, version or encryption flag
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, zlib.error) as exc:
             raise ValueError(f"damaged index file: {exc}") from None
-        if vocab_size.shape or vocab_size.dtype.kind not in "iu":
-            raise ValueError(f"index vocab_size must be an integer "
-                             f"scalar, got {vocab_size.dtype} {vocab_size.shape}")
-        corpus = TokenCorpus(
-            tokens=tokens, doc_boundaries=bounds, vocab_size=int(vocab_size)
-        )
+        corpus = TokenCorpus(tokens=tokens, doc_boundaries=bounds, vocab_size=vocab_size)
         return SuffixIndex(corpus=corpus, sa=sa)
 
 

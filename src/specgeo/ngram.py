@@ -35,7 +35,10 @@ LOG_PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class TokenCorpus:
-    """Flat token-id sequence with document end positions."""
+    """Flat token-id sequence with document end positions.
+
+    All three fields follow ``_whole_numbers``; ``vocab_size`` is a scalar,
+    stored as an ``int``."""
 
     tokens: np.ndarray
     doc_boundaries: np.ndarray
@@ -45,10 +48,12 @@ class TokenCorpus:
         tokens = _token_ids(self.tokens, "tokens")
         if tokens.ndim != 1:
             raise ValueError("tokens must be 1-D")
-        if tokens.size and tokens.max() >= self.vocab_size:
-            raise ValueError(
-                f"token id {tokens.max()} >= vocab_size {self.vocab_size}"
-            )
+        vocab = _whole_numbers(self.vocab_size, "vocab_size", "value")
+        if vocab.ndim:
+            raise ValueError(f"vocab_size must be a scalar, got shape {vocab.shape}")
+        vocab = int(vocab)
+        if tokens.size and tokens.max() >= vocab:
+            raise ValueError(f"token id {tokens.max()} >= vocab_size {vocab}")
         bounds = _whole_numbers(self.doc_boundaries, "doc_boundaries", "boundary")
         if bounds.ndim != 1:
             raise ValueError("doc_boundaries must be 1-D")
@@ -59,6 +64,7 @@ class TokenCorpus:
                 raise ValueError("doc_boundaries out of range")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "doc_boundaries", bounds)
+        object.__setattr__(self, "vocab_size", vocab)
 
     def __len__(self) -> int:
         return int(self.tokens.size)
@@ -88,15 +94,11 @@ class SuffixIndex:
         n = tokens.size
         if n == 0:
             raise ValueError("cannot index an empty corpus")
-        sa = np.asarray(self.sa)
-        if sa.shape != (n,) or not np.issubdtype(sa.dtype, np.integer):
-            raise ValueError(
-                f"suffix array must be an integer array of shape ({n},), "
-                f"got {sa.dtype} {sa.shape}"
-            )
+        sa = _whole_numbers(self.sa, "suffix array", "entry")
+        if sa.shape != (n,):
+            raise ValueError(f"suffix array must have shape ({n},), got {sa.shape}")
         if sa.min() < 0 or sa.max() >= n:
             raise ValueError("suffix array has entries outside 0..n-1")
-        sa = sa.astype(np.int64, copy=False)
         _check_suffix_order(tokens, sa)
         object.__setattr__(self, "sa", sa)
         object.__setattr__(self, "doc_end", _doc_ends(self.corpus))

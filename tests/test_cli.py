@@ -308,6 +308,26 @@ class TestNgramCommands:
         assert code == 1
         assert err == f"specgeo: error: {broken}: suffix array is not in suffix order\n"
 
+    def test_whole_float_index_equals_int_index(self, built_index, tmp_path, capsys):
+        # all four stored arrays follow one whole-number rule, so an index
+        # stored as floats is the same index
+        with np.load(built_index) as doc:
+            floats = {key: doc[key].astype(np.float64) for key in doc.files}
+        float_index = tmp_path / "floats.npz"
+        np.savez(float_index, **floats)
+
+        def query(index, context, *flags):
+            assert cli_dispatch(["ngram-query", "--index", str(index),
+                                 "--context", context, *flags]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            return out
+
+        for context in ("", "0", "3 1", "1 2 3 4 5 0", "9"):
+            for flags in ([], ["--json"]):
+                assert (query(float_index, context, *flags)
+                        == query(built_index, context, *flags))
+
     def test_memorize(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
         model = tmp_path / "model.csv"
@@ -1023,6 +1043,10 @@ def _contract_case(case: str, tmp_path) -> tuple:
             arrays["doc_boundaries"] = np.array([2.7, 5.0])
         elif name == "vocab-size-array":
             arrays["vocab_size"] = np.array([4, 4])
+        elif name == "vocab-size-float":
+            arrays["vocab_size"] = np.float64(4.5)
+        elif name == "float-sa":
+            arrays["sa"] = np.array([3, 0, 4, 1.5, 2])
         elif name == "complex-tokens":
             arrays["tokens"] = tokens + 0j
         elif name == "complex-bounds":
@@ -1098,7 +1122,8 @@ _CONTRACT_CASES = (
     [f"{kind}:{name}" for kind in ("rankme", "no-center", "spectrum", "ablate", "sweep")
      for name in _BAD_MATRICES]
     + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
-    + ["index:float-tokens", "index:float-bounds", "index:vocab-size-array",
+    + ["index:float-tokens", "index:float-bounds", "index:float-sa",
+       "index:vocab-size-array", "index:vocab-size-float",
        "index:complex-tokens", "index:complex-bounds", "index:object-tokens"]
     + [f"index:{name}" for name in _NOT_ZIP]
     + ["csv:long-field"]
@@ -1129,6 +1154,12 @@ def _not_utf8_error(name: str) -> str:
 _NAMED_SOURCES = {
     "index:float-tokens": "error: {dir}/index.npz: tokens has token id 1.7,",
     "index:float-bounds": "error: {dir}/index.npz: doc_boundaries has boundary 2.7,",
+    "index:float-sa": "error: {dir}/index.npz: suffix array has entry 1.5, not an "
+                      "integer in [0, 2^63)\n",
+    "index:vocab-size-array": "error: {dir}/index.npz: vocab_size must be a scalar, "
+                              "got shape (2,)\n",
+    "index:vocab-size-float": "error: {dir}/index.npz: vocab_size has value 4.5, not "
+                              "an integer in [0, 2^63)\n",
     "index:complex-tokens": "error: {dir}/index.npz: tokens must hold integers or "
                             "floats, got complex128\n",
     "index:complex-bounds": "error: {dir}/index.npz: doc_boundaries must hold "

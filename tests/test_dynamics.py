@@ -80,6 +80,11 @@ class TestInitBalanced:
             with pytest.raises(ValueError, match=r"label_odds must be in \[1, inf\]"):
                 ToyConfig(label_odds=bad)
 
+    def test_unknown_loss_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^loss_kind must be one of \('xent_exact', "
+                                             r"'xent_linearized', 'mse'\)$"):
+            ToyConfig(loss_kind="hinge")
+
     def test_nan_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning rate"):
             ToyConfig(lr=float("nan"))

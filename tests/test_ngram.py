@@ -196,9 +196,16 @@ class TestSuffixIndexCheck:
         with pytest.raises(ValueError, match="shape"):
             self.make(np.append(self.good.sa, 0))
 
-    def test_rejects_float_dtype(self):
-        with pytest.raises(ValueError, match="integer"):
-            self.make(self.good.sa.astype(np.float64))
+    def test_float_entries_follow_the_rule(self):
+        # the one whole-number rule of token ids and boundaries
+        idx = self.make(self.good.sa.astype(np.float64))
+        assert idx.sa.dtype == np.int64
+        np.testing.assert_array_equal(idx.sa, self.good.sa)
+        sa = self.good.sa.astype(np.float64)
+        sa[2] = 1.5
+        with pytest.raises(ValueError, match=r"^suffix array has entry 1\.5, "
+                                             r"not an integer in \[0, 2\^63\)$"):
+            self.make(sa)
 
     def test_doc_end_cannot_be_passed(self):
         with pytest.raises(TypeError, match="doc_end"):
@@ -485,6 +492,25 @@ class TestTokenCorpus:
             TokenCorpus(tokens=np.array(tokens), doc_boundaries=np.array(bounds),
                         vocab_size=4)
 
+    @pytest.mark.parametrize("vocab, message", [
+        (2.5, r"vocab_size has value 2\.5, not an integer in \[0, 2\^63\)"),
+        (np.float64(3.5), r"vocab_size has value 3\.5, not an integer"),
+        (True, "vocab_size must hold integers or floats, got bool"),
+        ("7", "vocab_size must hold integers or floats, got <U1"),
+        (np.array([4, 4]), r"vocab_size must be a scalar, got shape \(2,\)"),
+    ], ids=["2.5", "float64-3.5", "True", "text", "array"])
+    def test_rejects_bad_vocab_size(self, vocab, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            TokenCorpus(tokens=[0, 0, 0], doc_boundaries=[3], vocab_size=vocab)
+
+    @pytest.mark.parametrize("vocab", [4, 4.0, np.float64(4.0), np.int32(4),
+                                       np.array(4), np.array(4.0)])
+    def test_whole_vocab_size_is_an_int(self, vocab):
+        corpus = TokenCorpus(tokens=[1, 2, 3], doc_boundaries=[3], vocab_size=vocab)
+        assert type(corpus.vocab_size) is int and corpus.vocab_size == 4
+        pred = infty_gram_next(build_index(corpus), [1])
+        assert pred.token_probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+
 
 class TestTokenIdRule:
     """One rule for every token-id input: floats pass only as whole numbers
@@ -532,6 +558,7 @@ class TestSpearman:
     def test_monotone(self):
         tr = ProbTrace(p_ref=np.array([0.1, 0.2, 0.3]),
                        p_model=np.array([0.3, 0.5, 0.9]))
+        assert len(tr) == 3
         assert spearman_rho(tr) == 1.0
 
     def test_reversed(self):
@@ -710,6 +737,9 @@ class TestMemorization:
     def test_misaligned_errors(self):
         with pytest.raises(ValueError):
             distributional_memorization([0.1, 0.2], [0.2], [0, 1])
+        with pytest.raises(ValueError, match="^example ids must be aligned with "
+                                             "the probability traces$"):
+            distributional_memorization([0.1, 0.2, 0.3], [0.2, 0.3, 0.4], [0, 1])
 
     @pytest.mark.parametrize("per_token", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, 1.7, -0.2])

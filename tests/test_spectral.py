@@ -161,6 +161,16 @@ class TestCovarianceSpectrum:
         with pytest.raises(ValueError, match="centered"):
             covariance_spectrum(fm)
 
+    def test_clamp_rejects_eigenvalue_below_tolerance(self):
+        from specgeo.spectral import _clamp_eigenvalues
+
+        # a negative eigenvalue above -1e-10 times the top one is round-off
+        clamped = _clamp_eigenvalues(np.array([2.0, 0.5, -1e-10]))
+        assert clamped.tolist() == [2.0, 0.5, 0.0]
+        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e-03 below "
+                                             r"round-off tolerance -2\.000e-10$"):
+            _clamp_eigenvalues(np.array([2.0, 0.5, -1e-3]))
+
 
 class TestCenteredCheck:
     """The spread behind the check's tolerance comes from the column sums

@@ -23,14 +23,13 @@ from . import _DATA_ERRORS, __version__, _naming, _read_text
 # Each handler imports the tool modules it uses, so a child process loads
 # only what its subcommand needs.
 
-USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 
 
 def _emit(args, payload: dict, text) -> None:
     """Print ``payload`` as JSON under --json, else ``text``: a string, or
     a function returning one when the text is costly to build."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text() if callable(text) else text)

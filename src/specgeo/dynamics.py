@@ -129,6 +129,14 @@ class ToyConfig:
         if self.steps < 1 or self.record_every < 1:
             raise ValueError("steps and record_every must be >= 1")
         target_matrix((), self.class_counts, self.label_odds)  # checks label_odds
+        r = min(self.batch_size, self.d)  # rank(f) of f = S theta
+        if r > self.vocab:
+            raise ValueError(
+                f"cannot balance: rank(f)={r} exceeds vocab={self.vocab}, "
+                "so no W with W W^T = f^T f exists"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def batch_size(self) -> int:
@@ -196,15 +204,9 @@ def init_balanced(cfg: ToyConfig) -> ToyModelState:
     labels = np.repeat(np.arange(cfg.vocab), cfg.class_counts)
     theta = _INIT_SCALE * rng.standard_normal((cfg.d_in, cfg.d))
     f = inputs @ theta
-    u1, s1, v1t = np.linalg.svd(f, full_matrices=False)
-    r = s1.size
-    if r > cfg.vocab:
-        raise ValueError(
-            f"cannot balance: rank(f)={r} exceeds vocab={cfg.vocab}, "
-            "so no W with W W^T = f^T f exists"
-        )
+    _, s1, v1t = np.linalg.svd(f, full_matrices=False)
     q = _orthonormal_rows(rng, cfg.vocab, cfg.vocab)
-    w = v1t.T @ np.diag(s1) @ q[:r]
+    w = v1t.T @ np.diag(s1) @ q[:s1.size]
     residual = float(np.linalg.norm(f.T @ f - w @ w.T))
     return ToyModelState(
         theta=theta,
@@ -479,7 +481,7 @@ def phase_summary(rank_series: np.ndarray) -> PhaseSummary:
     """
     x = np.asarray(rank_series, dtype=np.float64)
     _check_records(x.size)
-    window = max(1, int(round(_SMOOTH_FRAC * x.size))) | 1  # odd: centred
+    window = int(round(_SMOOTH_FRAC * x.size)) | 1  # odd: centred, >= 1
     s = smooth_series(x, window)
 
     rises = np.flatnonzero(s[1:] > s[:-1])
@@ -585,10 +587,11 @@ def check_growth_law(traj: TrajectoryRecord, sigma_floor_rel: float = 1e-6) -> d
     # (checked above through finite differences) plus sigma_2 = sigma_1;
     # testing the collapse through the formula velocity isolates the
     # balance factor and stays well-defined where g passes through zero.
-    ratio = s_w[mid, :r] / np.where(s_f[mid, :r] > 0, s_f[mid, :r], 1.0)
+    s_f_div = np.where(s_f[mid, :r] > 0, s_f[mid, :r], 1.0)
+    ratio = s_w[mid, :r] / s_f_div
     err_rate = np.abs(ratio - 1.0)[keep]
 
-    rate_fd = np.abs(fd_f) / np.where(s_f[mid, :r] > 0, s_f[mid, :r], 1.0)
+    rate_fd = np.abs(fd_f) / s_f_div
     rate_pred = eta * np.abs(g[mid]) * ratio
     err_rate_fd = _rel(rate_fd, rate_pred, keep)
 
@@ -634,12 +637,13 @@ def primacy_selection_probe(
         hit = np.nonzero(series > margin_threshold)[0]
         crossings[c] = int(traj.steps[hit[0]]) if hit.size else None
 
+    late_start = 3 * len(traj) // 4  # the late phase
     summary = phase_summary(traj.rankme)
     if summary.has_interior_maximum:
         # compression window; smoothed entry i is centred on record i + window // 2
         start = summary.peak_index + summary.smooth_window // 2
     else:
-        start = 3 * len(traj) // 4  # late phase
+        start = late_start
     sig = traj.sigma_f[min(start, len(traj) - 2):]
     # per-step correlation ACROSS directions between sigma_i and its
     # increment, averaged over the window: positive means growth lands
@@ -664,19 +668,14 @@ def primacy_selection_probe(
             frequent_first = False
             break
 
-    late = traj.sigma_f[3 * len(traj) // 4 :]
+    late = traj.sigma_f[late_start:]
     growth = late[-1] - late[0] if late.shape[0] >= 2 else np.zeros(traj.sigma_f.shape[1])
+    crossed = [v for v in crossings.values() if v is not None]
+    crossing_spread = float(max(crossed) - min(crossed)) if len(crossed) >= 2 else None
     return {
         "margin_crossing_step": crossings,
         "frequent_classes_cross_first": bool(frequent_first),
         "selection_correlation": corr,
         "late_sigma_growth": [float(v) for v in growth],
-        "crossing_spread": _crossing_spread(crossings),
+        "crossing_spread": crossing_spread,
     }
-
-
-def _crossing_spread(crossings: dict) -> Optional[float]:
-    vals = [v for v in crossings.values() if v is not None]
-    if len(vals) < 2:
-        return None
-    return float(max(vals) - min(vals))

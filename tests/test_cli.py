@@ -436,6 +436,18 @@ class TestToyCommands:
         assert doc["conservation"]["residual_step0"] <= 1e-12
         assert doc["primacy"]["margin_crossing_step"] is not None
 
+    @pytest.mark.parametrize("line", ["d = 5", "d = 1000000000", "seed = -1"])
+    def test_toy_verify_names_the_config(self, tmp_path, capsys, monkeypatch, line):
+        """A config that cannot be balanced or seeded is refused by
+        toy-verify as by toy-run: one line naming the file, and no step."""
+        from specgeo import dynamics
+
+        monkeypatch.setattr(dynamics, "_step", _no_step)
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        assert cli_dispatch(["toy-verify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"specgeo: error: {cfg}: {_BAD_TOY_LINES[line]}")
+
     def _toy_run(self, tmp_path, capsys, text):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text(text, encoding="utf-8")
@@ -910,7 +922,8 @@ _MANIFEST_HOLES = {
 }
 
 
-# A one-line toy config, and the start of its error after the path.
+# A one-line toy config, and its error after the path: the start of it, or,
+# where the text ends in a newline, all of it.
 _BAD_TOY_LINES = {
     "d = 0": "d must be >= 1",
     "steps = 1.5": "line 1: steps: ",
@@ -922,6 +935,11 @@ _BAD_TOY_LINES = {
     "class_counts = 4,-1,1,1": "class counts must be nonnegative",
     "class_counts = 0,0,0,0": "batch must be nonempty",
     "label_odds = 0.5": "label_odds must be in [1, inf], got 0.5\n",
+    "d = 5": "cannot balance: rank(f)=5 exceeds vocab=4, so no W with W W^T = f^T f "
+             "exists\n",
+    "d = 1000000000": "cannot balance: rank(f)=8 exceeds vocab=4, so no W with "
+                      "W W^T = f^T f exists\n",
+    "seed = -1": "seed must be >= 0, got -1\n",
 }
 
 
@@ -979,6 +997,12 @@ _BAD_TRACES = {
              "'b' token 1 has no matching row in {dir}/model.csv"),
     "duplicate-key": (_TRACE, _TRACE + "a,0,0.5\n", "{dir}/model.csv: line 5: example "
                       "'a' token 0 repeats line 2"),
+    "model-key": (_TRACE, _TRACE.replace("b,1", "a,5"), "{dir}/model.csv: line 3: "
+                  "example 'a' token 5 has no matching row in {dir}/ref.csv"),
+    "model-extra": (_TRACE, _TRACE + "d,0,0.5\n", "{dir}/model.csv: line 5: example "
+                    "'d' token 0 has no matching row in {dir}/ref.csv"),
+    "ref-extra": (_TRACE + "d,0,0.5\n", _TRACE, "{dir}/ref.csv: line 5: example "
+                  "'d' token 0 has no matching row in {dir}/model.csv"),
 }
 
 
@@ -1109,8 +1133,6 @@ def _contract_case(case: str, tmp_path) -> tuple:
 # Errors of a run or of an argument, not of a file, and their whole text;
 # each is a case of the contract.
 _RUN_ERRORS = {
-    "toy:d = 5": "cannot balance: rank(f)=5 exceeds vocab=4, so no W with "
-                 "W W^T = f^T f exists",
     "alphareq:window": "window (0, 5) out of range for d=24",
     "index:vocab-10^15": _NO_MEMORY,
     "toy-run:10^15": _NO_MEMORY,

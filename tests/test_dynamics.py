@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgeo.dynamics import (
     LOSS_KINDS,
@@ -88,6 +90,36 @@ class TestInitBalanced:
     def test_nan_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning rate"):
             ToyConfig(lr=float("nan"))
+
+    def test_unbalanceable_rejected(self):
+        with pytest.raises(ValueError, match=r"^cannot balance: rank\(f\)=5 exceeds vocab=4, "
+                                             r"so no W with W W\^T = f\^T f exists$"):
+            ToyConfig(d=5)
+        # rank(f) = min(batch, d): a batch of 3 fits 4 classes at any d
+        init_balanced(ToyConfig(d=5, class_counts=(1, 1, 1, 0)))
+        # the checks that came first still come first
+        with pytest.raises(ValueError, match="learning rate"):
+            ToyConfig(d=5, lr=0.0, seed=-1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            ToyConfig(seed=-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d_in=st.integers(1, 12), d=st.integers(1, 8),
+           class_counts=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+           seed=st.integers(-5, 2**70))
+    def test_every_config_initialises(self, d_in, d, class_counts, seed):
+        """A config either fails to construct, or init_balanced takes it."""
+        try:
+            cfg = ToyConfig(d_in=d_in, d=d, vocab=len(class_counts),
+                            class_counts=tuple(class_counts), seed=seed)
+        except ValueError:
+            return
+        state = init_balanced(cfg)
+        assert state.w.shape == (d, len(class_counts))
+        f = state.features()
+        assert state.balance_residual <= 1e-12 * max(np.linalg.norm(f.T @ f), 1e-30)
 
     def test_state_carries_config_targets(self):
         cfg = ToyConfig(seed=2, label_odds=7.0)

@@ -14,6 +14,7 @@ touch.
 import importlib
 from contextlib import contextmanager
 from io import StringIO  # a plain ``import io`` would be shadowed by specgeo.io
+from pathlib import Path
 
 __version__ = "0.1.0"
 
@@ -114,3 +115,36 @@ def _read_text(path, newline=None) -> tuple[str, list[str]]:
         raise ValueError(f"line {len(head.readlines())}: {exc}") from None
     text = text.removeprefix("\ufeff")
     return text, StringIO(text, newline=newline).readlines()
+
+
+def _json_text(doc, indent=2) -> str:
+    """``doc`` as JSON with sorted keys: a document (``report.json``,
+    ``summary.json``) indented, a ``--json`` payload on one line."""
+    import json  # on first use, so that ``import specgeo`` stays light
+
+    return json.dumps(doc, indent=indent, sort_keys=True)
+
+
+def _csv_text(names, columns) -> str:
+    """CSV of header ``names`` and one newline-ended row per entry of the
+    sequences ``columns``, each formatted in one pass: Python numbers by
+    ``repr``; strings as they are, or quoted with quotes doubled if they
+    hold a comma, a quote, CR or LF."""
+    cells = [map(_csv_field if col and isinstance(col[0], str) else repr, col)
+             for col in columns]
+    return "\n".join([",".join(names), *map(",".join, zip(*cells)), ""])
+
+
+def _csv_field(text: str) -> str:
+    quote = any(c in text for c in ',"\r\n')  # one field, as CSV readers see it
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
+def _write_files(outdir, texts: dict) -> Path:
+    """Write each ``name: text`` as a UTF-8 file in ``outdir`` (made if missing);
+    return the directory's path."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (outdir / name).write_text(text, encoding="utf-8")
+    return outdir

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from itertools import zip_longest
-from pathlib import Path
 
 import numpy as np
 
-from . import _DATA_ERRORS, __version__, _naming, _read_text
+from . import (_DATA_ERRORS, __version__, _csv_text, _json_text, _naming, _read_text,
+               _write_files)
 
 # Each handler imports the tool modules it uses, so a child process loads
 # only what its subcommand needs.
@@ -30,7 +29,7 @@ def _emit(args, payload: dict, text) -> None:
     """Print ``payload`` as JSON under --json, else ``text``: a string, or
     a function returning one when the text is costly to build."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(_json_text(payload, indent=None))
     else:
         print(text() if callable(text) else text)
 
@@ -97,10 +96,8 @@ def _cmd_sweep(args) -> int:
 
     manifest = load_manifest(args.manifest)
     report = sweep(manifest)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (outdir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    outdir = _write_files(args.output, {"report.json": report.to_json(),
+                                        "report.csv": report.to_csv()})
     _emit(
         args,
         {"records": len(report.records), "errors": report.errors,
@@ -154,20 +151,15 @@ def _cmd_ngram_build(args) -> int:
     corpus = _read_corpus(args.corpus, args.vocab_size)
     with _naming(args.corpus):
         index = build_index(corpus)
-    np.savez(
-        args.output,
-        tokens=corpus.tokens,
-        doc_boundaries=corpus.doc_boundaries,
-        vocab_size=np.int64(corpus.vocab_size),
-        sa=index.sa,
-    )
+    arrays = corpus.tokens, corpus.doc_boundaries, np.int64(corpus.vocab_size), index.sa
+    np.savez(args.output, **dict(zip(_INDEX_KEYS, arrays)))
     _emit(args, {"tokens": len(corpus), "vocab_size": corpus.vocab_size,
                  "output": str(args.output)},
           f"indexed {len(corpus)} tokens -> {args.output}")
     return 0
 
 
-_INDEX_KEYS = ("tokens", "doc_boundaries", "vocab_size", "sa")
+_INDEX_KEYS = ("tokens", "doc_boundaries", "vocab_size", "sa")  # in file order
 
 
 def _load_index(path):
@@ -405,7 +397,7 @@ def _toy_config(path):
 
 
 def _trajectory_csv(traj) -> str:
-    """One row per record; each column is formatted in one pass."""
+    """One row per record."""
     names, columns = zip(
         ("step", traj.steps), ("loss", traj.loss), ("rankme", traj.rankme),
         *((f"sigma_f_{i}", col) for i, col in enumerate(traj.sigma_f.T, 1)),
@@ -413,10 +405,7 @@ def _trajectory_csv(traj) -> str:
         ("align_err", traj.align_err), ("conserve_err", traj.conserve_err),
         ("a_norm", traj.a_norm),
     )
-    # tolist() gives Python ints and floats, whose repr is the shortest
-    # round-trip form
-    cols = [map(repr, col.tolist()) for col in columns]
-    return "\n".join([",".join(names), *map(",".join, zip(*cols)), ""])
+    return _csv_text(names, [col.tolist() for col in columns])
 
 
 def _toy_checks(traj) -> dict:
@@ -445,12 +434,8 @@ def _cmd_toy_run(args) -> int:
         "phases": asdict(phase_summary(traj.rankme)),
         **_toy_checks(traj),
     }
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "trajectory.csv").write_text(_trajectory_csv(traj), encoding="utf-8")
-    (outdir / "summary.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    outdir = _write_files(args.output, {"trajectory.csv": _trajectory_csv(traj),
+                                        "summary.json": _json_text(doc)})
     _emit(args, doc, f"trajectory + summary -> {outdir}")
     return 0
 
@@ -460,7 +445,7 @@ def _cmd_toy_verify(args) -> int:
 
     traj = run_trajectory(_toy_config(args.config))
     doc = {**_toy_checks(traj), "primacy": primacy_selection_probe(traj)}
-    _emit(args, doc, json.dumps(doc, indent=2, sort_keys=True))
+    _emit(args, doc, _json_text(doc))
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _DATA_ERRORS, __version__, _naming, _read_text
+from . import _DATA_ERRORS, __version__, _csv_text, _json_text, _naming, _read_text
 from .spectral import (
     EigenSpectrum,
     FeatureMatrix,
@@ -63,6 +63,7 @@ MAGIC = b"SPECGEO1"
 _HEADER = struct.Struct("<8sBQQ")
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _DTYPE_CODES = {"f32": 1, "f64": 2}
+_WIDEN_CHUNK = 1 << 16  # float32 values widened at a time
 
 
 class MatrixFormatError(ValueError):
@@ -102,9 +103,12 @@ def _read_payload(path, digest=None) -> np.ndarray:
     """The float64 matrix in a matrix file; see the module docstring.
 
     A regular file's size is checked against the header before anything
-    is allocated.  The payload is read into one array of the file's dtype,
-    fed with the header to ``digest`` (a hashlib object) if one is given,
-    and widened to float64, which for float64 files is no copy.
+    is allocated.  The payload is read into the one float64 array returned,
+    and fed with the header to ``digest`` (a hashlib object) if one is
+    given.  A float32 payload of n values fills the array's back half and
+    is widened front to back in chunks: a chunk ending at value j <= n
+    writes below byte 8j <= 4n + 4j, where the values still to be read
+    start, and numpy buffers the overlap within a chunk.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -116,12 +120,13 @@ def _read_payload(path, digest=None) -> np.ndarray:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if code not in _DTYPES:
             raise BadDtypeError(f"unknown dtype code {code}")
-        dtype = _DTYPES[code]
-        expected = rows * cols * dtype.itemsize
+        dtype, n = _DTYPES[code], rows * cols
+        expected = n * dtype.itemsize
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size != expected:
             raise _size_mismatch(st.st_size - _HEADER.size, expected)
-        raw = np.empty(rows * cols, dtype=dtype)
+        wide = np.empty(n, dtype=np.float64)
+        raw = wide.view(dtype)[-n:]  # all of it, or a float32 payload's back half
         got = fh.readinto(raw)  # reads until the array is full or the file ends
         # a pipe's length is known only once it is drained
         got += len(fh.read())
@@ -130,7 +135,10 @@ def _read_payload(path, digest=None) -> np.ndarray:
     if digest is not None:
         digest.update(header)
         digest.update(raw)
-    return raw.reshape(rows, cols).astype(np.float64, copy=False)
+    if raw.dtype != wide.dtype:
+        for i in range(0, n, _WIDEN_CHUNK):
+            wide[i:i + _WIDEN_CHUNK] = raw[i:i + _WIDEN_CHUNK]
+    return wide.reshape(rows, cols)
 
 
 def _size_mismatch(payload: int, expected: int) -> SizeMismatchError:
@@ -274,21 +282,13 @@ class MetricsReport:
             "records": self.records,
             "errors": self.errors,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json_text(doc)
 
     def to_csv(self) -> str:
-        cols = ["label", "rankme", "alpha_req", "fit_r2", "fit_window_lo",
-                "fit_window_hi", "m", "d", "sha256"]
-        lines = [",".join(cols)]
-        for rec in self.records:
-            label = rec["label"]
-            if any(c in label for c in ',"\r\n'):  # one field, as csv readers see it
-                label = '"' + label.replace('"', '""') + '"'
-            # every value is a Python int or float, whose repr is exact
-            values = [rec["rankme"], rec["alpha_req"], rec["fit_r2"],
-                      *rec["fit_window"], rec["m"], rec["d"]]
-            lines.append(",".join([label, *map(repr, values), rec["sha256"]]))
-        return "\n".join(lines) + "\n"
+        rows = [(r["label"], r["rankme"], r["alpha_req"], r["fit_r2"], *r["fit_window"],
+                 r["m"], r["d"], r["sha256"]) for r in self.records]
+        return _csv_text(("label", "rankme", "alpha_req", "fit_r2", "fit_window_lo",
+                          "fit_window_hi", "m", "d", "sha256"), list(zip(*rows)))
 
 
 def _sweep_entry(entry: ManifestEntry, options: SweepOptions) -> dict:

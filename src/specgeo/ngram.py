@@ -229,7 +229,10 @@ def _doc_ends(corpus: TokenCorpus) -> np.ndarray:
 
 
 def build_index(corpus: TokenCorpus) -> SuffixIndex:
-    """Build the suffix array of the corpus; SuffixIndex derives doc_end."""
+    """Build the suffix array of the corpus; SuffixIndex derives doc_end.
+    A vocabulary too large for the tally that every query makes fails
+    here, with MemoryError, before the suffix sort."""
+    np.bincount(corpus.tokens, minlength=corpus.vocab_size)  # that tally
     return SuffixIndex(corpus=corpus, sa=_suffix_array(corpus.tokens))
 
 

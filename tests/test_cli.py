@@ -1077,7 +1077,7 @@ def _contract_case(case: str, tmp_path) -> tuple:
             arrays["doc_boundaries"] = np.array([5 + 0j])
         elif name == "object-tokens":
             arrays["tokens"] = tokens.astype(object)
-        elif name == "vocab-10^15":  # as `ngram-build --vocab-size 10^15` writes it
+        elif name == "vocab-10^15":  # an index ngram-build refuses to write
             arrays["vocab_size"] = np.int64(10**15)
         np.savez(tmp_path / "index.npz", **arrays)
         if name in _NOT_ZIP:
@@ -1122,10 +1122,13 @@ def _contract_case(case: str, tmp_path) -> tuple:
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
         return ["alphareq", str(tmp_path / "a.mat"), "--window", "0", "5"], 1
-    if kind == "ngram-build":  # a corpus id at --vocab-size
-        (tmp_path / "corpus.txt").write_text("0 1 2\n", encoding="utf-8")
+    if kind == "ngram-build":  # a corpus id at --vocab-size, or a vocabulary
+        # too large for the tally each query makes
+        corpus, vocab = {"vocab-size": ("0 1 2", "2"),
+                         "vocab-10^15": ("0 1 2 1 0 1 2", str(10**15))}[name]
+        (tmp_path / "corpus.txt").write_text(f"{corpus}\n", encoding="utf-8")
         return ["ngram-build", "--corpus", str(tmp_path / "corpus.txt"),
-                "--vocab-size", "2", "-o", out], 1
+                "--vocab-size", vocab, "-o", out], 1
     (tmp_path / "toy.cfg").write_text(f"{name}\n", encoding="utf-8")
     return ["toy-run", "--config", str(tmp_path / "toy.cfg"), "-o", out], 1
 
@@ -1135,6 +1138,7 @@ def _contract_case(case: str, tmp_path) -> tuple:
 _RUN_ERRORS = {
     "alphareq:window": "window (0, 5) out of range for d=24",
     "index:vocab-10^15": _NO_MEMORY,
+    "ngram-build:vocab-10^15": _NO_MEMORY,
     "toy-run:10^15": _NO_MEMORY,
     "toy-verify:10^15": _NO_MEMORY,
 }

@@ -73,6 +73,38 @@ class TestMatrixRoundTrip:
         expected = fm.data.astype(np.float32).astype(np.float64)
         assert back.data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 7, 1 << 16])
+    def test_f32_widened_in_place_by_chunks(self, tmp_path, monkeypatch, chunk):
+        """A float32 payload is widened in the back half of its float64
+        buffer; every chunk size, down to one value, gives astype's bytes."""
+        monkeypatch.setattr(sio, "_WIDEN_CHUNK", chunk)
+        rng = np.random.default_rng(44)
+        for rows, cols in [(0, 3), (1, 1), (2, 5), (7, 13)]:
+            data = rng.standard_normal((rows, cols)).astype(np.float32)
+            path = tmp_path / "m32.mat"
+            path.write_bytes(struct.pack("<8sBQQ", MAGIC, 1, rows, cols) + data.tobytes())
+            got = sio._read_payload(path)
+            assert got.dtype == np.float64 and got.shape == (rows, cols)
+            assert got.tobytes() == data.astype(np.float64).tobytes()
+
+    def test_f32_read_holds_one_matrix(self, tmp_path):
+        """The float32 payload is read into the float64 buffer it is widened
+        in, so a 4096 x 768 read peaks at that buffer (24 MiB), not at both
+        arrays (36 MiB), and the digest is the file's."""
+        data = np.random.default_rng(45).standard_normal((4096, 768)).astype(np.float32)
+        path = tmp_path / "m32.mat"
+        write_matrix(FeatureMatrix(data), path, dtype="f32")
+        digest = hashlib.sha256()
+        tracemalloc.start()
+        try:
+            got = sio._read_payload(path, digest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24.5 * 2**20
+        assert got.tobytes() == data.astype(np.float64).tobytes()
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
     @pytest.mark.parametrize("dtype, code", [("f32", 1), ("f64", 2)])
     @pytest.mark.parametrize("layout", ["c", "fortran", "big-endian", "strided"])
     def test_written_bytes(self, tmp_path, dtype, code, layout):

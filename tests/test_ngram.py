@@ -85,6 +85,25 @@ class TestBuildIndex:
         b = build_index(corpus)
         np.testing.assert_array_equal(a.sa, b.sa)
 
+    def test_vocabulary_no_query_can_tally_rejected(self, monkeypatch):
+        """Each query tallies ``vocab_size`` tokens: a vocabulary too large
+        for that tally fails the build, before the suffix sort."""
+        import specgeo.ngram as ngram
+
+        def no_sort(tokens):
+            raise AssertionError("the suffix sort ran")
+
+        monkeypatch.setattr(ngram, "_suffix_array", no_sort)
+        with pytest.raises(MemoryError, match="Unable to allocate 7.11 PiB"):
+            build_index(make_corpus([0, 1, 2, 1, 0, 1, 2], vocab=10**15))
+
+    def test_large_vocabulary_builds_the_same_index(self):
+        tokens = [0, 1, 2, 1, 0, 1, 2]
+        idx = build_index(make_corpus(tokens, vocab=10**6))
+        assert idx.sa.tolist() == sorted_suffixes(tokens)
+        assert idx.corpus.vocab_size == 10**6
+        assert infty_gram_next(idx, [1]).token_probs.size == 10**6
+
 
 def sorted_suffixes(tokens):
     """Suffix array by sorting the suffixes themselves."""
@@ -107,10 +126,10 @@ class TestSuffixArray:
                 assert build_index(corpus).sa.tolist() == want
 
     def test_sparse_token_ids(self):
-        # ids far above the corpus length still give dense packed ranks
+        # ids far above the corpus length still give dense packed ranks; the
+        # sort alone, as build_index refuses a vocabulary no query can tally
         tokens = [10**12, 3, 10**12, 3, 7]
-        corpus = make_corpus(tokens, vocab=10**12 + 1)
-        assert build_index(corpus).sa.tolist() == sorted_suffixes(tokens)
+        assert _suffix_array(np.array(tokens)).tolist() == sorted_suffixes(tokens)
 
     def test_overflowing_length_rejected(self):
         # a zero-stride view: the length is real, the memory is not

@@ -84,14 +84,52 @@ _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds mu
                 r"need at least 3 records", r"cannot balance", r"seed must be >= 0")
 
 
-def test_each_owned_input_rule_is_raised_from_one_place():
-    sites = {rule: [] for rule in _OWNED_RULES}
+def _sites(match) -> list:
+    """``file:line`` of each node of the package's source that ``match`` accepts."""
+    found = []
     for path in sorted(Path(specgeo.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):  # every exception built, raised or returned
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id.endswith("Error")):
-                for rule, found in sites.items():
-                    if re.search(rule, ast.unparse(node)):
-                        found.append(f"{path.name}:{node.lineno}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if match(node):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_each_owned_input_rule_is_raised_from_one_place():
+    def raising(rule):  # every exception built, raised or returned
+        return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id.endswith("Error")
+                             and re.search(rule, ast.unparse(node)) is not None)
+
+    sites = {rule: _sites(raising(rule)) for rule in _OWNED_RULES}
     assert all(len(found) == 1 for found in sites.values()), sites
+
+
+def _calls(name):
+    """A match of the calls of a function or method ``name``."""
+    return lambda node: (isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+
+
+_INDEX_KEYS = {"tokens", "doc_boundaries", "vocab_size", "sa"}
+
+
+def _index_layout(node) -> bool:
+    """A tuple, list or set that lists two or more index-file keys, or an
+    ``np.savez`` call that names them, as keywords or in a dict."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        keys = {item.value for item in node.elts if isinstance(item, ast.Constant)}
+    elif _calls("savez")(node):
+        keys = {keyword.arg for keyword in node.keywords} | {
+            key.value for inner in ast.walk(node) if isinstance(inner, ast.Dict)
+            for key in inner.keys if isinstance(key, ast.Constant)}
+    else:
+        return False
+    return len(keys & _INDEX_KEYS) > 1
+
+
+@pytest.mark.parametrize("match", [_calls("dumps"), _calls("write_text"), _index_layout],
+                         ids=["json-dumps", "write-text", "index-keys"])
+def test_each_output_format_is_stated_in_one_place(match):
+    """JSON is formatted by ``_json_text``, output files are written by
+    ``_write_files``, and ``_INDEX_KEYS`` is the index file's layout."""
+    assert len(_sites(match)) == 1, _sites(match)

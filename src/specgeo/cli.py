@@ -146,8 +146,11 @@ def _read_corpus(path, vocab_size=None):
 
 
 def _cmd_ngram_build(args) -> int:
-    from .ngram import build_index
+    from .ngram import _check_vocab, build_index
 
+    if args.vocab_size is not None:
+        with _naming("--vocab-size"):  # before the corpus, as passk checks --k
+            _check_vocab(args.vocab_size)
     corpus = _read_corpus(args.corpus, args.vocab_size)
     with _naming(args.corpus):
         index = build_index(corpus)
@@ -164,7 +167,8 @@ _INDEX_KEYS = ("tokens", "doc_boundaries", "vocab_size", "sa")  # in file order
 
 def _load_index(path):
     """The index ``ngram-build`` wrote, a zip of ``.npy`` arrays; SuffixIndex
-    verifies the stored suffix array against the tokens, not rebuilding it."""
+    verifies the stored suffix array against the tokens, not rebuilding it,
+    once TokenCorpus has accepted the vocabulary."""
     import zipfile
     import zlib
 
@@ -191,8 +195,8 @@ def _load_index(path):
 def _cmd_ngram_query(args) -> int:
     from .ngram import infty_gram_next
 
+    context = _parse_tokens(args.context, "--context")  # the flag before the file
     index = _load_index(args.index)
-    context = _parse_tokens(args.context, "--context")
     pred = infty_gram_next(index, context)
     payload = {
         "probs": pred.token_probs.tolist(),

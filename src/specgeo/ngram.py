@@ -38,7 +38,7 @@ class TokenCorpus:
     """Flat token-id sequence with document end positions.
 
     All three fields follow ``_whole_numbers``; ``vocab_size`` is a scalar,
-    stored as an ``int``."""
+    stored as an ``int``, and follows ``_check_vocab``."""
 
     tokens: np.ndarray
     doc_boundaries: np.ndarray
@@ -52,6 +52,7 @@ class TokenCorpus:
         if vocab.ndim:
             raise ValueError(f"vocab_size must be a scalar, got shape {vocab.shape}")
         vocab = int(vocab)
+        _check_vocab(vocab)
         if tokens.size and tokens.max() >= vocab:
             raise ValueError(f"token id {tokens.max()} >= vocab_size {vocab}")
         bounds = _whole_numbers(self.doc_boundaries, "doc_boundaries", "boundary")
@@ -68,6 +69,15 @@ class TokenCorpus:
 
     def __len__(self) -> int:
         return int(self.tokens.size)
+
+
+def _check_vocab(vocab_size: int) -> None:
+    """Raise ValueError for a negative ``vocab_size``; then allocate the one
+    ``vocab_size`` tally that every query makes, so that a vocabulary no
+    query could use fails here, with MemoryError, before any index work."""
+    if vocab_size < 0:
+        raise ValueError(f"vocab_size must be >= 0, got {vocab_size}")
+    np.bincount(np.empty(0, np.int64), minlength=vocab_size)  # that tally
 
 
 @dataclass(frozen=True)
@@ -229,10 +239,7 @@ def _doc_ends(corpus: TokenCorpus) -> np.ndarray:
 
 
 def build_index(corpus: TokenCorpus) -> SuffixIndex:
-    """Build the suffix array of the corpus; SuffixIndex derives doc_end.
-    A vocabulary too large for the tally that every query makes fails
-    here, with MemoryError, before the suffix sort."""
-    np.bincount(corpus.tokens, minlength=corpus.vocab_size)  # that tally
+    """Build the suffix array of the corpus; SuffixIndex derives doc_end."""
     return SuffixIndex(corpus=corpus, sa=_suffix_array(corpus.tokens))
 
 

@@ -308,6 +308,33 @@ class TestNgramCommands:
         assert code == 1
         assert err == f"specgeo: error: {broken}: suffix array is not in suffix order\n"
 
+    def test_context_is_checked_before_the_index_is_read(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the flag before the file, as passk checks --k before its rows
+        def no_load(path):
+            raise AssertionError("the index was read")
+
+        monkeypatch.setattr(cli, "_load_index", no_load)
+        code = cli_dispatch(["ngram-query", "--index", str(tmp_path / "gone.npz"),
+                             "--context", "2 x"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "specgeo: error: --context: token 'x' is not an integer id\n")
+
+    def test_vocabulary_no_query_can_tally_refused_at_load(self, tmp_path, monkeypatch):
+        """A stored vocabulary too large for the tally each query makes is
+        refused by TokenCorpus, before the O(n) suffix check."""
+        from specgeo import ngram
+
+        def no_check(tokens, sa):
+            raise AssertionError("the suffix check ran")
+
+        monkeypatch.setattr(ngram, "_check_suffix_order", no_check)
+        _contract_case("index:vocab-10^15", tmp_path)
+        with pytest.raises(MemoryError) as caught:
+            cli._load_index(tmp_path / "index.npz")
+        assert str(caught.value) == _NO_MEMORY
+
     def test_whole_float_index_equals_int_index(self, built_index, tmp_path, capsys):
         # all four stored arrays follow one whole-number rule, so an index
         # stored as floats is the same index
@@ -1079,6 +1106,8 @@ def _contract_case(case: str, tmp_path) -> tuple:
             arrays["tokens"] = tokens.astype(object)
         elif name == "vocab-10^15":  # an index ngram-build refuses to write
             arrays["vocab_size"] = np.int64(10**15)
+        elif name == "vocab-negative":
+            arrays["vocab_size"] = np.int64(-5)
         np.savez(tmp_path / "index.npz", **arrays)
         if name in _NOT_ZIP:
             (tmp_path / "index.npz").write_bytes(_NOT_ZIP[name])
@@ -1123,8 +1152,10 @@ def _contract_case(case: str, tmp_path) -> tuple:
                      tmp_path / "a.mat")
         return ["alphareq", str(tmp_path / "a.mat"), "--window", "0", "5"], 1
     if kind == "ngram-build":  # a corpus id at --vocab-size, or a vocabulary
-        # too large for the tally each query makes
+        # no query can use: negative, or too large for the tally each query makes
         corpus, vocab = {"vocab-size": ("0 1 2", "2"),
+                         "vocab-negative": ("0 1 2", "-5"),
+                         "vocab-negative-blank": ("", "-5"),
                          "vocab-10^15": ("0 1 2 1 0 1 2", str(10**15))}[name]
         (tmp_path / "corpus.txt").write_text(f"{corpus}\n", encoding="utf-8")
         return ["ngram-build", "--corpus", str(tmp_path / "corpus.txt"),
@@ -1139,6 +1170,8 @@ _RUN_ERRORS = {
     "alphareq:window": "window (0, 5) out of range for d=24",
     "index:vocab-10^15": _NO_MEMORY,
     "ngram-build:vocab-10^15": _NO_MEMORY,
+    "ngram-build:vocab-negative": "--vocab-size: vocab_size must be >= 0, got -5",
+    "ngram-build:vocab-negative-blank": "--vocab-size: vocab_size must be >= 0, got -5",
     "toy-run:10^15": _NO_MEMORY,
     "toy-verify:10^15": _NO_MEMORY,
 }
@@ -1149,7 +1182,7 @@ _CONTRACT_CASES = (
      for name in _BAD_MATRICES]
     + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
     + ["index:float-tokens", "index:float-bounds", "index:float-sa",
-       "index:vocab-size-array", "index:vocab-size-float",
+       "index:vocab-size-array", "index:vocab-size-float", "index:vocab-negative",
        "index:complex-tokens", "index:complex-bounds", "index:object-tokens"]
     + [f"index:{name}" for name in _NOT_ZIP]
     + ["csv:long-field"]
@@ -1186,6 +1219,7 @@ _NAMED_SOURCES = {
                               "got shape (2,)\n",
     "index:vocab-size-float": "error: {dir}/index.npz: vocab_size has value 4.5, not "
                               "an integer in [0, 2^63)\n",
+    "index:vocab-negative": "error: {dir}/index.npz: vocab_size must be >= 0, got -5\n",
     "index:complex-tokens": "error: {dir}/index.npz: tokens must hold integers or "
                             "floats, got complex128\n",
     "index:complex-bounds": "error: {dir}/index.npz: doc_boundaries must hold "

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from specgeo.ngram import (
@@ -86,8 +86,8 @@ class TestBuildIndex:
         np.testing.assert_array_equal(a.sa, b.sa)
 
     def test_vocabulary_no_query_can_tally_rejected(self, monkeypatch):
-        """Each query tallies ``vocab_size`` tokens: a vocabulary too large
-        for that tally fails the build, before the suffix sort."""
+        """Each query tallies ``vocab_size`` tokens: TokenCorpus refuses a
+        vocabulary too large for that tally, before the suffix sort."""
         import specgeo.ngram as ngram
 
         def no_sort(tokens):
@@ -496,6 +496,10 @@ class TestNegativeIds:
             pattern_count(idx, [-1])
 
 
+# Nonempty token-id lists of one document.
+_ID_LISTS = st.lists(st.integers(0, 30), min_size=1, max_size=12)
+
+
 class TestTokenCorpus:
     @pytest.mark.parametrize("tokens, bounds, message", [
         ([[1, 2], [3, 1]], [4], "tokens must be 1-D"),
@@ -529,6 +533,42 @@ class TestTokenCorpus:
         assert type(corpus.vocab_size) is int and corpus.vocab_size == 4
         pred = infty_gram_next(build_index(corpus), [1])
         assert pred.token_probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(tokens=_ID_LISTS, data=st.data())
+    def test_every_vocabulary_a_query_can_tally_constructs(self, tokens, data):
+        vocab = data.draw(st.integers(max(tokens) + 1, 10**6))
+        idx = build_index(make_corpus(tokens, vocab=vocab))
+        probs = infty_gram_next(idx, tokens[-2:]).token_probs
+        assert probs.size == vocab and probs[max(tokens) + 1:].sum() == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(tokens=st.lists(st.integers(0, 30), max_size=12),
+           vocab=st.integers(-(2**63), -1))
+    def test_every_negative_vocabulary_is_refused(self, tokens, vocab):
+        # blank corpora too: the rule does not wait for a token id to exceed it
+        with pytest.raises(ValueError, match=f"^vocab_size must be >= 0, got {vocab}$"):
+            make_corpus(tokens, boundaries=[len(tokens)] if tokens else [], vocab=vocab)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tokens=_ID_LISTS, vocab=st.integers(2**50, 2**62))
+    def test_vocabulary_no_query_can_tally_is_refused_before_index_work(
+            self, monkeypatch, tokens, vocab):
+        """A tally of 2^50 int64 counts is 8 PiB, past the x86-64 address
+        space; from 2^60 on its byte count overflows, which numpy refuses
+        as a ValueError rather than a MemoryError."""
+        import specgeo.ngram as ngram
+
+        def no_index_work(*args):
+            raise AssertionError("index work ran")
+
+        monkeypatch.setattr(ngram, "_suffix_array", no_index_work)
+        monkeypatch.setattr(ngram, "_check_suffix_order", no_index_work)
+        error, text = ((MemoryError, "Unable to allocate") if vocab < 2**60
+                       else (ValueError, "array is too big"))
+        with pytest.raises(error, match=f"^{text}"):
+            build_index(make_corpus(tokens, vocab=vocab))
 
 
 class TestTokenIdRule:

@@ -81,7 +81,8 @@ def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
 # flag, so the text is built in exactly one place in the package.
 _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds must be",
                 r"cannot index an empty corpus", r"\bk must be >= 1",
-                r"need at least 3 records", r"cannot balance", r"seed must be >= 0")
+                r"need at least 3 records", r"cannot balance", r"seed must be >= 0",
+                r"vocab_size must be >= 0")
 
 
 def _sites(match) -> list:

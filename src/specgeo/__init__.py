@@ -92,27 +92,26 @@ def __dir__():
 
 
 @contextmanager
-def _naming(path):
-    """Start the message of a ValueError raised in the block with ``path``:
-    the one place where an input file's errors come to name it."""
+def _naming(name):
+    """Start the message of a ValueError raised in the block with ``name``,
+    a path, line, key or flag: the one place an error comes to name its source."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _read_text(path, newline=None) -> tuple[str, list[str]]:
-    """The text of the UTF-8 file ``path`` less one leading byte-order mark,
-    and its lines as ``open(path, newline=newline)`` splits them.  A byte
-    that is not UTF-8 is an error giving its line and file offset; call
-    this inside ``_naming(path)``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _decode_text(data: bytes, newline=None) -> tuple[str, list[str]]:
+    """The text of a UTF-8 file's bytes ``data`` less one leading byte-order
+    mark, and its lines as ``open(path, newline=newline)`` splits them.  A
+    byte that is not UTF-8 is an error giving its line and file offset;
+    call this inside ``_naming(path)``."""
     try:
         text = data.decode("utf-8")  # a mark decodes, so offsets are the file's
     except UnicodeDecodeError as exc:
         head = StringIO(data[: exc.start].decode("utf-8") + ".", newline=newline)
-        raise ValueError(f"line {len(head.readlines())}: {exc}") from None
+        with _naming(f"line {len(head.readlines())}"):
+            raise
     text = text.removeprefix("\ufeff")
     return text, StringIO(text, newline=newline).readlines()
 

@@ -13,10 +13,11 @@ import csv
 import math
 import sys
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 
-from . import (_DATA_ERRORS, __version__, _csv_text, _json_text, _naming, _read_text,
+from . import (_DATA_ERRORS, __version__, _csv_text, _decode_text, _json_text, _naming,
                _write_files)
 
 # Each handler imports the tool modules it uses, so a child process loads
@@ -65,10 +66,13 @@ def _cmd_rankme(args) -> int:
 
 
 def _cmd_alphareq(args) -> int:
-    from .spectral import spectral_metrics
+    from .spectral import _check_window, spectral_metrics
 
     fm = _features(args.matrix, not args.no_center)
     window = tuple(args.window) if args.window else None
+    if window:
+        with _naming("--window"):  # before the solve
+            _check_window(window, fm.d)
     metrics = spectral_metrics(fm, window)
     alpha, r2 = metrics.alpha_req, metrics.fit_r2
     _emit(
@@ -81,9 +85,11 @@ def _cmd_alphareq(args) -> int:
 
 def _cmd_ablate(args) -> int:
     from .io import write_matrix
-    from .spectral import ablate_spectrum
+    from .spectral import _check_ablation, ablate_spectrum
 
     fm = _features(args.matrix, center=True)
+    with _naming("-k"):  # before the solve
+        _check_ablation(fm, args.k, args.mode)
     out = ablate_spectrum(fm, args.k, args.mode)
     write_matrix(out, args.output)
     _emit(args, {"written": str(args.output), "k": args.k, "mode": args.mode},
@@ -118,26 +124,28 @@ def _parse_tokens(text: str, source: str) -> np.ndarray:
         ids = np.array(text.split(), dtype=np.int64)
     except (ValueError, OverflowError):
         bad = next(tok for tok in text.split() if not _converts(tok, np.int64))
-        raise ValueError(f"{source}: token {bad!r} is not an integer id") from None
+        with _naming(source):
+            raise ValueError(f"token {bad!r} is not an integer id") from None
     return _token_ids(ids, source)
 
 
 def _read_corpus(path, vocab_size=None):
     """Token corpus from text (one document per line, space-separated
     decimal ids) or from a matrix file whose rows are documents, skipping
-    blank lines and empty rows; SuffixIndex rejects a corpus of no tokens."""
+    blank lines and empty rows; SuffixIndex rejects a corpus of no tokens.
+    The file is opened once, so it may be a pipe."""
     from .ngram import TokenCorpus, _token_ids
 
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-    with _naming(path):
-        if magic == b"SPECGEO1":
+    with _naming(path), open(path, "rb") as fh:
+        head = fh.read(8)  # a matrix file's magic, or the first bytes of text
+        if head == b"SPECGEO1":
             from .io import _read_payload
 
-            docs = [row for row in _token_ids(_read_payload(path), "matrix") if row.size]
+            rows = _token_ids(_read_payload(fh, head=head), "matrix")
+            docs = [row for row in rows if row.size]
         else:
-            docs = [_parse_tokens(line, f"line {n}")
-                    for n, line in enumerate(_read_text(path)[1], 1) if line.strip()]
+            docs = [_parse_tokens(line, f"line {n}") for n, line
+                    in enumerate(_decode_text(head + fh.read())[1], 1) if line.strip()]
         tokens = np.concatenate([np.empty(0, np.int64), *docs])
         if vocab_size is None:
             vocab_size = int(tokens.max(initial=-1)) + 1
@@ -155,7 +163,8 @@ def _cmd_ngram_build(args) -> int:
     with _naming(args.corpus):
         index = build_index(corpus)
     arrays = corpus.tokens, corpus.doc_boundaries, np.int64(corpus.vocab_size), index.sa
-    np.savez(args.output, **dict(zip(_INDEX_KEYS, arrays)))
+    with open(args.output, "wb") as fh:  # the path as given: no ".npz" is added
+        np.savez(fh, **dict(zip(_INDEX_KEYS, arrays)))
     _emit(args, {"tokens": len(corpus), "vocab_size": corpus.vocab_size,
                  "output": str(args.output)},
           f"indexed {len(corpus)} tokens -> {args.output}")
@@ -175,6 +184,9 @@ def _load_index(path):
     from .ngram import SuffixIndex, TokenCorpus
 
     with _naming(path), open(path, "rb") as fh:
+        if not fh.seekable():
+            raise ValueError("index file must be a regular file, not a pipe: zip reads "
+                             "its directory by seeking")
         try:
             with zipfile.ZipFile(fh) as archive:
                 missing = [key for key in _INDEX_KEYS
@@ -242,7 +254,7 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
     converted field by field, which also finds the line of a bad row.
     """
     with _naming(path):
-        text, lines = _read_text(path, newline="")
+        text, lines = _decode_text(Path(path).read_bytes(), newline="")
         plain = _plain(text)
         if plain:
             numbers = [n for n, line in enumerate(lines, 1) if line.strip(_BLANK)]
@@ -256,7 +268,8 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
                         rows.append(row)
                         numbers.append(reader.line_num)
             except csv.Error as exc:  # a field longer than csv's limit
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+                with _naming(f"line {reader.line_num}"):
+                    raise ValueError(exc) from None
         if rows:
             first = rows[0].rstrip("\r\n").split(",") if plain else rows[0]
             if not any(_converts(field, np.float64) for field, dtype
@@ -293,12 +306,9 @@ def _by_row(path, lines, fn, *columns):
     try:
         return fn(*columns)
     except ValueError:
-        with _naming(path):
-            for i, line in enumerate(lines):
-                try:
-                    fn(*(col[i:i + 1] for col in columns))
-                except ValueError as exc:
-                    raise ValueError(f"line {line}: {exc}") from None
+        for i, line in enumerate(lines):
+            with _naming(path), _naming(f"line {line}"):
+                fn(*(col[i:i + 1] for col in columns))
         raise
 
 
@@ -316,14 +326,15 @@ def _read_trace_csv(path) -> tuple:
     repeats = np.flatnonzero((ids[1:] == ids[:-1]) & (pos[1:] == pos[:-1])) + 1
     if repeats.size:
         i = repeats[np.argmin(lines[repeats])]
-        raise ValueError(f"{path}: line {lines[i]}: example {ids[i].item()!r} token "
-                         f"{pos[i]} repeats line {lines[i - 1]}")
+        with _naming(path), _naming(f"line {lines[i]}"):
+            raise ValueError(f"example {ids[i].item()!r} token {pos[i]} repeats line "
+                             f"{lines[i - 1]}")
     return ids, pos, probs, lines
 
 
-def _unmatched_row(*traces) -> ValueError:
-    """The error of two traces, each (path, ids, indices, probs, lines)
-    sorted by key, whose keys differ: it names the first row, in key
+def _raise_unmatched_row(*traces) -> None:
+    """Raise the error of two traces, each (path, ids, indices, probs,
+    lines) sorted by key, whose keys differ: it names the first row, in key
     order, that has no matching row in the other file."""
     keys = [list(zip(t[1].tolist(), t[2].tolist())) for t in traces]
     i = next(i for i, (a, b) in enumerate(zip_longest(*keys)) if a != b)
@@ -332,8 +343,9 @@ def _unmatched_row(*traces) -> ValueError:
     side = int(i == len(keys[0]) or (i < len(keys[1]) and keys[1][i] < keys[0][i]))
     (path, *_, lines), other = traces[side], traces[1 - side][0]
     example, token = keys[side][i]
-    return ValueError(f"{path}: line {lines[i]}: example {example!r} token {token} "
-                      f"has no matching row in {other}")
+    with _naming(path), _naming(f"line {lines[i]}"):
+        raise ValueError(f"example {example!r} token {token} has no matching row in "
+                         f"{other}")
 
 
 def _cmd_memorize(args) -> int:
@@ -341,7 +353,7 @@ def _cmd_memorize(args) -> int:
 
     ref, model = _read_trace_csv(args.ref), _read_trace_csv(args.model)
     if not all(map(np.array_equal, ref[:2], model[:2])):  # ids, token indices
-        raise _unmatched_row((args.ref, *ref), (args.model, *model))
+        _raise_unmatched_row((args.ref, *ref), (args.model, *model))
     rho = distributional_memorization(
         ref[2], model[2], ref[0], per_token=args.per_token
     )
@@ -375,14 +387,14 @@ def _toy_config(path):
                for f in fields(ToyConfig)}
     entries = {}
     with _naming(path):
-        for n, line in enumerate(_read_text(path)[1], 1):
+        for n, line in enumerate(_decode_text(Path(path).read_bytes())[1], 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {n}: expected key = value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            entries[key] = n, value
+            if line:
+                with _naming(f"line {n}"):
+                    if "=" not in line:
+                        raise ValueError(f"expected key = value, got {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                entries[key] = n, value
         unknown = sorted(set(entries) - set(parsers))
         if unknown:
             raise ValueError(
@@ -391,10 +403,8 @@ def _toy_config(path):
             )
         values = {}
         for key, (n, value) in entries.items():
-            try:
+            with _naming(f"line {n}"), _naming(key):
                 values[key] = parsers[key](value)
-            except ValueError as exc:
-                raise ValueError(f"line {n}: {key}: {exc}") from None
         cfg = ToyConfig(**values)
         _check_records(_record_count(cfg))  # before the run, not after it
     return cfg

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _DATA_ERRORS, __version__, _csv_text, _json_text, _naming, _read_text
+from . import _DATA_ERRORS, __version__, _csv_text, _decode_text, _json_text, _naming
 from .spectral import (
     EigenSpectrum,
     FeatureMatrix,
@@ -96,11 +96,14 @@ def write_matrix(f: FeatureMatrix, path, dtype: str = "f64") -> None:
 
 def read_matrix(path) -> FeatureMatrix:
     """Read a matrix file, widening float32 payloads to float64 exactly."""
-    return FeatureMatrix(_read_payload(path))
+    with open(path, "rb") as fh:
+        return FeatureMatrix(_read_payload(fh))
 
 
-def _read_payload(path, digest=None) -> np.ndarray:
-    """The float64 matrix in a matrix file; see the module docstring.
+def _read_payload(fh, digest=None, head=b"") -> np.ndarray:
+    """The float64 matrix in the matrix file open as the binary stream
+    ``fh``, whose first bytes ``head`` the caller may have read already;
+    see the module docstring.
 
     A regular file's size is checked against the header before anything
     is allocated.  The payload is read into the one float64 array returned,
@@ -110,28 +113,26 @@ def _read_payload(path, digest=None) -> np.ndarray:
     writes below byte 8j <= 4n + 4j, where the values still to be read
     start, and numpy buffers the overlap within a chunk.
     """
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise SizeMismatchError(
-                f"file is shorter than the {_HEADER.size}-byte header")
-        magic, code, rows, cols = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if code not in _DTYPES:
-            raise BadDtypeError(f"unknown dtype code {code}")
-        dtype, n = _DTYPES[code], rows * cols
-        expected = n * dtype.itemsize
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size != expected:
-            raise _size_mismatch(st.st_size - _HEADER.size, expected)
-        wide = np.empty(n, dtype=np.float64)
-        raw = wide.view(dtype)[-n:]  # all of it, or a float32 payload's back half
-        got = fh.readinto(raw)  # reads until the array is full or the file ends
-        # a pipe's length is known only once it is drained
-        got += len(fh.read())
-        if got != expected:
-            raise _size_mismatch(got, expected)
+    header = head + fh.read(_HEADER.size - len(head))
+    if len(header) < _HEADER.size:
+        raise SizeMismatchError(f"file is shorter than the {_HEADER.size}-byte header")
+    magic, code, rows, cols = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if code not in _DTYPES:
+        raise BadDtypeError(f"unknown dtype code {code}")
+    dtype, n = _DTYPES[code], rows * cols
+    expected = n * dtype.itemsize
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size != expected:
+        raise _size_mismatch(st.st_size - _HEADER.size, expected)
+    wide = np.empty(n, dtype=np.float64)
+    raw = wide.view(dtype)[-n:]  # all of it, or a float32 payload's back half
+    got = fh.readinto(raw)  # reads until the array is full or the file ends
+    # a pipe's length is known only once it is drained
+    got += len(fh.read())
+    if got != expected:
+        raise _size_mismatch(got, expected)
     if digest is not None:
         digest.update(header)
         digest.update(raw)
@@ -149,7 +150,8 @@ def _size_mismatch(payload: int, expected: int) -> SizeMismatchError:
 def _read_features(path, center: bool, digest=None) -> FeatureMatrix:
     """Read a matrix file and centre its columns in place; with ``center``
     false take the data as already centred, which FeatureMatrix checks."""
-    data = _read_payload(path, digest)  # a buffer of ours alone
+    with open(path, "rb") as fh:
+        data = _read_payload(fh, digest)  # a buffer of ours alone
     return _center_in_place(data) if center else FeatureMatrix(data, centered=True)
 
 
@@ -191,7 +193,7 @@ def load_manifest(path) -> RunManifest:
     """
     with _naming(path):
         try:
-            doc = json.loads(_read_text(path)[0])
+            doc = json.loads(_decode_text(Path(path).read_bytes())[0])
         except RecursionError as exc:
             raise ValueError(str(exc)) from None
         manifest = _parse_manifest(doc, Path(path).parent)

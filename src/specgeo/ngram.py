@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _EXPORTS
+from . import _EXPORTS, _naming
 
 __all__ = list(_EXPORTS["ngram"])
 
@@ -37,8 +37,8 @@ LOG_PROB_FLOOR = 1e-12
 class TokenCorpus:
     """Flat token-id sequence with document end positions.
 
-    All three fields follow ``_whole_numbers``; ``vocab_size`` is a scalar,
-    stored as an ``int``, and follows ``_check_vocab``."""
+    All three fields follow ``_whole_numbers``; ``vocab_size`` follows
+    ``_check_vocab`` and is stored as an ``int``."""
 
     tokens: np.ndarray
     doc_boundaries: np.ndarray
@@ -48,11 +48,7 @@ class TokenCorpus:
         tokens = _token_ids(self.tokens, "tokens")
         if tokens.ndim != 1:
             raise ValueError("tokens must be 1-D")
-        vocab = _whole_numbers(self.vocab_size, "vocab_size", "value")
-        if vocab.ndim:
-            raise ValueError(f"vocab_size must be a scalar, got shape {vocab.shape}")
-        vocab = int(vocab)
-        _check_vocab(vocab)
+        vocab = _check_vocab(self.vocab_size)
         if tokens.size and tokens.max() >= vocab:
             raise ValueError(f"token id {tokens.max()} >= vocab_size {vocab}")
         bounds = _whole_numbers(self.doc_boundaries, "doc_boundaries", "boundary")
@@ -71,13 +67,23 @@ class TokenCorpus:
         return int(self.tokens.size)
 
 
-def _check_vocab(vocab_size: int) -> None:
-    """Raise ValueError for a negative ``vocab_size``; then allocate the one
-    ``vocab_size`` tally that every query makes, so that a vocabulary no
-    query could use fails here, with MemoryError, before any index work."""
-    if vocab_size < 0:
-        raise ValueError(f"vocab_size must be >= 0, got {vocab_size}")
-    np.bincount(np.empty(0, np.int64), minlength=vocab_size)  # that tally
+def _check_vocab(vocab_size) -> int:
+    """``vocab_size`` as an ``int``: a scalar that follows ``_whole_numbers``
+    and is not negative.  Then the one ``vocab_size`` tally that every
+    query makes is allocated, so that a vocabulary no query could use fails
+    here, with MemoryError, before any index work."""
+    vocab = _whole_numbers(vocab_size, "vocab_size", "value")
+    if vocab.ndim:
+        raise ValueError(f"vocab_size must be a scalar, got shape {vocab.shape}")
+    vocab = int(vocab)
+    if vocab < 0:
+        raise ValueError(f"vocab_size must be >= 0, got {vocab}")
+    try:
+        np.bincount(np.empty(0, np.int64), minlength=vocab)  # that tally
+    except (MemoryError, ValueError):  # ValueError: its byte count overflows
+        raise MemoryError(f"vocab_size {vocab} is too large: each query's tally of "
+                          f"{8 * vocab} bytes cannot be allocated") from None
+    return vocab
 
 
 @dataclass(frozen=True)
@@ -177,15 +183,20 @@ def _check_probs(name: str, arr: np.ndarray) -> None:
 
 
 def _whole_numbers(seq: Sequence[int], name: str, noun: str) -> np.ndarray:
-    """``seq`` as int64: integers, or real floats that are whole numbers
-    below 2^63 in magnitude, which NaN and infinities are not."""
+    """``seq`` as int64: integers, or real floats that are whole numbers,
+    below 2^63 in magnitude; NaN and infinities are not."""
     values = np.asarray(seq)
-    if values.dtype.kind not in "iuf":  # complex, bool, text, objects
+    kind = values.dtype.kind
+    if kind == "O" and all(type(v) is int for v in values.flat):
+        kind = "u"  # Python ints too large for int64 and uint64
+    if kind not in "iuf":  # complex, bool, text, other objects
         raise ValueError(f"{name} must hold integers or floats, got {values.dtype}")
-    if values.dtype.kind == "f":
-        whole = (values == np.round(values)) & (np.abs(values) < 2.0**63)
+    if kind != "i":  # a signed int fits int64; the others need not
+        whole = np.asarray(np.abs(values) < 2**63)
+        if kind == "f":
+            whole &= values == np.round(values)
         if not whole.all():
-            raise ValueError(f"{name} has {noun} {float(values[~whole][0])!r}, "
+            raise ValueError(f"{name} has {noun} {values[~whole][:1].tolist()[0]!r}, "
                              "not an integer in [0, 2^63)")
     return np.asarray(seq, dtype=np.int64)
 
@@ -195,7 +206,8 @@ def _token_ids(seq: Sequence[int], name: str) -> np.ndarray:
     that must all be nonnegative."""
     ids = _whole_numbers(seq, name, "token id")
     if ids.size and ids.min() < 0:
-        raise ValueError(f"{name}: negative token id {ids.min()}")
+        with _naming(name):
+            raise ValueError(f"negative token id {ids.min()}")
     return ids
 
 

@@ -238,12 +238,7 @@ def alpha_req(
 def _fit_power_law(values: np.ndarray, window) -> tuple:
     """``alpha_req``'s (alpha, r2) and the window used (default: to the last kept)."""
     d = values.size
-    if window is None:
-        lo, hi = 1, d
-    else:
-        lo, hi = int(window[0]), int(window[1])
-        if lo < 1 or hi > d or lo > hi:
-            raise ValueError(f"window {window} out of range for d={d}")
+    lo, hi = (1, d) if window is None else _check_window(window, d)
     idx = np.arange(lo, hi + 1)
     lam = values[lo - 1 : hi]
     keep = lam > _ALPHA_FLOOR_RTOL * values[0]
@@ -261,6 +256,15 @@ def _fit_power_law(values: np.ndarray, window) -> tuple:
     sst = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 if sst == 0.0 else 1.0 - float(np.sum(resid**2) / sst)
     return float(-slope), float(r2), (lo, hi)
+
+
+def _check_window(window, d: int) -> tuple[int, int]:
+    """The 1-based inclusive rank range ``window`` as ints, refused unless
+    it lies within 1..d of a d-value spectrum."""
+    lo, hi = int(window[0]), int(window[1])
+    if lo < 1 or hi > d or lo > hi:
+        raise ValueError(f"window {window} out of range for d={d}")
+    return lo, hi
 
 
 def spectral_metrics(

@@ -9,6 +9,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from specgeo.spectral import FeatureMatrix
 
 from oracles import doc_end_array, read_columns_csv, trajectory_csv_rows
 from test_dynamics import DIVERGING
-from test_io import synthetic_power_law_matrix
+from test_io import _feed, synthetic_power_law_matrix
 
 
 @pytest.fixture()
@@ -69,6 +71,17 @@ class TestSpectralCommands:
         code, doc = run_json(capsys, ["alphareq", str(matrix_file), "--json"])
         assert code == 0
         assert doc["alpha_req"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_window_is_checked_before_the_solve(self, matrix_file, capsys, monkeypatch):
+        from specgeo import spectral
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the spectrum was solved")
+
+        monkeypatch.setattr(spectral, "covariance_spectrum", no_solve)
+        assert cli_dispatch(["alphareq", str(matrix_file), "--window", "2", "25"]) == 1
+        assert capsys.readouterr().err == (
+            "specgeo: error: --window: window (2, 25) out of range for d=24\n")
 
     def test_ablate_writes_output(self, matrix_file, tmp_path, capsys):
         out = tmp_path / "ablated.mat"
@@ -168,6 +181,18 @@ class TestNgramCommands:
         assert doc["probs"] == [0.5, 0.0, 0.5]
         assert doc["suffix_len_used"] == 2
         assert doc["context_count"] == 2
+
+    def test_index_is_written_at_the_path_given(self, tmp_path, capsys):
+        # no ".npz" is added, so the path reported is the path to query
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("0 1 0 1 2\n", encoding="utf-8")
+        index = tmp_path / "idx"
+        assert cli_dispatch(["ngram-build", "--corpus", str(corpus), "-o", str(index)]) == 0
+        assert capsys.readouterr().out == f"indexed 5 tokens -> {index}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.txt", "idx"]
+        code, doc = run_json(capsys, ["ngram-query", "--index", str(index),
+                                      "--context", "0 1", "--json"])
+        assert code == 0 and doc["probs"] == [0.5, 0.0, 0.5]
 
     @pytest.mark.parametrize("text", ["0 1.5 2\n", "0 x\n", "0 -1 2\n",
                                       "0 99999999999999999999\n", "\n  \n"],
@@ -333,7 +358,7 @@ class TestNgramCommands:
         _contract_case("index:vocab-10^15", tmp_path)
         with pytest.raises(MemoryError) as caught:
             cli._load_index(tmp_path / "index.npz")
-        assert str(caught.value) == _NO_MEMORY
+        assert str(caught.value) == _NO_TALLY
 
     def test_whole_float_index_equals_int_index(self, built_index, tmp_path, capsys):
         # all four stored arrays follow one whole-number rule, so an index
@@ -1047,9 +1072,12 @@ _TOY_RUNS = {"short": "steps = 5\nrecord_every = 10\n",
              "equal": "steps = 10\nrecord_every = 10\n",
              "10^15": "steps = 1000000000000000\n"}
 
-# The message of an allocation of 10^15 int64 values.
+# The message of an allocation of 10^15 int64 values, and of a vocabulary of
+# 10^15 tokens, whose tally in each query would be such an allocation.
 _NO_MEMORY = ("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
               "and data type int64")
+_NO_TALLY = ("vocab_size 1000000000000000 is too large: each query's tally of "
+             "8000000000000000 bytes cannot be allocated")
 
 
 def _contract_case(case: str, tmp_path) -> tuple:
@@ -1081,7 +1109,7 @@ def _contract_case(case: str, tmp_path) -> tuple:
         return ["ngram-build", "--corpus", str(path), "-o", out], 1
     if kind == "text-corpus":
         path = tmp_path / "corpus.txt"
-        bad = {"float": "1 1.5 0", "negative": "3 -1 2"}[name]
+        bad = {"float": "1 1.5 0", "negative": "3 -1 2", "max-id": f"{2**63 - 1} 0"}[name]
         path.write_text(f"0 1 2\n\n{bad}\n", encoding="utf-8")
         return ["ngram-build", "--corpus", str(path), "-o", out], 1
     if kind in ("index", "context"):
@@ -1147,16 +1175,18 @@ def _contract_case(case: str, tmp_path) -> tuple:
         (tmp_path / "model.csv").write_text(model, encoding="utf-8")
         return ["memorize", "--ref", str(tmp_path / "ref.csv"),
                 "--model", str(tmp_path / "model.csv")], 1
-    if kind == "alphareq":  # a fit window that starts before rank 1
+    if kind in ("alphareq", "ablate-k"):  # a fit window from rank 0, or k = 0
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
-        return ["alphareq", str(tmp_path / "a.mat"), "--window", "0", "5"], 1
-    if kind == "ngram-build":  # a corpus id at --vocab-size, or a vocabulary
-        # no query can use: negative, or too large for the tally each query makes
+        flags = {"alphareq": ["--window", "0", "5"], "ablate-k": ["-k", "0", "-o", out]}
+        return [kind.split("-")[0], str(tmp_path / "a.mat"), *flags[kind]], 1
+    if kind == "ngram-build":  # a corpus id at --vocab-size, or a vocabulary no
+        # query can use: negative, from 2^63, or too large for each query's tally
         corpus, vocab = {"vocab-size": ("0 1 2", "2"),
                          "vocab-negative": ("0 1 2", "-5"),
                          "vocab-negative-blank": ("", "-5"),
-                         "vocab-10^15": ("0 1 2 1 0 1 2", str(10**15))}[name]
+                         "vocab-10^15": ("0 1 2 1 0 1 2", str(10**15)),
+                         "vocab-2^63": ("0 1 2", str(2**63))}[name]
         (tmp_path / "corpus.txt").write_text(f"{corpus}\n", encoding="utf-8")
         return ["ngram-build", "--corpus", str(tmp_path / "corpus.txt"),
                 "--vocab-size", vocab, "-o", out], 1
@@ -1167,9 +1197,12 @@ def _contract_case(case: str, tmp_path) -> tuple:
 # Errors of a run or of an argument, not of a file, and their whole text;
 # each is a case of the contract.
 _RUN_ERRORS = {
-    "alphareq:window": "window (0, 5) out of range for d=24",
-    "index:vocab-10^15": _NO_MEMORY,
-    "ngram-build:vocab-10^15": _NO_MEMORY,
+    "alphareq:window": "--window: window (0, 5) out of range for d=24",
+    "ablate-k:0": "-k: k must be in [1, 24], got 0",
+    "index:vocab-10^15": _NO_TALLY,
+    "ngram-build:vocab-10^15": _NO_TALLY,
+    "ngram-build:vocab-2^63": "--vocab-size: vocab_size has value 9223372036854775808, "
+                              "not an integer in [0, 2^63)",
     "ngram-build:vocab-negative": "--vocab-size: vocab_size must be >= 0, got -5",
     "ngram-build:vocab-negative-blank": "--vocab-size: vocab_size must be >= 0, got -5",
     "toy-run:10^15": _NO_MEMORY,
@@ -1187,7 +1220,8 @@ _CONTRACT_CASES = (
     + [f"index:{name}" for name in _NOT_ZIP]
     + ["csv:long-field"]
     + [f"empty-corpus:{name}" for name in _EMPTY_CORPORA]
-    + ["text-corpus:float", "text-corpus:negative", "context:word", "context:negative"]
+    + ["text-corpus:float", "text-corpus:negative", "text-corpus:max-id", "context:word",
+       "context:negative"]
     + [f"manifest:{name}" for name in (*_MANIFEST_HOLES, "deep")]
     + [f"toy:{line}" for line in _BAD_TOY_LINES]
     + [f"not-utf8:{name}" for name in _NOT_UTF8]
@@ -1238,6 +1272,8 @@ _NAMED_SOURCES = {
                                "got a string\n",
     "text-corpus:float": "error: {dir}/corpus.txt: line 3: token '1.5' is not",
     "text-corpus:negative": "error: {dir}/corpus.txt: line 3: negative token id -1",
+    "text-corpus:max-id": "error: {dir}/corpus.txt: vocab_size has value "
+                          "9223372036854775808, not an integer in [0, 2^63)\n",
     "context:word": "error: --context: token 'x' is not",
     "context:negative": "error: --context: negative token id -2",
     **{f"toy:{line}": f"error: {{dir}}/toy.cfg: {named}"
@@ -1489,3 +1525,85 @@ class TestReaderMutationContract:
                 assert code == len(report["errors"]) == 1 - len(report["records"])
 
         check()
+
+
+def _run_child(work: Path, argv: list, stdin=None) -> tuple:
+    """(exit code, stdout, stderr) of ``specgeo argv`` run in ``work`` as a
+    child process, fed ``stdin``; a child that hangs fails in seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(specgeo.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "specgeo.cli", *argv], cwd=work, env=env,
+                          input=stdin, stdin=None if stdin else subprocess.DEVNULL,
+                          capture_output=True, timeout=15)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _release(pipe: Path, writer: threading.Thread) -> None:
+    """End ``writer``, which feeds ``pipe``: a reader opened and closed at
+    once ends a writer still waiting for one, or still writing."""
+    deadline = time.monotonic() + 10
+    while writer.is_alive() and time.monotonic() < deadline:
+        os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(0.05)
+    assert not writer.is_alive()
+
+
+_PIPED_INDEX = ("index file must be a regular file, not a pipe: zip reads its directory "
+                "by seeking")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("name", _READERS)
+def test_each_reader_reads_a_pipe(tmp_path, name):
+    """Each reader opens its input once, so a named pipe fed five bytes at
+    a time gives what the regular file gives: exit code, stdout, stderr
+    (naming the pipe) and output files.  A command with two inputs reads
+    one pipe per flag.  An index is read by seeking: a piped one is refused."""
+    file, data, argv, _ = _READERS[name]
+    runs = []
+    for piped in (False, True):
+        work = tmp_path / ("pipe" if piped else "file")
+        work.mkdir()
+        if name == "manifest":
+            Path(work / "a.mat").write_bytes(_READERS["matrix"][1])
+        args, writers = list(argv), {}
+        for i, arg in enumerate(argv):
+            if arg == file and piped:
+                args[i] = f"pipe{i}"
+                os.mkfifo(work / args[i])
+                writers[args[i]] = threading.Thread(
+                    target=_feed, args=(work / args[i], data, 5), daemon=True)
+        if not piped:
+            (work / file).write_bytes(data)
+        for writer in writers.values():
+            writer.start()
+        try:
+            code, out, err = _run_child(work, args)
+        finally:
+            for pipe, writer in writers.items():
+                _release(work / pipe, writer)
+        runs.append((code, out, err.decode(), _outputs(work, file)))
+    if name == "index":
+        assert runs[0][0] == 0
+        assert runs[1] == (1, b"", f"specgeo: error: pipe2: {_PIPED_INDEX}\n", {})
+    else:
+        pipe = next(iter(writers))
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert runs[1][:2] + (runs[1][2].replace(pipe, file),) + runs[1][3:] == runs[0]
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+def test_corpus_piped_to_stdin_builds_the_files_index(tmp_path):
+    """A corpus larger than the first read of a pipe (8 KiB) builds the
+    same index from standard input as from its file."""
+    rng = np.random.default_rng(25)
+    data = "".join(" ".join(map(str, rng.integers(0, 1000, 50))) + "\n"
+                   for _ in range(400)).encode()
+    (tmp_path / "corpus.txt").write_bytes(data)
+    from_file = _run_child(tmp_path, ["ngram-build", "--corpus", "corpus.txt",
+                                      "-o", "file.npz"])
+    piped = _run_child(tmp_path, ["ngram-build", "--corpus", "/dev/stdin", "-o", "pipe.npz"],
+                       stdin=data)
+    assert from_file == (0, b"indexed 20000 tokens -> file.npz\n", b"")
+    assert piped == (0, b"indexed 20000 tokens -> pipe.npz\n", b"")
+    outputs = _outputs(tmp_path, "corpus.txt")
+    assert outputs["pipe.npz"] == outputs["file.npz"]

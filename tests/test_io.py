@@ -1,5 +1,6 @@
 """Matrix file format, manifests, and the sweep driver."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -83,7 +84,8 @@ class TestMatrixRoundTrip:
             data = rng.standard_normal((rows, cols)).astype(np.float32)
             path = tmp_path / "m32.mat"
             path.write_bytes(struct.pack("<8sBQQ", MAGIC, 1, rows, cols) + data.tobytes())
-            got = sio._read_payload(path)
+            with open(path, "rb") as fh:
+                got = sio._read_payload(fh)
             assert got.dtype == np.float64 and got.shape == (rows, cols)
             assert got.tobytes() == data.astype(np.float64).tobytes()
 
@@ -97,7 +99,8 @@ class TestMatrixRoundTrip:
         digest = hashlib.sha256()
         tracemalloc.start()
         try:
-            got = sio._read_payload(path, digest)
+            with open(path, "rb") as fh:
+                got = sio._read_payload(fh, digest)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,8 +226,8 @@ class TestMatrixRoundTrip:
 
 def _feed(fifo, data: bytes, chunk: int) -> None:
     """Write ``data`` to the pipe ``fifo`` ``chunk`` bytes at a time, with a
-    pause after each write."""
-    with open(fifo, "wb", buffering=0) as fh:
+    pause after each write, until its reader closes it."""
+    with contextlib.suppress(BrokenPipeError), open(fifo, "wb", buffering=0) as fh:
         for start in range(0, len(data), chunk):
             fh.write(data[start : start + chunk])
             time.sleep(0.02)

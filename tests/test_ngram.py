@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from specgeo.ngram import (
@@ -94,7 +94,8 @@ class TestBuildIndex:
             raise AssertionError("the suffix sort ran")
 
         monkeypatch.setattr(ngram, "_suffix_array", no_sort)
-        with pytest.raises(MemoryError, match="Unable to allocate 7.11 PiB"):
+        with pytest.raises(MemoryError, match="^vocab_size 1000000000000000 is too large: "
+                           "each query's tally of 8000000000000000 bytes cannot be"):
             build_index(make_corpus([0, 1, 2, 1, 0, 1, 2], vocab=10**15))
 
     def test_large_vocabulary_builds_the_same_index(self):
@@ -552,12 +553,15 @@ class TestTokenCorpus:
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(tokens=_ID_LISTS, vocab=st.integers(2**50, 2**62))
+    @given(tokens=_ID_LISTS, vocab=st.integers(2**50, 2**70))
+    @example(tokens=[0, 1], vocab=2**63 - 1)
+    @example(tokens=[0, 1], vocab=2**63)
     def test_vocabulary_no_query_can_tally_is_refused_before_index_work(
             self, monkeypatch, tokens, vocab):
         """A tally of 2^50 int64 counts is 8 PiB, past the x86-64 address
-        space; from 2^60 on its byte count overflows, which numpy refuses
-        as a ValueError rather than a MemoryError."""
+        space, and from 2^60 on its byte count overflows: below 2^63 each is
+        one MemoryError giving the size.  From 2^63 on the vocabulary breaks
+        the whole-number rule, however large the Python int."""
         import specgeo.ngram as ngram
 
         def no_index_work(*args):
@@ -565,9 +569,12 @@ class TestTokenCorpus:
 
         monkeypatch.setattr(ngram, "_suffix_array", no_index_work)
         monkeypatch.setattr(ngram, "_check_suffix_order", no_index_work)
-        error, text = ((MemoryError, "Unable to allocate") if vocab < 2**60
-                       else (ValueError, "array is too big"))
-        with pytest.raises(error, match=f"^{text}"):
+        error, text = ((MemoryError, f"vocab_size {vocab} is too large: each query's "
+                                     f"tally of {8 * vocab} bytes cannot be allocated")
+                       if vocab < 2**63 else
+                       (ValueError, f"vocab_size has value {vocab}, not an integer in "
+                                    r"\[0, 2\^63\)"))
+        with pytest.raises(error, match=f"^{text}$"):
             build_index(make_corpus(tokens, vocab=vocab))
 
 

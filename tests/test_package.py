@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -82,7 +83,7 @@ def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
 _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds must be",
                 r"cannot index an empty corpus", r"\bk must be >= 1",
                 r"need at least 3 records", r"cannot balance", r"seed must be >= 0",
-                r"vocab_size must be >= 0")
+                r"vocab_size must be >= 0", r"out of range for d=")
 
 
 def _sites(match) -> list:
@@ -95,10 +96,15 @@ def _sites(match) -> list:
     return found
 
 
+def _error_calls(node) -> bool:
+    """An exception built, raised or returned, with a text."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id.endswith("Error") and bool(node.args))
+
+
 def test_each_owned_input_rule_is_raised_from_one_place():
-    def raising(rule):  # every exception built, raised or returned
-        return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                             and node.func.id.endswith("Error")
+    def raising(rule):
+        return lambda node: (_error_calls(node)
                              and re.search(rule, ast.unparse(node)) is not None)
 
     sites = {rule: _sites(raising(rule)) for rule in _OWNED_RULES}
@@ -134,3 +140,17 @@ def test_each_output_format_is_stated_in_one_place(match):
     """JSON is formatted by ``_json_text``, output files are written by
     ``_write_files``, and ``_INDEX_KEYS`` is the index file's layout."""
     assert len(_sites(match)) == 1, _sites(match)
+
+
+def test_only_naming_prefixes_an_error_with_its_source():
+    """An error names its file, line, key or flag through ``_naming``
+    blocks, nested for a file's line: no other exception text starts with
+    a formatted name, or a line number, and a colon."""
+    def prefixed(node):
+        return _error_calls(node) and re.match(
+            r"f['\"](line )?\{[^}]*\}: ", ast.unparse(node.args[0])) is not None
+
+    lines, start = inspect.getsourcelines(specgeo._naming.__wrapped__)
+    inside = [f"__init__.py:{n}" for n in range(start, start + len(lines))]
+    sites = _sites(prefixed)
+    assert len(sites) == 1 and sites[0] in inside, sites

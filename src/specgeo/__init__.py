@@ -93,12 +93,14 @@ def __dir__():
 
 @contextmanager
 def _naming(name):
-    """Start the message of a ValueError raised in the block with ``name``,
-    a path, line, key or flag: the one place an error comes to name its source."""
+    """Start the message of a ValueError or MemoryError raised in the block
+    with ``name``, a path, line, key or flag: the one place an error comes
+    to name its source.  An OSError's text names its path already."""
     try:
         yield
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    except (ValueError, MemoryError) as exc:
+        NamedError = MemoryError if isinstance(exc, MemoryError) else ValueError
+        raise NamedError(f"{name}: {exc}") from None
 
 
 def _decode_text(data: bytes, newline=None) -> tuple[str, list[str]]:

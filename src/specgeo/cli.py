@@ -89,7 +89,7 @@ def _cmd_ablate(args) -> int:
 
     fm = _features(args.matrix, center=True)
     with _naming("-k"):  # before the solve
-        _check_ablation(fm, args.k, args.mode)
+        _check_ablation(args.k, args.mode, fm.d)
     out = ablate_spectrum(fm, args.k, args.mode)
     write_matrix(out, args.output)
     _emit(args, {"written": str(args.output), "k": args.k, "mode": args.mode},
@@ -459,7 +459,7 @@ def _cmd_toy_verify(args) -> int:
 
     traj = run_trajectory(_toy_config(args.config))
     doc = {**_toy_checks(traj), "primacy": primacy_selection_probe(traj)}
-    _emit(args, doc, _json_text(doc))
+    _emit(args, doc, lambda: _json_text(doc))
     return 0
 
 
@@ -468,16 +468,16 @@ def _cmd_toy_verify(args) -> int:
 def _cmd_passk(args) -> int:
     from .evalmetrics import _check_k, pass_at_k
 
-    # CSV of (problem_id, N, c)
-    (_, n, c), lines = _read_columns(args.input, (str, np.int64, np.int64))
     ks = []
-    with _naming("--k"):  # before the rows, so that no row is blamed for a k
+    with _naming("--k"):  # before the file, so that no row is blamed for a k
         for v in args.k.split(","):
             try:
                 ks.append(int(v))
             except ValueError:
                 raise ValueError(f"{v!r} is not an integer") from None
             _check_k(ks[-1])
+    # CSV of (problem_id, N, c)
+    (_, n, c), lines = _read_columns(args.input, (str, np.int64, np.int64))
 
     def mean_pass(n, c):
         problems = list(zip(n.tolist(), c.tolist()))

@@ -38,6 +38,7 @@ from .spectral import (
     FeatureMatrix,
     _center_in_place,
     _check_ablation,
+    _check_window,
     _metrics_of_spectrum,
     covariance_spectrum,
     rankme,
@@ -163,10 +164,21 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class SweepOptions:
+    """How ``sweep`` treats each entry.  A value that no matrix allows (an
+    ablation ``mode`` or ``k`` below 1, a window whose ``lo`` is below 1 or
+    above its ``hi``) is refused here, before any entry is read; the width
+    rules (k and the window's ``hi`` at most d) wait for each entry's d."""
+
     center: bool = True
     alpha_window: Optional[tuple[int, int]] = None
     ablation_k: Optional[int] = None
     ablation_mode: str = "retain_top"
+
+    def __post_init__(self):
+        if self.alpha_window is not None:
+            _check_window(self.alpha_window)
+        if self.ablation_k is not None:
+            _check_ablation(self.ablation_k, self.ablation_mode)
 
 
 @dataclass(frozen=True)
@@ -185,11 +197,11 @@ class RunManifest:
 def load_manifest(path) -> RunManifest:
     """Parse a JSON manifest and verify every listed file exists.
 
-    A manifest that breaks the schema of ``_parse_manifest``, nests deeper
-    than the JSON decoder can follow or lists a missing file raises
-    ValueError naming it.  A relative entry path is resolved against the
-    manifest's directory and stored resolved; an absolute one is kept as
-    it is.
+    A manifest that breaks the schema of ``_parse_manifest`` or a rule of
+    ``SweepOptions``, nests deeper than the JSON decoder can follow or
+    lists a missing file raises ValueError naming it, before any entry is
+    read.  A relative entry path is resolved against the manifest's
+    directory and stored resolved; an absolute one is kept as it is.
     """
     with _naming(path):
         try:
@@ -237,7 +249,9 @@ def _parse_manifest(doc, base: Path) -> RunManifest:
         options["ablation_k"] = _typed(ablation["k"], int, f"{where}.k")
         if "mode" in ablation:
             options["ablation_mode"] = _typed(ablation["mode"], str, f"{where}.mode")
-    return RunManifest(entries=tuple(entries), options=SweepOptions(**options))
+    with _naming("manifest.options"):
+        options = SweepOptions(**options)
+    return RunManifest(entries=tuple(entries), options=options)
 
 
 def _fields(value, where: str, required: tuple, optional: tuple = ()) -> dict:
@@ -296,15 +310,18 @@ class MetricsReport:
 def _sweep_entry(entry: ManifestEntry, options: SweepOptions) -> dict:
     digest = hashlib.sha256()
     fm = _read_features(entry.path, options.center, digest)
+    k, mode = options.ablation_k, options.ablation_mode
+    if options.alpha_window is not None:  # the width rules, before the solve
+        _check_window(options.alpha_window, fm.d)
+    if k is not None:
+        _check_ablation(k, mode, fm.d)
     spec = covariance_spectrum(fm)
     metrics = _metrics_of_spectrum(spec, fm.m, options.alpha_window)
     record = {"label": entry.label, "sha256": digest.hexdigest(),
               **metrics.to_record()}
-    if options.ablation_k is not None:
+    if k is not None:
         # projecting onto or off the top-k eigenvectors keeps exactly
         # those eigenpairs, so the ablated spectrum is a slice of this one
-        k, mode = options.ablation_k, options.ablation_mode
-        _check_ablation(fm, k, mode)
         kept = spec.values[:k] if mode == "retain_top" else spec.values[k:]
         total = float(spec.values.sum())  # > 0, or the metrics above raised
         record["ablation"] = {

@@ -258,12 +258,13 @@ def _fit_power_law(values: np.ndarray, window) -> tuple:
     return float(-slope), float(r2), (lo, hi)
 
 
-def _check_window(window, d: int) -> tuple[int, int]:
+def _check_window(window, d: Optional[int] = None) -> tuple[int, int]:
     """The 1-based inclusive rank range ``window`` as ints, refused unless
-    it lies within 1..d of a d-value spectrum."""
+    1 <= lo <= hi, and, given ``d``, hi <= d of a d-value spectrum."""
     lo, hi = int(window[0]), int(window[1])
-    if lo < 1 or hi > d or lo > hi:
-        raise ValueError(f"window {window} out of range for d={d}")
+    if lo < 1 or lo > hi or (d is not None and hi > d):
+        raise ValueError(f"window {window} out of range for "
+                         f"{'any d' if d is None else f'd={d}'}")
     return lo, hi
 
 
@@ -289,11 +290,13 @@ def _metrics_of_spectrum(
     )
 
 
-def _check_ablation(f: FeatureMatrix, k: int, mode: str) -> None:
+def _check_ablation(k: int, mode: str, d: Optional[int] = None) -> None:
+    """Refuse an ablation of the top ``k`` eigenvectors in ``mode`` unless
+    k >= 1, and, given ``d``, k <= d of a d-column matrix."""
     if mode not in ("retain_top", "remove_top"):
         raise ValueError(f"mode must be retain_top or remove_top, got {mode!r}")
-    if not 1 <= k <= f.d:
-        raise ValueError(f"k must be in [1, {f.d}], got {k}")
+    if k < 1 or (d is not None and k > d):
+        raise ValueError(f"k must be in [1, {'d' if d is None else d}], got {k}")
 
 
 def ablate_spectrum(f: FeatureMatrix, k: int, mode: str) -> FeatureMatrix:
@@ -306,7 +309,7 @@ def ablate_spectrum(f: FeatureMatrix, k: int, mode: str) -> FeatureMatrix:
     spectrum is ``values[:k]`` (retain_top) or ``values[k:]`` (remove_top)
     of the input's, padded with zeros.
     """
-    _check_ablation(f, k, mode)
+    _check_ablation(k, mode, f.d)
     spec = covariance_spectrum(f, want_vectors=True)
     v_top = spec.vectors[:, :k]
     retained = (f.data @ v_top) @ v_top.T

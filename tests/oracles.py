@@ -256,6 +256,76 @@ def selection_correlation_loop(sig: np.ndarray) -> float:
     return float(np.mean(per_step)) if per_step else float("nan")
 
 
+def min_norm_margin_rankme(counts, d: int, starts: int = 20, seed: int = 0) -> float:
+    """RankMe of the lowest KKT point found for the one-hot max-margin limit:
+    minimise sum_c n_c |f_c|^2 + |W|^2 over class features f_c (rows of F)
+    and the d x vocab readout W, with every logit margin
+    f_c . (w_c - w_j) >= 1 for each class c of nonzero count and j != c.
+
+    Each of ``starts`` seeded feasible starts (W's columns random unit
+    vectors, f_c = w_c, scaled to margin 2) runs a log-barrier interior
+    point method: damped Newton steps on the exact Hessian, shifted until
+    it factors, with the barrier weight cut from 1 to below 1e-13.  The
+    margins are bilinear, so their Hessians are constant.  RankMe is taken
+    of the features' second moment sum_c n_c f_c f_c^T by Jacobi rotations.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    vocab = counts.size
+    nf = vocab * d
+    n = nf + d * vocab  # x = (F row-major, W row-major)
+    pairs = [(c, j) for c in range(vocab) if counts[c] > 0
+             for j in range(vocab) if j != c]
+    hm = np.zeros((len(pairs), n, n))
+    for p, (c, j) in enumerate(pairs):
+        for k in range(d):
+            for w, sign in ((nf + k * vocab + c, 1.0), (nf + k * vocab + j, -1.0)):
+                hm[p, c * d + k, w] = hm[p, w, c * d + k] = sign
+    scale = np.concatenate([np.repeat(2 * counts, d), np.full(d * vocab, 2.0)])
+
+    def margins(x):
+        return 0.5 * np.einsum("i,pij,j->p", x, hm, x)
+
+    def barrier(x, mu):
+        slack = margins(x) - 1.0
+        if np.any(slack <= 0):
+            return np.inf
+        return 0.5 * scale @ (x * x) - mu * np.sum(np.log(slack))
+
+    rng = np.random.default_rng(seed)
+    best = (np.inf, None)
+    for _ in range(starts):
+        w = rng.normal(size=(d, vocab))
+        w /= np.linalg.norm(w, axis=0)
+        x = np.concatenate([w.T.ravel(), w.ravel()])
+        x *= np.sqrt(2.0 / margins(x).min())
+        mu = 1.0
+        while mu > 1e-13:
+            for _ in range(100):
+                slack = margins(x) - 1.0
+                jac = np.einsum("pij,j->pi", hm, x)
+                grad = scale * x - mu * jac.T @ (1 / slack)
+                hess = (np.diag(scale) + mu * (jac.T / slack**2) @ jac
+                        - mu * np.einsum("pij,p->ij", hm, 1 / slack))
+                shift = 0.0
+                while np.any(np.linalg.eigvalsh(hess + shift * np.eye(n)) <= 0):
+                    shift = max(2 * shift, 1e-8)
+                step = -np.linalg.solve(hess + shift * np.eye(n), grad)
+                decrement = -grad @ step
+                if decrement < 1e-14:
+                    break
+                t, value = 1.0, barrier(x, mu)
+                while barrier(x + t * step, mu) > value - 0.25 * t * decrement:
+                    t *= 0.5
+                x = x + t * step
+            mu *= 0.2
+        objective = 0.5 * scale @ (x * x)
+        if objective < best[0]:
+            best = (objective, x[:nf].reshape(vocab, d))
+    f = best[1]
+    values, _ = jacobi_eigh((counts[:, None] * f).T @ f)
+    return rankme_mp(values)
+
+
 def trajectory_reference(cfg) -> dict:
     """Every ``TrajectoryRecord`` column of ``run_trajectory(cfg)``, from
     repeated ``gd_step`` on theta, with one SVD of f and one of W per

@@ -358,7 +358,7 @@ class TestNgramCommands:
         _contract_case("index:vocab-10^15", tmp_path)
         with pytest.raises(MemoryError) as caught:
             cli._load_index(tmp_path / "index.npz")
-        assert str(caught.value) == _NO_TALLY
+        assert str(caught.value) == f"{tmp_path / 'index.npz'}: {_NO_TALLY}"
 
     def test_whole_float_index_equals_int_index(self, built_index, tmp_path, capsys):
         # all four stored arrays follow one whole-number rule, so an index
@@ -665,6 +665,12 @@ class TestEvalCommands:
         assert code == 1
         assert err.startswith("specgeo: error:") and err.count("\n") == 1
         assert "line 2" in err
+
+    def test_k_is_checked_before_the_input(self, tmp_path, capsys):
+        code = cli_dispatch(["passk", "--input", str(tmp_path / "missing.csv"),
+                             "--k", "x"])
+        assert code == 1
+        assert capsys.readouterr().err == "specgeo: error: --k: 'x' is not an integer\n"
 
     def test_dpo_check(self, tmp_path, capsys):
         path = tmp_path / "rewards.csv"
@@ -1109,7 +1115,8 @@ def _contract_case(case: str, tmp_path) -> tuple:
         return ["ngram-build", "--corpus", str(path), "-o", out], 1
     if kind == "text-corpus":
         path = tmp_path / "corpus.txt"
-        bad = {"float": "1 1.5 0", "negative": "3 -1 2", "max-id": f"{2**63 - 1} 0"}[name]
+        bad = {"float": "1 1.5 0", "negative": "3 -1 2", "max-id": f"{2**63 - 1} 0",
+               "id-10^15": f"{10**15 - 1} 0"}[name]
         path.write_text(f"0 1 2\n\n{bad}\n", encoding="utf-8")
         return ["ngram-build", "--corpus", str(path), "-o", out], 1
     if kind in ("index", "context"):
@@ -1186,6 +1193,7 @@ def _contract_case(case: str, tmp_path) -> tuple:
                          "vocab-negative": ("0 1 2", "-5"),
                          "vocab-negative-blank": ("", "-5"),
                          "vocab-10^15": ("0 1 2 1 0 1 2", str(10**15)),
+                         "vocab-2^61": ("0 1 2", str(2**61)),
                          "vocab-2^63": ("0 1 2", str(2**63))}[name]
         (tmp_path / "corpus.txt").write_text(f"{corpus}\n", encoding="utf-8")
         return ["ngram-build", "--corpus", str(tmp_path / "corpus.txt"),
@@ -1199,8 +1207,10 @@ def _contract_case(case: str, tmp_path) -> tuple:
 _RUN_ERRORS = {
     "alphareq:window": "--window: window (0, 5) out of range for d=24",
     "ablate-k:0": "-k: k must be in [1, 24], got 0",
-    "index:vocab-10^15": _NO_TALLY,
-    "ngram-build:vocab-10^15": _NO_TALLY,
+    "ngram-build:vocab-10^15": f"--vocab-size: {_NO_TALLY}",
+    "ngram-build:vocab-2^61": "--vocab-size: vocab_size 2305843009213693952 is too "
+                              "large: each query's tally of 18446744073709551616 bytes "
+                              "cannot be allocated",
     "ngram-build:vocab-2^63": "--vocab-size: vocab_size has value 9223372036854775808, "
                               "not an integer in [0, 2^63)",
     "ngram-build:vocab-negative": "--vocab-size: vocab_size must be >= 0, got -5",
@@ -1216,12 +1226,13 @@ _CONTRACT_CASES = (
     + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
     + ["index:float-tokens", "index:float-bounds", "index:float-sa",
        "index:vocab-size-array", "index:vocab-size-float", "index:vocab-negative",
-       "index:complex-tokens", "index:complex-bounds", "index:object-tokens"]
+       "index:complex-tokens", "index:complex-bounds", "index:object-tokens",
+       "index:vocab-10^15"]
     + [f"index:{name}" for name in _NOT_ZIP]
     + ["csv:long-field"]
     + [f"empty-corpus:{name}" for name in _EMPTY_CORPORA]
-    + ["text-corpus:float", "text-corpus:negative", "text-corpus:max-id", "context:word",
-       "context:negative"]
+    + ["text-corpus:float", "text-corpus:negative", "text-corpus:max-id",
+       "text-corpus:id-10^15", "context:word", "context:negative"]
     + [f"manifest:{name}" for name in (*_MANIFEST_HOLES, "deep")]
     + [f"toy:{line}" for line in _BAD_TOY_LINES]
     + [f"not-utf8:{name}" for name in _NOT_UTF8]
@@ -1259,6 +1270,7 @@ _NAMED_SOURCES = {
     "index:complex-bounds": "error: {dir}/index.npz: doc_boundaries must hold "
                             "integers or floats, got complex128\n",
     "index:object-tokens": "error: {dir}/index.npz: Object arrays cannot be loaded",
+    "index:vocab-10^15": f"error: {{dir}}/index.npz: {_NO_TALLY}\n",
     **{f"index:{name}": "error: {dir}/index.npz: damaged index file: File is not a "
        "zip file\n" for name in _NOT_ZIP},
     "csv:long-field": "error: {dir}/rewards.csv: line 1: field larger than field "
@@ -1274,6 +1286,7 @@ _NAMED_SOURCES = {
     "text-corpus:negative": "error: {dir}/corpus.txt: line 3: negative token id -1",
     "text-corpus:max-id": "error: {dir}/corpus.txt: vocab_size has value "
                           "9223372036854775808, not an integer in [0, 2^63)\n",
+    "text-corpus:id-10^15": f"error: {{dir}}/corpus.txt: {_NO_TALLY}\n",
     "context:word": "error: --context: token 'x' is not",
     "context:negative": "error: --context: negative token id -2",
     **{f"toy:{line}": f"error: {{dir}}/toy.cfg: {named}"

@@ -26,7 +26,8 @@ from specgeo.dynamics import (
 )
 from specgeo.spectral import EigenSpectrum, rankme
 
-from oracles import selection_correlation_loop, softmax_mp, trajectory_reference
+from oracles import (min_norm_margin_rankme, selection_correlation_loop, softmax_mp,
+                     trajectory_reference)
 
 
 SHORT = ToyConfig(steps=400)
@@ -476,6 +477,18 @@ class TestRunTrajectory:
         fc = f - f.mean(axis=0)
         lam_c = np.sort(np.linalg.eigvalsh(fc.T @ fc / b))[::-1]
         assert abs(traj.rankme[0] - rankme(EigenSpectrum(values=lam_c))) > 1e-3
+
+    def test_onehot_run_climbs_below_its_max_margin_limit(self):
+        """With one-hot targets the batch is separable, so RankMe tends to
+        that of the min-norm margin solution (README): 1.989 for the stock
+        counts at d = 2.  The seed-0 run is still below it and rising at
+        step 50k, so it cannot rise and then fall."""
+        cfg = ToyConfig(label_odds=INF, record_every=12_500)
+        limit = min_norm_margin_rankme(cfg.class_counts, cfg.d)
+        assert limit == pytest.approx(1.989, abs=1e-3)
+        traj = run_trajectory(cfg)
+        assert traj.steps[-1] == 50_000
+        assert np.all(np.diff(traj.rankme) > 0) and traj.rankme[-1] < limit
 
 
 class TestConservation:

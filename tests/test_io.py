@@ -380,6 +380,31 @@ class TestManifest:
         path = self.write_manifest(tmp_path, [{"label": "x", "path": "a.mat"}])
         assert load_manifest(path).options == SweepOptions()
 
+    @pytest.mark.parametrize("options, error", [
+        ({"ablation": {"k": 0}}, "k must be in [1, d], got 0"),
+        ({"ablation": {"k": 3, "mode": "keep_top"}},
+         "mode must be retain_top or remove_top, got 'keep_top'"),
+        ({"alpha_window": [5, 2]}, "window (5, 2) out of range for any d"),
+        ({"alpha_window": [0, 5]}, "window (0, 5) out of range for any d"),
+    ], ids=["ablation-k-0", "ablation-mode", "window-reversed", "window-from-0"])
+    def test_option_no_matrix_allows_is_refused_at_load(self, tmp_path, monkeypatch,
+                                                        capsys, options, error):
+        """Before any entry is read: ``load_manifest`` raises, naming the
+        manifest, and ``sweep`` exits 1 with one error line and no report."""
+        from specgeo.cli import cli_dispatch
+
+        write_matrix(random_matrix(np.random.default_rng(7)), tmp_path / "a.mat")
+        path = self.write_manifest(tmp_path, [{"label": "x", "path": "a.mat"}], options)
+        reads = []
+        monkeypatch.setattr(sio, "_read_features", lambda *args: reads.append(args))
+        with pytest.raises(ValueError) as caught:
+            load_manifest(path)
+        assert str(caught.value) == f"{path}: manifest.options: {error}"
+        out = tmp_path / "out"
+        assert cli_dispatch(["sweep", "--manifest", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"specgeo: error: {caught.value}\n")
+        assert reads == [] and not out.exists()
+
 
 class TestSweep:
     def build(self, tmp_path, alphas, rng=None):
@@ -583,8 +608,9 @@ class TestSweepAblation:
                 ablated.values.sum() / full.sum(), rel=1e-12)
             assert got["rankme"] == pytest.approx(rankme(ablated), rel=1e-12)
 
-    @pytest.mark.parametrize("k, mode", [(0, "retain_top"), (25, "remove_top"),
-                                         (3, "keep_top")])
+    # a k below 1 or a bad mode is refused at load (TestManifest); a k above
+    # the entry's d is an error of that entry
+    @pytest.mark.parametrize("k, mode", [(25, "remove_top")])
     def test_bad_k_or_mode_is_an_error_record(self, tmp_path, k, mode):
         rng = np.random.default_rng(32)
         manifest = ablation_manifest(tmp_path, [(64, 24), (30, 24)], k, mode, rng)
@@ -598,18 +624,22 @@ class TestSweepAblation:
             for e in manifest.entries
         ]
 
-    @pytest.mark.parametrize("ablation", [None, {"k": 3, "mode": "retain_top"},
-                                          {"k": 3, "mode": "remove_top"}])
-    def test_one_eigensolve_per_entry(self, tmp_path, monkeypatch, ablation):
+    # the last two are too wide for the first entry's d = 24
+    @pytest.mark.parametrize("options, error", [
+        ({}, None), ({"ablation_k": 3}, None),
+        ({"ablation_k": 3, "ablation_mode": "remove_top"}, None),
+        ({"ablation_k": 30}, "k must be in [1, 24], got 30"),
+        ({"alpha_window": (2, 30)}, "window (2, 30) out of range for d=24"),
+    ], ids=["None", "ablation1", "ablation2", "k-above-d", "window-above-d"])
+    def test_one_eigensolve_per_entry(self, tmp_path, monkeypatch, options, error):
+        """Each valid entry is solved once; an entry narrower than an option
+        is an error record before its solve."""
         rng = np.random.default_rng(33)
         manifest = ablation_manifest(tmp_path, [(64, 24), (20, 40), (40, 40)],
                                      3, "retain_top", rng)
-        if ablation is None:
-            options = SweepOptions(center=True)
-        else:
-            options = SweepOptions(center=True, ablation_k=ablation["k"],
-                                   ablation_mode=ablation["mode"])
-        manifest = RunManifest(entries=manifest.entries, options=options)
+        manifest = RunManifest(entries=manifest.entries,
+                               options=SweepOptions(center=True, **options))
+        narrow = [] if error is None else [{"label": "e0", "error": f"ValueError: {error}"}]
         calls = []
         for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
             real = getattr(np.linalg, name)
@@ -620,5 +650,5 @@ class TestSweepAblation:
 
             monkeypatch.setattr(np.linalg, name, counted)
         report = sweep(manifest)
-        assert report.ok
-        assert len(calls) == len(manifest.entries)
+        assert report.errors == narrow
+        assert len(report.records) == len(calls) == len(manifest.entries) - len(narrow)

@@ -60,6 +60,32 @@ def test_exports_agree_with_module_all():
     assert specgeo.pass_at_k_exact is specgeo.evalmetrics.pass_at_k_exact
 
 
+# The top-level modules that code may import beside the standard library:
+# the declared dependency and test extras of pyproject.toml.
+_DECLARED = {"numpy", "pytest", "hypothesis", "mpmath"}
+
+
+def test_imports_only_declared_dependencies():
+    """A module importable here but not declared (scipy, say) would break
+    an install from pyproject.toml; relative imports are the package's."""
+    repo = Path(__file__).resolve().parent.parent
+    files = sorted([*repo.glob("src/specgeo/*.py"), *repo.glob("tests/*.py")])
+    own = {"specgeo"} | {path.stem for path in repo.glob("tests/*.py")}
+    allowed = set(sys.stdlib_module_names) | _DECLARED | own
+    undeclared = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            undeclared |= {f"{path.name}: {name}" for name in names
+                           if name.split(".")[0] not in allowed}
+    assert len(files) > 10 and not undeclared, sorted(undeclared)
+
+
 def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
     # the benchmark's traced run wraps package functions by name, so a
     # renamed or dropped name breaks it; build its patch, then undo it
@@ -83,7 +109,8 @@ def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
 _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds must be",
                 r"cannot index an empty corpus", r"\bk must be >= 1",
                 r"need at least 3 records", r"cannot balance", r"seed must be >= 0",
-                r"vocab_size must be >= 0", r"out of range for d=")
+                r"vocab_size must be >= 0", r"window \{window\} out of range for",
+                r"mode must be retain_top or remove_top", r"k must be in \[1, ")
 
 
 def _sites(match) -> list:

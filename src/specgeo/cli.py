@@ -12,6 +12,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import suppress
 from itertools import zip_longest
 from pathlib import Path
 
@@ -68,10 +69,13 @@ def _cmd_rankme(args) -> int:
 def _cmd_alphareq(args) -> int:
     from .spectral import _check_window, spectral_metrics
 
-    fm = _features(args.matrix, not args.no_center)
     window = tuple(args.window) if args.window else None
     if window:
-        with _naming("--window"):  # before the solve
+        with _naming("--window"):  # the rules that need no d before the read
+            _check_window(window)
+    fm = _features(args.matrix, not args.no_center)
+    if window:
+        with _naming("--window"):  # and hi <= d before the solve
             _check_window(window, fm.d)
     metrics = spectral_metrics(fm, window)
     alpha, r2 = metrics.alpha_req, metrics.fit_r2
@@ -87,8 +91,10 @@ def _cmd_ablate(args) -> int:
     from .io import write_matrix
     from .spectral import _check_ablation, ablate_spectrum
 
+    with _naming("-k"):  # the rules that need no d before the read
+        _check_ablation(args.k, args.mode)
     fm = _features(args.matrix, center=True)
-    with _naming("-k"):  # before the solve
+    with _naming("-k"):  # and k <= d before the solve
         _check_ablation(args.k, args.mode, fm.d)
     out = ablate_spectrum(fm, args.k, args.mode)
     write_matrix(out, args.output)
@@ -232,13 +238,34 @@ def _converts(field: str, dtype) -> bool:
 _BLANK = " \t\n\r\x0b\x0c,"  # ASCII whitespace and the delimiter
 
 
-def _plain(text: str) -> bool:
-    """Text in which each line is one row whose fields split at the commas,
-    and which numpy's C parser reads as the per-field conversion does:
-    ASCII with no quote (a quoted field may span lines) and none of the
-    separators \x1c-\x1f (the parser takes them for spaces; the conversion
-    rejects them)."""
-    return text.isascii() and not any(c in text for c in '"\x1c\x1d\x1e\x1f')
+def _is_header(row, dtypes) -> bool:
+    """Whether no numeric field of the first non-blank ``row`` is a number."""
+    return not any(_converts(f, np.float64) for f, d in zip(row, dtypes) if d is not str)
+
+
+def _read_plain(text, lines, dtypes) -> tuple[list, list]:
+    """``_read_columns`` of ``text``, split into ``lines``, by numpy's C parser,
+    or ValueError.  Plain text is ASCII with no quote (a quoted field may span
+    lines) and none of the separators \x1c-\x1f (the parser takes them for
+    spaces; the conversion rejects them).  One ``np.loadtxt`` call reads it
+    from the first data row to the last non-blank line; the lines are scanned
+    in Python only if one starts at or below ",", as a blank line does."""
+    if not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+        raise ValueError("not plain text")
+    first = next((n for n, line in enumerate(lines) if line.lstrip(_BLANK)), len(lines))
+    end = next((n for n in range(len(lines), first, -1) if lines[n - 1].lstrip(_BLANK)),
+               first)
+    first += end > first and _is_header(lines[first].rstrip("\r\n").split(","), dtypes)
+    numbers, rows = range(first + 1, end + 1), lines[first:end]
+    if not rows:
+        raise ValueError("no data rows")
+    if min(rows)[0] <= ",":  # a C pass: each blank character sorts at or below ","
+        numbers = [n for n, line in enumerate(rows, first + 1) if line.lstrip(_BLANK)]
+        rows = [lines[n - 1] for n in numbers]
+    fields = [(f"f{i}", object if t is str else t) for i, t in enumerate(dtypes)]
+    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=fields,
+                       usecols=range(len(fields)))
+    return [table[f"f{i}"].astype(dtype) for i, dtype in enumerate(dtypes)], list(numbers)
 
 
 def _read_columns(path, dtypes) -> tuple[list, list]:
@@ -247,48 +274,27 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
 
     Blank rows are skipped.  The first non-blank row is a header only if
     none of its numeric fields parses as a number; any other short or
-    unconvertible row, or a file without data rows, is an error.
-
-    Plain text (see ``_plain``) is converted by one ``np.loadtxt``
-    call; other text, or text that call rejects, is split by ``csv`` and
-    converted field by field, which also finds the line of a bad row.
-    """
+    unconvertible row, or a file without data rows, is an error.  Text that
+    ``_read_plain`` refuses is split by ``csv`` and converted field by field,
+    which also finds the line of a bad row."""
     with _naming(path):
         text, lines = _decode_text(Path(path).read_bytes(), newline="")
-        plain = _plain(text)
-        if plain:
-            numbers = [n for n, line in enumerate(lines, 1) if line.strip(_BLANK)]
-            rows = [lines[n - 1] for n in numbers]
-        else:
-            reader = csv.reader(lines)
-            rows, numbers = [], []
-            try:
-                for row in reader:
-                    if "".join(row).strip():
-                        rows.append(row)
-                        numbers.append(reader.line_num)
-            except csv.Error as exc:  # a field longer than csv's limit
-                with _naming(f"line {reader.line_num}"):
-                    raise ValueError(exc) from None
-        if rows:
-            first = rows[0].rstrip("\r\n").split(",") if plain else rows[0]
-            if not any(_converts(field, np.float64) for field, dtype
-                       in zip(first, dtypes) if dtype is not str):
-                del rows[0], numbers[0]
+        with suppress(ValueError):  # not plain, no data row, or a row numpy refuses
+            return _read_plain(text, lines, dtypes)
+        reader = csv.reader(lines)
+        rows, numbers = [], []
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append(row)
+                    numbers.append(reader.line_num)
+        except csv.Error as exc:  # a field longer than csv's limit
+            with _naming(f"line {reader.line_num}"):
+                raise ValueError(exc) from None
+        if rows and _is_header(rows[0], dtypes):
+            del rows[0], numbers[0]
         if not rows:
             raise ValueError("no data rows")
-        if plain:
-            try:
-                table = np.loadtxt(
-                    rows, delimiter=",", comments=None, ndmin=1,
-                    usecols=range(len(dtypes)),
-                    dtype=[(f"f{i}", object if dtype is str else dtype)
-                           for i, dtype in enumerate(dtypes)])
-            except ValueError:  # a bad row, or a number only Python reads ("1_0")
-                rows = [row.rstrip("\r\n").split(",") for row in rows]
-            else:
-                return [table[f"f{i}"].astype(dtype)
-                        for i, dtype in enumerate(dtypes)], numbers
         try:
             return [np.array([row[i] for row in rows], dtype=dtype)
                     for i, dtype in enumerate(dtypes)], numbers

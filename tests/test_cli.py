@@ -83,6 +83,24 @@ class TestSpectralCommands:
         assert capsys.readouterr().err == (
             "specgeo: error: --window: window (2, 25) out of range for d=24\n")
 
+    @pytest.mark.parametrize("argv, err", [
+        (["alphareq", "{matrix}", "--window", "5", "2"],
+         "--window: window (5, 2) out of range for any d"),
+        (["ablate", "{matrix}", "-k", "0", "-o", "{out}"], "-k: k must be in [1, d], got 0"),
+    ], ids=["alphareq-window", "ablate-k"])
+    @pytest.mark.parametrize("name", ["feat.mat", "missing.mat"])
+    def test_rules_that_need_no_d_are_checked_before_the_read(
+            self, matrix_file, tmp_path, capsys, monkeypatch, argv, err, name):
+        from specgeo import io as sio
+
+        reads = []
+        monkeypatch.setattr(sio, "_read_features", lambda *args: reads.append(args))
+        argv = [arg.format(matrix=tmp_path / name, out=tmp_path / "x.mat") for arg in argv]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err == f"specgeo: error: {err}\n"
+        assert reads == []
+        assert not (tmp_path / "x.mat").exists()
+
     def test_ablate_writes_output(self, matrix_file, tmp_path, capsys):
         out = tmp_path / "ablated.mat"
         code = cli_dispatch(["ablate", str(matrix_file), "-k", "4",
@@ -824,9 +842,58 @@ class TestColumnReader:
         (TRACE, "e0,0,0.5\n\u00e9,1\u01fe,0.25\n"),
         (TRACE, "example_id,token_index,prob\n\n"),
         (TRACE, b"e0\x00,0,0.5\ne1,1,0.25\n"),
+        (TRACE, "e0,0,0.5\n\n , ,\ne1,1,0.25\n\n"),
+        (DPO, "r_w,r_l\n1.0,2.0\n\n\n3.0,4.0\n\n"),
+        (DPO, "1.0,2.0\r\r3.0,4.0\r\r"),
+        (DPO, "1.0,2.0\r\n\r\n3.0,4.0\r\n"),
+        (DPO, "\nr_w,r_l\n1.0,2.0\n"),
+        (DPO, "r_w,r_l\n\n\n"),
+        (DPO, "r_w,r_l"),
+        (DPO, "r_w,r_l\n1.0,2.0\n \t\n3.0,4.0\n"),
+        (DPO, "r_w,r_l\n1.0,2.0\n,\n3.0,4.0\n"),
+        (DPO, "1.0,2.0\n\n , \n3.0\n"),
     ])
     def test_edge_cases_match_csv_reader(self, tmp_path, dtypes, data):
         _assert_same(*_read_both(tmp_path, data, dtypes))
+
+    @pytest.mark.parametrize("data, plain", [
+        ("r_w,r_l\n1.0,2.0\n3.0,4.0\n", True),
+        ("r_w,r_l\n1.0,2.0\n\n\r\n3.0,4.0\n\n", True),
+        ("\n1.0,2.0\n \n3.0,4.0\n,\n5.0,6.0\n , \n", True),
+        ("1.0,2.0\n,\n3.0,4.0\n", True),
+        ('"r_w",r_l\n1.0,2.0\n', False),
+        ("1.0,2.0\n3.0\n", False),
+        ("1.0,2.0\n\n \n3.0,x\n", False),
+    ], ids=["no-blank-line", "empty-lines", "blank-lines", "comma-line", "quoted",
+            "short-row", "bad-row-and-blank-lines"])
+    def test_only_text_numpy_rejects_reaches_csv(self, tmp_path, monkeypatch, data, plain):
+        class CsvReader(Exception):
+            pass
+
+        def reader(*args, **kwargs):
+            raise CsvReader
+
+        expected = _read_both(tmp_path, data, DPO)[1]  # the oracle's result on in.csv
+        path = tmp_path / "in.csv"
+        monkeypatch.setattr(cli.csv, "reader", reader)
+        if plain:
+            _assert_same(cli._read_columns(path, DPO), expected)
+        else:
+            with pytest.raises(CsvReader):
+                cli._read_columns(path, DPO)
+
+    @pytest.mark.parametrize("data", ["r_w,r_l\n", "r_w,r_l\n\n\r\n\n"],
+                             ids=["header-only", "header-and-empty-lines"])
+    def test_a_file_without_data_rows_warns_of_nothing(self, tmp_path, data):
+        path = tmp_path / "in.csv"
+        path.write_text(data, encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(specgeo.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-W", "always", "-m", "specgeo.cli",
+                               "dpo-check", "--input", str(path)], env=env,
+                              capture_output=True, text=True, timeout=15)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"specgeo: error: {path}: no data rows\n"
 
     # each example rewrites the one file, so sharing tmp_path is safe
     @settings(max_examples=150, deadline=None,
@@ -1205,8 +1272,8 @@ def _contract_case(case: str, tmp_path) -> tuple:
 # Errors of a run or of an argument, not of a file, and their whole text;
 # each is a case of the contract.
 _RUN_ERRORS = {
-    "alphareq:window": "--window: window (0, 5) out of range for d=24",
-    "ablate-k:0": "-k: k must be in [1, 24], got 0",
+    "alphareq:window": "--window: window (0, 5) out of range for any d",
+    "ablate-k:0": "-k: k must be in [1, d], got 0",
     "ngram-build:vocab-10^15": f"--vocab-size: {_NO_TALLY}",
     "ngram-build:vocab-2^61": "--vocab-size: vocab_size 2305843009213693952 is too "
                               "large: each query's tally of 18446744073709551616 bytes "

@@ -13,7 +13,6 @@ import csv
 import math
 import sys
 from contextlib import suppress
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -275,8 +274,8 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
     Blank rows are skipped.  The first non-blank row is a header only if
     none of its numeric fields parses as a number; any other short or
     unconvertible row, or a file without data rows, is an error.  Text that
-    ``_read_plain`` refuses is split by ``csv`` and converted field by field,
-    which also finds the line of a bad row."""
+    ``_read_plain`` refuses is split by ``csv`` and converted by
+    ``_convert``, through ``_by_row``, which finds the line of a bad row."""
     with _naming(path):
         text, lines = _decode_text(Path(path).read_bytes(), newline="")
         with suppress(ValueError):  # not plain, no data row, or a row numpy refuses
@@ -295,27 +294,42 @@ def _read_columns(path, dtypes) -> tuple[list, list]:
             del rows[0], numbers[0]
         if not rows:
             raise ValueError("no data rows")
-        try:
-            return [np.array([row[i] for row in rows], dtype=dtype)
-                    for i, dtype in enumerate(dtypes)], numbers
-        except (IndexError, ValueError, OverflowError):  # a short or unconvertible row
-            width = len(dtypes)
-            line, row = next((line, row) for line, row in zip(numbers, rows)
-                             if len(row) < width or not all(map(_converts, row, dtypes)))
-            raise ValueError(f"malformed row at line {line}: {row}") from None
+    return _by_row(path, numbers, lambda rows: _convert(rows, dtypes), rows), numbers
+
+
+def _convert(rows, dtypes) -> list:
+    """The leading ``len(dtypes)`` fields of the csv ``rows`` as one array
+    per dtype.  A short or unconvertible row is an error whose text shows
+    the first row: ``_by_row`` shows it for a single row only."""
+    try:
+        return [np.array([row[i] for row in rows], dtype=dtype)
+                for i, dtype in enumerate(dtypes)]
+    except (IndexError, ValueError, OverflowError):
+        raise ValueError(f"malformed row {rows[0]}") from None
 
 
 def _by_row(path, lines, fn, *columns):
-    """``fn(*columns)``.  When that raises ValueError, ``fn`` runs on one
-    row of the columns at a time, and the error of the first row it
-    rejects names ``path`` and that row's line."""
-    try:
-        return fn(*columns)
-    except ValueError:
-        for i, line in enumerate(lines):
-            with _naming(path), _naming(f"line {line}"):
-                fn(*(col[i:i + 1] for col in columns))
-        raise
+    """``fn(*columns)``, for a rule ``fn`` that rejects the columns when it
+    rejects one of their rows.  When that raises ValueError, ``fn`` runs on
+    the first half of ``[lo, hi)``, the rows that hold the first rejected
+    one, to keep the half that holds it, down to one row: ceil(log2(n))
+    calls.  Its error on that row alone names ``path`` and the row's line."""
+    with _naming(path):
+        try:
+            return fn(*columns)
+        except ValueError:
+            lo, hi = 0, len(lines)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    fn(*(col[lo:mid] for col in columns))
+                except ValueError:
+                    hi = mid
+                else:
+                    lo = mid
+            with _naming(f"line {lines[lo]}"):
+                fn(*(col[lo:lo + 1] for col in columns))
+            raise
 
 
 def _read_trace_csv(path) -> tuple:
@@ -340,16 +354,14 @@ def _read_trace_csv(path) -> tuple:
 
 def _raise_unmatched_row(*traces) -> None:
     """Raise the error of two traces, each (path, ids, indices, probs,
-    lines) sorted by key, whose keys differ: it names the first row, in key
-    order, that has no matching row in the other file."""
-    keys = [list(zip(t[1].tolist(), t[2].tolist())) for t in traces]
-    i = next(i for i, (a, b) in enumerate(zip_longest(*keys)) if a != b)
-    # there the smaller key, or the key of the file that has rows left while
-    # the other has none, is the one without a match
-    side = int(i == len(keys[0]) or (i < len(keys[1]) and keys[1][i] < keys[0][i]))
-    (path, *_, lines), other = traces[side], traces[1 - side][0]
-    example, token = keys[side][i]
-    with _naming(path), _naming(f"line {lines[i]}"):
+    lines), whose keys differ: it names the first key, in key order, that
+    one file has and the other has not."""
+    line_of = [dict(zip(zip(t[1].tolist(), t[2].tolist()), t[4].tolist())) for t in traces]
+    key = min(line_of[0].keys() ^ line_of[1].keys())
+    side = int(key in line_of[1])
+    path, other = traces[side][0], traces[1 - side][0]
+    example, token = key
+    with _naming(path), _naming(f"line {line_of[side][key]}"):
         raise ValueError(f"example {example!r} token {token} has no matching row in "
                          f"{other}")
 
@@ -482,6 +494,7 @@ def _cmd_passk(args) -> int:
             except ValueError:
                 raise ValueError(f"{v!r} is not an integer") from None
             _check_k(ks[-1])
+    ks = list(dict.fromkeys(ks))  # each k once, in first-seen order
     # CSV of (problem_id, N, c)
     (_, n, c), lines = _read_columns(args.input, (str, np.int64, np.int64))
 

@@ -497,7 +497,7 @@ def read_columns_csv(path, dtypes) -> tuple[list, list]:
         line, row = next((line, row) for line, row in zip(lines, rows)
                          if len(row) < len(dtypes)
                          or not all(map(_converts, row, dtypes)))
-        raise ValueError(f"{path}: malformed row at line {line}: {row}") from None
+        raise ValueError(f"{path}: line {line}: malformed row {row}") from None
 
 
 def trajectory_csv_rows(traj) -> str:

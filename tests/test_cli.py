@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -684,6 +685,16 @@ class TestEvalCommands:
         assert err.startswith("specgeo: error:") and err.count("\n") == 1
         assert "line 2" in err
 
+    def test_passk_reports_each_k_once(self, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_text("problem_id,N,c\np0,16,4\np1,20,1\n", encoding="utf-8")
+        argv = ["passk", "--input", str(path), "--k", "1,16,1"]
+        assert cli_dispatch(argv) == 0
+        text = capsys.readouterr().out
+        code, doc = run_json(capsys, [*argv, "--json"])
+        assert code == 0 and set(doc) == {"1", "16"}
+        assert text == f"pass@1: {doc['1']!r}\npass@16: {doc['16']!r}\n"
+
     def test_k_is_checked_before_the_input(self, tmp_path, capsys):
         code = cli_dispatch(["passk", "--input", str(tmp_path / "missing.csv"),
                              "--k", "x"])
@@ -767,6 +778,48 @@ class TestDpoCheckFiniteness:
         assert code == 0
         assert doc == {"dpo_loss": specgeo.dpo_loss(triples),
                        "max_identity_gap": specgeo.dpo_nce_identity(triples)}
+
+
+# Per case: the rule that _by_row runs (its module in specgeo, its name and
+# the index of its rows argument), the command, a 4,096-row file (header,
+# data row i, and the bad rows by i) and the first bad row's error text.
+_HALVED = {
+    "dpo-nan": ("evalmetrics", "_dpo_loss_and_gap", 0, ["dpo-check", "--input"],
+                ("r_w,r_l", lambda i: f"{i / 7!r},0.5", {3001: "1.0,nan", 3900: "nan,1.0"}),
+                "rewards must be finite"),
+    "trace-index": ("cli", "_convert", 0, ["memorize", "--model", "{path}", "--ref"],
+                    ("example_id,token_index,prob", lambda i: f'"e{i}",0,0.5',
+                     {1234: '"e1234",x,0.5', 2000: '"e2000",1.5,0.5'}),
+                    "malformed row ['e1234', 'x', '0.5']"),
+    "prob-above-one": ("ngram", "_check_probs", 1,
+                       ["memorize", "--model", "{path}", "--ref"],
+                       ("example_id,token_index,prob", lambda i: f"e{i},0,0.5",
+                        {2500: "e2500,0,1.5", 2501: "e2501,0,2.0"}),
+                       "prob 1.5 is NaN or outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_HALVED))
+def test_bad_row_is_found_by_halving(tmp_path, capsys, monkeypatch, case):
+    """The first bad row of n = 4,096 costs at most log2(n) + 2 calls of its
+    rule, on fewer than 2n + 1 rows in all."""
+    layer, name, arg, argv, (header, row, bad), text = _HALVED[case]
+    module = importlib.import_module(f"specgeo.{layer}")
+    path = tmp_path / "in.csv"
+    rows = [bad.get(i, row(i)) for i in range(1, 4097)]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    line = min(bad) + 1  # below the header
+    rule, sizes = getattr(module, name), []
+
+    def counted(*args):
+        sizes.append(len(args[arg]))
+        return rule(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    code = cli_dispatch([a.format(path=path) for a in argv] + [str(path)])
+    assert (code, capsys.readouterr().err) == (
+        1, f"specgeo: error: {path}: line {line}: {text}\n")
+    assert len(sizes) <= 14 and sum(sizes) < 8193, (len(sizes), sum(sizes))
 
 
 TRACE = (str, np.int64, np.float64)

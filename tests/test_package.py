@@ -172,10 +172,11 @@ def test_each_output_format_is_stated_in_one_place(match):
 def test_only_naming_prefixes_an_error_with_its_source():
     """An error names its file, line, key or flag through ``_naming``
     blocks, nested for a file's line: no other exception text starts with
-    a formatted name, or a line number, and a colon."""
+    a formatted name, or a line number, and a colon, or gives its own
+    line ``at line {...}``.  ``repeats line {...}`` names a second line."""
     def prefixed(node):
-        return _error_calls(node) and re.match(
-            r"f['\"](line )?\{[^}]*\}: ", ast.unparse(node.args[0])) is not None
+        return _error_calls(node) and re.search(
+            r"^f['\"](line )?\{[^}]*\}: |at line \{", ast.unparse(node.args[0])) is not None
 
     lines, start = inspect.getsourcelines(specgeo._naming.__wrapped__)
     inside = [f"__init__.py:{n}" for n in range(start, start + len(lines))]

@@ -73,6 +73,10 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = ["__version__", *_HOME]
 
 
+# The first bytes of a matrix file (see specgeo.io): the corpus reader
+# tells a matrix from text by them without loading specgeo.io.
+_MATRIX_MAGIC = b"SPECGEO1"
+
 # Errors of a run's data or inputs, a failed allocation among them: the CLI
 # reports one as a single error line with exit code 1, a sweep as an error record.
 _DATA_ERRORS = (ValueError, OverflowError, OSError, RuntimeError, MemoryError)
@@ -120,10 +124,12 @@ def _decode_text(data: bytes, newline=None) -> tuple[str, list[str]]:
 
 def _json_text(doc, indent=2) -> str:
     """``doc`` as JSON with sorted keys: a document (``report.json``,
-    ``summary.json``) indented, a ``--json`` payload on one line."""
+    ``summary.json``) indented, a ``--json`` payload on one line.  A JSON
+    number is finite, so a NaN or infinite float is a ValueError: a value
+    that does not exist is ``None``, written ``null``."""
     import json  # on first use, so that ``import specgeo`` stays light
 
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _csv_text(names, columns) -> str:

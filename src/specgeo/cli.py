@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (_DATA_ERRORS, __version__, _csv_text, _decode_text, _json_text, _naming,
-               _write_files)
+from . import (_DATA_ERRORS, _MATRIX_MAGIC, __version__, _csv_text, _decode_text,
+               _json_text, _naming, _write_files)
 
 # Each handler imports the tool modules it uses, so a child process loads
 # only what its subcommand needs.
@@ -142,8 +142,8 @@ def _read_corpus(path, vocab_size=None):
     from .ngram import TokenCorpus, _token_ids
 
     with _naming(path), open(path, "rb") as fh:
-        head = fh.read(8)  # a matrix file's magic, or the first bytes of text
-        if head == b"SPECGEO1":
+        head = fh.read(len(_MATRIX_MAGIC))  # a matrix file's magic, or text
+        if head == _MATRIX_MAGIC:
             from .io import _read_payload
 
             rows = _token_ids(_read_payload(fh, head=head), "matrix")
@@ -313,7 +313,8 @@ def _by_row(path, lines, fn, *columns):
     rejects one of their rows.  When that raises ValueError, ``fn`` runs on
     the first half of ``[lo, hi)``, the rows that hold the first rejected
     one, to keep the half that holds it, down to one row: ceil(log2(n))
-    calls.  Its error on that row alone names ``path`` and the row's line."""
+    calls.  Its error on that row alone names ``path`` and the row's line;
+    an error of the rows together, which no one row raises, names ``path``."""
     with _naming(path):
         try:
             return fn(*columns)

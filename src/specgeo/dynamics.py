@@ -626,7 +626,8 @@ def primacy_selection_probe(
     the steps of the compression window, from the record the smoothed
     RankMe peak is centred on to the end, or of the final quarter when
     no interior peak exists; steps where either side is constant are
-    skipped.  At d = 2 each step's correlation is +-1, so the
+    skipped, and the correlation is None when every step is (always at
+    d = 1).  At d = 2 each step's correlation is +-1, so the
     value is the mean sign of (sigma_1 - sigma_2)(delta sigma_1 - delta
     sigma_2).
     """
@@ -653,7 +654,7 @@ def primacy_selection_probe(
     x = x[spread] - x[spread].mean(axis=1, keepdims=True)
     y = y[spread] - y[spread].mean(axis=1, keepdims=True)
     r = np.sum(x * y, axis=1) / np.sqrt(np.sum(x * x, axis=1) * np.sum(y * y, axis=1))
-    corr = float(np.mean(np.clip(r, -1.0, 1.0))) if r.size else float("nan")
+    corr = float(np.mean(np.clip(r, -1.0, 1.0))) if r.size else None
 
     # classes with equal counts are unordered; compare only across strict
     # frequency drops
@@ -668,8 +669,8 @@ def primacy_selection_probe(
             frequent_first = False
             break
 
-    late = traj.sigma_f[late_start:]
-    growth = late[-1] - late[0] if late.shape[0] >= 2 else np.zeros(traj.sigma_f.shape[1])
+    late = traj.sigma_f[late_start:]  # one row at least: phase_summary needs 3
+    growth = late[-1] - late[0]
     crossed = [v for v in crossings.values() if v is not None]
     crossing_spread = float(max(crossed) - min(crossed)) if len(crossed) >= 2 else None
     return {

@@ -8,7 +8,8 @@ so operating points like N=512, k=256 cost nothing in precision and
 cannot overflow.
 
 DPO loss: mean of -log sigmoid(r_w - r_l) over preference pairs, with a
-softplus evaluation that stays finite for reward gaps out to 1e4.  The
+softplus evaluation that stays finite for every reward gap float64 can
+hold; a gap, or a sum of losses, beyond float64 is refused.  The
 contrastive (two-candidate softmax) form of the same loss is evaluated
 independently so callers can confirm the algebraic identity numerically.
 """
@@ -92,13 +93,21 @@ def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:
     """Mean preference loss over reward pairs, with its sum exactly rounded,
     and the max absolute gap between the loss's two per-pair forms: the
     sigmoid form log(1 + e^(r_l - r_w)) and the two-candidate softmax form
-    log(e^r_w + e^r_l) - r_w."""
+    log(e^r_w + e^r_l) - r_w.  A gap r_l - r_w, or a sum of losses, that
+    overflows float64 is a ValueError."""
     if r_w.size == 0:
         raise ValueError("need at least one preference triple")
     _check_finite(r_w, r_l)
-    sigmoid = np.logaddexp(0.0, r_l - r_w)
-    softmax = np.logaddexp(r_w, r_l) - r_w
-    loss = math.fsum(sigmoid.tolist()) / sigmoid.size
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite gap is refused
+        gap = r_l - r_w
+        sigmoid = np.logaddexp(0.0, gap)
+        softmax = np.logaddexp(r_w, r_l) - r_w
+    if not np.isfinite(gap).all():
+        raise ValueError("reward gap overflows float64")
+    try:
+        loss = math.fsum(sigmoid.tolist()) / sigmoid.size
+    except OverflowError:  # each loss is finite; their sum need not be
+        raise ValueError("sum of preference losses overflows float64") from None
     return loss, float(np.abs(sigmoid - softmax).max())
 
 
@@ -118,7 +127,8 @@ def dpo_nce_identity(triples: Sequence[PreferenceTriple]) -> float:
     softmax form of the preference loss, evaluated per triple.
 
     The forms are algebraically identical; the gap measures only the
-    difference between the two stable evaluation routes and stays below
-    1e-10 for any finite rewards.
+    difference between the two stable evaluation routes.  For rewards
+    whose gap float64 can hold, it is at most about 4.4e-16 * (1 + the
+    largest |reward|): below 1e-10 while every |reward| is below 1e5.
     """
     return _dpo_loss_and_gap(*_rewards(triples))[1]

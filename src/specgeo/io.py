@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import _DATA_ERRORS, __version__, _csv_text, _decode_text, _json_text, _naming
+from . import (_DATA_ERRORS, _MATRIX_MAGIC, __version__, _csv_text, _decode_text,
+               _json_text, _naming)
 from .spectral import (
     EigenSpectrum,
     FeatureMatrix,
@@ -60,8 +61,8 @@ __all__ = [
     "sweep",
 ]
 
-MAGIC = b"SPECGEO1"
-_HEADER = struct.Struct("<8sBQQ")
+MAGIC = _MATRIX_MAGIC
+_HEADER = struct.Struct(f"<{len(MAGIC)}sBQQ")
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _DTYPE_CODES = {"f32": 1, "f64": 2}
 _WIDEN_CHUNK = 1 << 16  # float32 values widened at a time

@@ -41,6 +41,10 @@ def matrix_file(tmp_path):
     return path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, argv):
     code = cli_dispatch(argv)
     out = capsys.readouterr().out
@@ -506,6 +510,15 @@ class TestToyCommands:
         assert doc["growth_law"]["f_side"]["max"] <= 0.05
         assert doc["conservation"]["residual_step0"] <= 1e-12
         assert doc["primacy"]["margin_crossing_step"] is not None
+
+    def test_toy_verify_without_a_correlation_writes_null(self, tmp_path, capsys):
+        # at d = 1 no step has spread across directions: strict JSON, and null
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("d = 1\nsteps = 3000\n", encoding="utf-8")
+        code = cli_dispatch(["toy-verify", "--config", str(cfg), "--json"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert code == 0
+        assert doc["primacy"]["selection_correlation"] is None
 
     @pytest.mark.parametrize("line", ["d = 5", "d = 1000000000", "seed = -1"])
     def test_toy_verify_names_the_config(self, tmp_path, capsys, monkeypatch, line):
@@ -1184,6 +1197,16 @@ _BAD_TRACES = {
 }
 
 
+# A dpo-check input and its error line, which names the file, and the line
+# of the bad row when one row is at fault.
+_BAD_DPO = {
+    "gap-overflow": ("r_w,r_l\n1.0,0.5\n-1e308,1e308\n",
+                     "{dir}/rewards.csv: line 3: reward gap overflows float64"),
+    "sum-overflow": ("-5e307,5e307\n-5e307,5e307\n",
+                     "{dir}/rewards.csv: sum of preference losses overflows float64"),
+}
+
+
 # Corpora without tokens, each as file name and bytes.
 _EMPTY_CORPORA = {"empty-text": ("corpus.txt", b""),
                   "blank-lines": ("corpus.txt", b"\n  \n\r\n"),
@@ -1296,6 +1319,9 @@ def _contract_case(case: str, tmp_path) -> tuple:
         row, ks, _ = _BAD_PASSK[name]
         (tmp_path / "runs.csv").write_text(f"p0,4,1\n{row}\n", encoding="utf-8")
         return ["passk", "--input", str(tmp_path / "runs.csv"), "--k", ks], 1
+    if kind == "dpo-check":
+        (tmp_path / "rewards.csv").write_text(_BAD_DPO[name][0], encoding="utf-8")
+        return ["dpo-check", "--input", str(tmp_path / "rewards.csv")], 1
     if kind == "memorize":
         ref, model, _ = _BAD_TRACES[name]
         (tmp_path / "ref.csv").write_text(ref, encoding="utf-8")
@@ -1361,6 +1387,7 @@ _CONTRACT_CASES = (
     + ["ngram-build:vocab-size"]
     + [f"passk:{name}" for name in _BAD_PASSK]
     + [f"memorize:{name}" for name in _BAD_TRACES]
+    + [f"dpo-check:{name}" for name in _BAD_DPO]
     + list(_RUN_ERRORS)
 )
 
@@ -1418,7 +1445,8 @@ _NAMED_SOURCES = {
     **{f"empty-corpus:{name}": f"error: {{dir}}/{file}: cannot index an empty corpus\n"
        for name, (file, _) in _EMPTY_CORPORA.items()},
     **{f"{kind}:{name}": f"error: {named}\n"
-       for kind, cases in (("passk", _BAD_PASSK), ("memorize", _BAD_TRACES))
+       for kind, cases in (("passk", _BAD_PASSK), ("memorize", _BAD_TRACES),
+                           ("dpo-check", _BAD_DPO))
        for name, (*_, named) in cases.items()},
 }
 

@@ -1,6 +1,7 @@
 """pass@k and preference-loss tests."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,19 @@ class TestDpoLoss:
         rewards[column][1] = bad
         with pytest.raises(ValueError, match="rewards must be finite"):
             _dpo_loss_and_gap(*rewards)
+
+    @pytest.mark.parametrize("fn, triples, text", [
+        (dpo_loss, [PreferenceTriple(-1e308, 1e308)], "reward gap"),
+        (dpo_nce_identity, [PreferenceTriple(-1e308, 1e308)], "reward gap"),
+        (dpo_loss, [PreferenceTriple(-5e307, 5e307)] * 2, "sum of preference losses"),
+    ], ids=["gap-loss", "gap-identity", "sum-loss"])
+    def test_beyond_float64_rejected(self, fn, triples, text):
+        # finite rewards whose gap, or whose sum of losses, float64 cannot
+        # hold: an error, not a number, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{text} overflows float64$"):
+                fn(triples)
 
 
 class TestNceIdentity:

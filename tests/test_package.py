@@ -110,7 +110,9 @@ _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds mu
                 r"cannot index an empty corpus", r"\bk must be >= 1",
                 r"need at least 3 records", r"cannot balance", r"seed must be >= 0",
                 r"vocab_size must be >= 0", r"window \{window\} out of range for",
-                r"mode must be retain_top or remove_top", r"k must be in \[1, ")
+                r"mode must be retain_top or remove_top", r"k must be in \[1, ",
+                r"reward gap overflows float64",
+                r"sum of preference losses overflows float64")
 
 
 def _sites(match) -> list:
@@ -161,12 +163,38 @@ def _index_layout(node) -> bool:
     return len(keys & _INDEX_KEYS) > 1
 
 
-@pytest.mark.parametrize("match", [_calls("dumps"), _calls("write_text"), _index_layout],
-                         ids=["json-dumps", "write-text", "index-keys"])
-def test_each_output_format_is_stated_in_one_place(match):
-    """JSON is formatted by ``_json_text``, output files are written by
-    ``_write_files``, and ``_INDEX_KEYS`` is the index file's layout."""
+def _strict_dumps(node) -> bool:
+    """A ``dumps`` call that refuses NaN and infinities, as JSON does."""
+    return _calls("dumps")(node) and any(
+        keyword.arg == "allow_nan" and getattr(keyword.value, "value", None) is False
+        for keyword in node.keywords)
+
+
+@pytest.mark.parametrize("match, rule", [
+    (_calls("dumps"), _strict_dumps), (_calls("write_text"), None), (_index_layout, None),
+], ids=["json-dumps", "write-text", "index-keys"])
+def test_each_output_format_is_stated_in_one_place(match, rule):
+    """JSON is formatted by ``_json_text``, with finite numbers only, output
+    files are written by ``_write_files``, and ``_INDEX_KEYS`` is the index
+    file's layout."""
     assert len(_sites(match)) == 1, _sites(match)
+    assert rule is None or _sites(rule) == _sites(match)  # the one site keeps it
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        specgeo._json_text({"x": [1.0, value]})
+
+
+def test_matrix_magic_is_stated_once():
+    """The matrix file's magic is one bytes constant of the package."""
+    sites = _sites(lambda node: isinstance(node, ast.Constant)
+                   and isinstance(node.value, bytes) and b"SPECGEO" in node.value)
+    assert len(sites) == 1 and sites[0].startswith("__init__.py:"), sites
+    matrix_io = importlib.import_module("specgeo.io")
+    assert matrix_io.MAGIC is specgeo._MATRIX_MAGIC
+    assert matrix_io._HEADER.size == len(matrix_io.MAGIC) + 17
 
 
 def test_only_naming_prefixes_an_error_with_its_source():

@@ -37,19 +37,16 @@ def _emit(args, payload: dict, text) -> None:
 
 # ---------------------------------------------------------------- spectral
 
-def _features(path, center: bool):
-    """The matrix file ``path`` read by ``io._read_features``."""
-    from .io import _read_features
-
-    with _naming(path):
-        return _read_features(path, center)
-
+# Each matrix command reads and solves inside ``_naming(args.matrix)``, so an
+# error of the matrix names its file; a flag's rule is checked outside it.
 
 def _cmd_spectrum(args) -> int:
+    from .io import _read_features
     from .spectral import covariance_spectrum
 
-    fm = _features(args.matrix, not args.no_center)
-    spec = covariance_spectrum(fm)
+    with _naming(args.matrix):
+        fm = _read_features(args.matrix, not args.no_center)
+        spec = covariance_spectrum(fm)
     vals = spec.values.tolist()
     _emit(args, {"eigenvalues": vals, "m": fm.m, "d": fm.d},
           lambda: "\n".join(map(repr, vals)))
@@ -57,26 +54,31 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_rankme(args) -> int:
+    from .io import _read_features
     from .spectral import covariance_spectrum, rankme
 
-    fm = _features(args.matrix, not args.no_center)
-    value = rankme(covariance_spectrum(fm))
+    with _naming(args.matrix):
+        fm = _read_features(args.matrix, not args.no_center)
+        value = rankme(covariance_spectrum(fm))
     _emit(args, {"rankme": value}, f"rankme: {value!r}")
     return 0
 
 
 def _cmd_alphareq(args) -> int:
+    from .io import _read_features
     from .spectral import _check_window, spectral_metrics
 
     window = tuple(args.window) if args.window else None
     if window:
         with _naming("--window"):  # the rules that need no d before the read
             _check_window(window)
-    fm = _features(args.matrix, not args.no_center)
+    with _naming(args.matrix):
+        fm = _read_features(args.matrix, not args.no_center)
     if window:
         with _naming("--window"):  # and hi <= d before the solve
             _check_window(window, fm.d)
-    metrics = spectral_metrics(fm, window)
+    with _naming(args.matrix):
+        metrics = spectral_metrics(fm, window)
     alpha, r2 = metrics.alpha_req, metrics.fit_r2
     _emit(
         args,
@@ -87,15 +89,17 @@ def _cmd_alphareq(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .io import write_matrix
+    from .io import _read_features, write_matrix
     from .spectral import _check_ablation, ablate_spectrum
 
     with _naming("-k"):  # the rules that need no d before the read
         _check_ablation(args.k, args.mode)
-    fm = _features(args.matrix, center=True)
+    with _naming(args.matrix):
+        fm = _read_features(args.matrix, center=True)
     with _naming("-k"):  # and k <= d before the solve
         _check_ablation(args.k, args.mode, fm.d)
-    out = ablate_spectrum(fm, args.k, args.mode)
+    with _naming(args.matrix):
+        out = ablate_spectrum(fm, args.k, args.mode)
     write_matrix(out, args.output)
     _emit(args, {"written": str(args.output), "k": args.k, "mode": args.mode},
           f"wrote {args.output}")
@@ -309,12 +313,13 @@ def _convert(rows, dtypes) -> list:
 
 
 def _by_row(path, lines, fn, *columns):
-    """``fn(*columns)``, for a rule ``fn`` that rejects the columns when it
-    rejects one of their rows.  When that raises ValueError, ``fn`` runs on
-    the first half of ``[lo, hi)``, the rows that hold the first rejected
-    one, to keep the half that holds it, down to one row: ceil(log2(n))
-    calls.  Its error on that row alone names ``path`` and the row's line;
-    an error of the rows together, which no one row raises, names ``path``."""
+    """``fn(*columns)``, for a rule ``fn`` of one row: it rejects the columns
+    exactly when it rejects one of their rows.  When that raises ValueError,
+    ``fn`` runs on the first half of ``[lo, hi)``, the rows that hold the
+    first rejected one, to keep the half that holds it, down to one row:
+    ceil(log2(n)) calls.  Its error on that row alone names ``path`` and the
+    row's line.  A rule that breaks this contract passes that row; its error
+    on the whole columns then names ``path`` only."""
     with _naming(path):
         try:
             return fn(*columns)
@@ -373,9 +378,9 @@ def _cmd_memorize(args) -> int:
     ref, model = _read_trace_csv(args.ref), _read_trace_csv(args.model)
     if not all(map(np.array_equal, ref[:2], model[:2])):  # ids, token indices
         _raise_unmatched_row((args.ref, *ref), (args.model, *model))
-    rho = distributional_memorization(
-        ref[2], model[2], ref[0], per_token=args.per_token
-    )
+    with _naming(f"{args.ref}, {args.model}"):  # an error of both traces
+        rho = distributional_memorization(ref[2], model[2], ref[0],
+                                          per_token=args.per_token)
     _emit(args, {"memorization": rho, "per_token": bool(args.per_token)},
           f"memorization: {rho!r}")
     return 0

@@ -9,9 +9,9 @@ cannot overflow.
 
 DPO loss: mean of -log sigmoid(r_w - r_l) over preference pairs, with a
 softplus evaluation that stays finite for every reward gap float64 can
-hold; a gap, or a sum of losses, beyond float64 is refused.  The
-contrastive (two-candidate softmax) form of the same loss is evaluated
-independently so callers can confirm the algebraic identity numerically.
+hold; only a gap beyond float64 is refused.  The contrastive
+(two-candidate softmax) form of the same loss is evaluated independently
+so callers can confirm the algebraic identity numerically.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:
     """Mean preference loss over reward pairs, with its sum exactly rounded,
     and the max absolute gap between the loss's two per-pair forms: the
     sigmoid form log(1 + e^(r_l - r_w)) and the two-candidate softmax form
-    log(e^r_w + e^r_l) - r_w.  A gap r_l - r_w, or a sum of losses, that
-    overflows float64 is a ValueError."""
+    log(e^r_w + e^r_l) - r_w.  Each rule is one pair's: finite rewards, and
+    a gap r_l - r_w that float64 holds."""
     if r_w.size == 0:
         raise ValueError("need at least one preference triple")
     _check_finite(r_w, r_l)
@@ -104,10 +104,9 @@ def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:
         softmax = np.logaddexp(r_w, r_l) - r_w
     if not np.isfinite(gap).all():
         raise ValueError("reward gap overflows float64")
-    try:
-        loss = math.fsum(sigmoid.tolist()) / sigmoid.size
-    except OverflowError:  # each loss is finite; their sum need not be
-        raise ValueError("sum of preference losses overflows float64") from None
+    n = sigmoid.size  # losses summed scaled by 2^-k; k = 0 unless the sum could overflow
+    k = 0 if sigmoid.max() < np.finfo(np.float64).max / n else n.bit_length()
+    loss = math.fsum((sigmoid * 2.0**-k).tolist()) / n * 2.0**k
     return loss, float(np.abs(sigmoid - softmax).max())
 
 

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import specgeo
-from specgeo import cli
+from specgeo import _naming, cli
 from specgeo.cli import cli_dispatch
 from specgeo.io import load_manifest, read_matrix, write_matrix
 from specgeo.ngram import TokenCorpus, build_index
@@ -930,8 +930,9 @@ class TestColumnReader:
         ('"r_w",r_l\n1.0,2.0\n', False),
         ("1.0,2.0\n3.0\n", False),
         ("1.0,2.0\n\n \n3.0,x\n", False),
+        ("1.0,2.0\n1_0,2.0\n", False),  # numpy refuses 1_0; csv reads it as 10
     ], ids=["no-blank-line", "empty-lines", "blank-lines", "comma-line", "quoted",
-            "short-row", "bad-row-and-blank-lines"])
+            "short-row", "bad-row-and-blank-lines", "underscore"])
     def test_only_text_numpy_rejects_reaches_csv(self, tmp_path, monkeypatch, data, plain):
         class CsvReader(Exception):
             pass
@@ -947,6 +948,23 @@ class TestColumnReader:
         else:
             with pytest.raises(CsvReader):
                 cli._read_columns(path, DPO)
+
+    def test_benchmark_inputs_stay_on_the_numpy_route(self, tmp_path, monkeypatch):
+        # the score workload's four CSV files at their smoke size: each is
+        # read whole by np.loadtxt, never split by csv
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        workloads.make_score(np.random.default_rng(21), tmp_path,
+                             workloads.SMOKE["score"])
+
+        def reader(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        monkeypatch.setattr(cli.csv, "reader", reader)
+        for name, dtypes in (("ref.csv", TRACE), ("model.csv", TRACE),
+                             ("passk.csv", PASSK), ("dpo.csv", DPO)):
+            columns, lines = cli._read_columns(tmp_path / name, dtypes)
+            assert len(lines) == len(columns[0]) > 0
 
     @pytest.mark.parametrize("data", ["r_w,r_l\n", "r_w,r_l\n\n\r\n\n"],
                              ids=["header-only", "header-and-empty-lines"])
@@ -1055,9 +1073,9 @@ class TestExitCodes:
             raise MemoryError("Unable to allocate 7.11 PiB")
 
         monkeypatch.setattr(spectral, "covariance_spectrum", no_memory)
-        assert cli_dispatch(["rankme", str(matrix_file)]) == 1
-        assert capsys.readouterr() == ("", "specgeo: error: Unable to allocate "
-                                           "7.11 PiB\n")
+        assert cli_dispatch(["rankme", str(matrix_file)]) == 1  # the solve's file
+        assert capsys.readouterr() == ("", f"specgeo: error: {matrix_file}: Unable to "
+                                           "allocate 7.11 PiB\n")
 
     def test_no_center_validates(self, tmp_path, capsys):
         # uncentered file with --no-center is a computation error
@@ -1082,6 +1100,14 @@ _BAD_MATRICES = {
     "both-inf": [[np.inf, 2.0], [-np.inf, 0.0], [3.0, 1.0]],
     "1e300": [[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]],
     "one-row": [[1.0, 2.0, 3.0]],
+    "all-zero": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+}
+_MATRIX_KINDS = ("rankme", "no-center", "spectrum", "alphareq", "ablate", "sweep")
+# The error of each bad matrix that the solve finds, after the read.
+_SOLVE_ERRORS = {
+    **dict.fromkeys(("nan", "inf", "-inf", "both-inf"),
+                    "feature matrix contains non-finite entries"),
+    "1e300": "feature matrix covariance overflows float64",
 }
 _MANIFEST_HOLES = {
     "top-level-list": [],
@@ -1176,9 +1202,11 @@ _BAD_PASSK = {
 }
 
 
-# The --ref and --model traces of memorize, and the error line, which
-# names the file and line of the bad row.
+# The --ref and --model traces of memorize, any flag, and the error line,
+# which names the file and line of the bad row, or both files where the
+# correlation of the two traces is undefined.
 _TRACE = "example_id,token_index,prob\na,0,0.5\nb,1,0.25\nc,0,0.75\n"
+_BOTH = "{dir}/ref.csv, {dir}/model.csv"
 _BAD_TRACES = {
     "prob-above-one": (_TRACE.replace("0.25", "1.5"), _TRACE,
                        "{dir}/ref.csv: line 3: prob 1.5 is NaN or outside [0, 1]"),
@@ -1194,16 +1222,30 @@ _BAD_TRACES = {
                     "'d' token 0 has no matching row in {dir}/ref.csv"),
     "ref-extra": (_TRACE + "d,0,0.5\n", _TRACE, "{dir}/ref.csv: line 5: example "
                   "'d' token 0 has no matching row in {dir}/model.csv"),
+    "one-example": ("a,0,0.5\na,1,0.25\n", "a,0,0.5\na,1,0.25\n",
+                    f"{_BOTH}: need at least 2 examples to correlate"),
+    "per-token-one-row": ("a,0,0.5\n", "a,0,0.5\n", "--per-token",
+                          f"{_BOTH}: need at least 2 pairs for a rank correlation"),
+    "constant": (_TRACE.replace("0.25", "0.5").replace("0.75", "0.5"), _TRACE,
+                 f"{_BOTH}: rank correlation undefined for a constant side"),
 }
 
 
-# A dpo-check input and its error line, which names the file, and the line
-# of the bad row when one row is at fault.
+# A dpo-check input and its error line, which names the file and the line
+# of the bad row.  Rows whose losses sum beyond float64 before it do not
+# hide its line.
 _BAD_DPO = {
     "gap-overflow": ("r_w,r_l\n1.0,0.5\n-1e308,1e308\n",
                      "{dir}/rewards.csv: line 3: reward gap overflows float64"),
-    "sum-overflow": ("-5e307,5e307\n-5e307,5e307\n",
-                     "{dir}/rewards.csv: sum of preference losses overflows float64"),
+    "gap-after-sum": ("r_w,r_l\n-5e307,5e307\n-5e307,5e307\n1.0,0.5\n-1e308,1e308\n",
+                      "{dir}/rewards.csv: line 5: reward gap overflows float64"),
+}
+# dpo-check inputs whose losses are each finite but sum beyond float64, and
+# the dpo_loss values each may give: the mean exists, so it is no error.
+_MAX = sys.float_info.max
+_DPO_MEANS = {
+    "sum-overflow": ("-5e307,5e307\n-5e307,5e307\n", (1e308,)),
+    "max-losses": (f"{-_MAX / 2!r},{_MAX / 2!r}\n" * 3, (_MAX, np.nextafter(_MAX, 0))),
 }
 
 
@@ -1234,7 +1276,7 @@ def _contract_case(case: str, tmp_path) -> tuple:
     ``tmp_path``, outputs under ``tmp_path / "out"``."""
     kind, name = case.split(":", 1)
     out = str(tmp_path / "out")
-    if kind in ("rankme", "no-center", "spectrum", "ablate", "sweep"):
+    if kind in _MATRIX_KINDS and name in _BAD_MATRICES:
         path = tmp_path / "a.mat"
         path.write_bytes(_matrix_bytes(_BAD_MATRICES[name]))
         if kind == "sweep":
@@ -1243,8 +1285,12 @@ def _contract_case(case: str, tmp_path) -> tuple:
             (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
             return ["sweep", "--manifest", str(tmp_path / "m.json"), "-o", out], 1
         flags = {"rankme": ["rankme"], "no-center": ["rankme", "--no-center"],
-                 "spectrum": ["spectrum"], "ablate": ["ablate", "-k", "1", "-o", out]}
-        return [*flags[kind], str(path)], 1
+                 "spectrum": ["spectrum"], "alphareq": ["alphareq"],
+                 "ablate": ["ablate", "-k", "1", "-o", out]}
+        # an all-zero matrix has a spectrum, and an ablation, but no RankMe
+        # and no power-law fit
+        solved = name == "all-zero" and kind in ("spectrum", "ablate")
+        return [*flags[kind], str(path)], 0 if solved else 1
     if kind == "corpus":
         rows = {"one-row": [[0.0, 1.0, 0.0, 2.0]], "floats": [[0.0, 1.5], [1.0, 2.0]],
                 "nan": [[0.0, np.nan], [1.0, 2.0]], "2^63": [[0.0, 2.0**63]]}[name]
@@ -1320,14 +1366,16 @@ def _contract_case(case: str, tmp_path) -> tuple:
         (tmp_path / "runs.csv").write_text(f"p0,4,1\n{row}\n", encoding="utf-8")
         return ["passk", "--input", str(tmp_path / "runs.csv"), "--k", ks], 1
     if kind == "dpo-check":
-        (tmp_path / "rewards.csv").write_text(_BAD_DPO[name][0], encoding="utf-8")
-        return ["dpo-check", "--input", str(tmp_path / "rewards.csv")], 1
+        text, _ = _BAD_DPO.get(name) or _DPO_MEANS[name]
+        (tmp_path / "rewards.csv").write_text(text, encoding="utf-8")
+        return ["dpo-check", "--input", str(tmp_path / "rewards.csv"), "--json"], \
+            0 if name in _DPO_MEANS else 1
     if kind == "memorize":
-        ref, model, _ = _BAD_TRACES[name]
+        ref, model, *flags, _ = _BAD_TRACES[name]
         (tmp_path / "ref.csv").write_text(ref, encoding="utf-8")
         (tmp_path / "model.csv").write_text(model, encoding="utf-8")
         return ["memorize", "--ref", str(tmp_path / "ref.csv"),
-                "--model", str(tmp_path / "model.csv")], 1
+                "--model", str(tmp_path / "model.csv"), *flags], 1
     if kind in ("alphareq", "ablate-k"):  # a fit window from rank 0, or k = 0
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
@@ -1367,8 +1415,7 @@ _RUN_ERRORS = {
 
 
 _CONTRACT_CASES = (
-    [f"{kind}:{name}" for kind in ("rankme", "no-center", "spectrum", "ablate", "sweep")
-     for name in _BAD_MATRICES]
+    [f"{kind}:{name}" for kind in _MATRIX_KINDS for name in _BAD_MATRICES]
     + [f"corpus:{name}" for name in ("one-row", "floats", "nan", "2^63")]
     + ["index:float-tokens", "index:float-bounds", "index:float-sa",
        "index:vocab-size-array", "index:vocab-size-float", "index:vocab-negative",
@@ -1387,7 +1434,7 @@ _CONTRACT_CASES = (
     + ["ngram-build:vocab-size"]
     + [f"passk:{name}" for name in _BAD_PASSK]
     + [f"memorize:{name}" for name in _BAD_TRACES]
-    + [f"dpo-check:{name}" for name in _BAD_DPO]
+    + [f"dpo-check:{name}" for name in (*_BAD_DPO, *_DPO_MEANS)]
     + list(_RUN_ERRORS)
 )
 
@@ -1422,6 +1469,14 @@ _NAMED_SOURCES = {
        "zip file\n" for name in _NOT_ZIP},
     "csv:long-field": "error: {dir}/rewards.csv: line 1: field larger than field "
                       "limit (131072)\n",
+    **{f"{kind}:{name}": f"error: {{dir}}/a.mat: {text}\n"
+       for kind in ("rankme", "spectrum", "alphareq", "ablate")
+       for name, text in _SOLVE_ERRORS.items()},
+    "no-center:1e300": "error: {dir}/a.mat: feature matrix covariance overflows float64\n",
+    **{f"{kind}:all-zero": "error: {dir}/a.mat: rankme undefined for an all-zero "
+       "spectrum\n" for kind in ("rankme", "no-center")},
+    "alphareq:all-zero": "error: {dir}/a.mat: power-law fit needs >= 3 usable points, "
+                         "got 0\n",
     **{f"manifest:{name}": "error: {dir}/m.json: manifest" for name in _MANIFEST_HOLES},
     "manifest:missing-entry": "error: {dir}/m.json: manifest entry 'x': missing "
                               "{dir}/gone.mat\n",
@@ -1460,7 +1515,9 @@ def test_bad_input_contract(tmp_path, capsys, monkeypatch, case):
     """Each bad input exits 1 with at most one ``specgeo: error:`` line on
     stderr (a sweep records entry failures in its report instead), and
     nothing else: no numpy RuntimeWarning, no traceback.  A one-row matrix
-    corpus is no bad input: it is one document.  Where the input has a
+    corpus is no bad input: it is one document.  Nor are an all-zero
+    matrix, which has a spectrum and an ablation, and the DPO files whose
+    losses sum beyond float64, which have a mean.  Where the input has a
     source to name, the line names it; an error of a run or of an argument
     is its whole text.  A refused toy run fails before its first step."""
     from specgeo import dynamics
@@ -1470,7 +1527,7 @@ def test_bad_input_contract(tmp_path, capsys, monkeypatch, case):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli_dispatch(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert [str(w.message) for w in caught] == []
     assert code == want
     if case.startswith("sweep:"):
@@ -1486,6 +1543,10 @@ def test_bad_input_contract(tmp_path, capsys, monkeypatch, case):
             assert err == f"specgeo: error: {_RUN_ERRORS[case]}\n"
     else:
         assert err == ""
+        if case.startswith("dpo-check:"):
+            doc = json.loads(out)
+            assert doc["dpo_loss"] in _DPO_MEANS[case.split(":")[1]][1]
+            assert doc["max_identity_gap"] == 0.0
 
 
 # One input of each text reader, and the argv that reads it from the
@@ -1573,6 +1634,14 @@ def _index_bytes() -> bytes:
     return buf.getvalue()
 
 
+def _named_features(path):
+    """The matrix file ``path`` as the matrix commands read it."""
+    from specgeo.io import _read_features
+
+    with _naming(path):
+        return _read_features(path, True)
+
+
 # Each file-reading subcommand: its input file, the input's bytes, the argv
 # (inputs and outputs under the working directory) and its reader, the
 # function the subcommand reads that input with.
@@ -1593,7 +1662,7 @@ _READERS = {
     "index": ("index.npz", _index_bytes(),
               ["ngram-query", "--index", "index.npz", "--context", "1 2"], cli._load_index),
     "matrix": ("a.mat", _matrix_bytes(np.arange(24.0).reshape(6, 4) % 5),
-               ["rankme", "a.mat"], lambda path: cli._features(path, True)),
+               ["rankme", "a.mat"], _named_features),
     "text-corpus": ("corpus.txt", b"0 1 2 1\n2 0 1\n",
                     ["ngram-build", "--corpus", "corpus.txt", "-o", "out.npz"],
                     cli._read_corpus),

@@ -1,12 +1,13 @@
 """pass@k and preference-loss tests."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specgeo.evalmetrics import (
@@ -20,6 +21,8 @@ from specgeo.evalmetrics import (
 )
 
 from oracles import dpo_mean_mp, passk_enumerate, softplus_mp
+
+_MAX = sys.float_info.max
 
 
 class TestPassAtK:
@@ -159,18 +162,45 @@ class TestDpoLoss:
         with pytest.raises(ValueError, match="rewards must be finite"):
             _dpo_loss_and_gap(*rewards)
 
-    @pytest.mark.parametrize("fn, triples, text", [
-        (dpo_loss, [PreferenceTriple(-1e308, 1e308)], "reward gap"),
-        (dpo_nce_identity, [PreferenceTriple(-1e308, 1e308)], "reward gap"),
-        (dpo_loss, [PreferenceTriple(-5e307, 5e307)] * 2, "sum of preference losses"),
-    ], ids=["gap-loss", "gap-identity", "sum-loss"])
-    def test_beyond_float64_rejected(self, fn, triples, text):
-        # finite rewards whose gap, or whose sum of losses, float64 cannot
-        # hold: an error, not a number, and no numpy warning
+    @pytest.mark.parametrize("fn", [dpo_loss, dpo_nce_identity],
+                             ids=["gap-loss", "gap-identity"])
+    def test_beyond_float64_rejected(self, fn):
+        # finite rewards whose gap float64 cannot hold: an error, not a
+        # number, and no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{text} overflows float64$"):
-                fn(triples)
+            with pytest.raises(ValueError, match="^reward gap overflows float64$"):
+                fn([PreferenceTriple(-1e308, 1e308)])
+
+    @pytest.mark.parametrize("triples, means", [
+        ([PreferenceTriple(-5e307, 5e307)] * 2, (1e308,)),
+        *(([PreferenceTriple(-_MAX / 2, _MAX / 2)] * n, (_MAX, np.nextafter(_MAX, 0)))
+          for n in (1, 2, 3, 1000)),
+    ], ids=["sum-loss", "max-losses-1", "max-losses-2", "max-losses-3", "max-losses-1000"])
+    def test_mean_beyond_a_float64_sum(self, triples, means):
+        # losses each finite whose sum float64 cannot hold: the mean is a
+        # number, at most one ulp from the exact one, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dpo_loss(triples) in means
+            assert dpo_nce_identity(triples) == 0.0
+
+    @given(st.lists(st.floats(-700.0, _MAX), min_size=1, max_size=40))
+    @example([0.75 * _MAX, 0.2 * _MAX])  # a finite sum from losses that are scaled
+    @example([-744.0, -739.5])  # subnormal losses: summed unscaled, as scaling rounds them
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mean_is_fsum_over_n_where_that_is_finite(self, gaps):
+        # a generated loss is at least e^-700, so scaling it by 2^-k (here
+        # k <= 6) is exact, and the mean must be fsum / n where that exists
+        r_l = np.array(gaps)
+        losses = np.logaddexp(0.0, r_l).tolist()
+        mean = _dpo_loss_and_gap(np.zeros_like(r_l), r_l)[0]
+        try:
+            expected = math.fsum(losses) / len(losses)
+        except OverflowError:
+            assert 0.0 < mean <= max(losses)
+        else:
+            assert mean.hex() == expected.hex()
 
 
 class TestNceIdentity:

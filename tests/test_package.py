@@ -111,8 +111,7 @@ _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds mu
                 r"need at least 3 records", r"cannot balance", r"seed must be >= 0",
                 r"vocab_size must be >= 0", r"window \{window\} out of range for",
                 r"mode must be retain_top or remove_top", r"k must be in \[1, ",
-                r"reward gap overflows float64",
-                r"sum of preference losses overflows float64")
+                r"reward gap overflows float64")
 
 
 def _sites(match) -> list:

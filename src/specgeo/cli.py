@@ -37,48 +37,48 @@ def _emit(args, payload: dict, text) -> None:
 
 # ---------------------------------------------------------------- spectral
 
-# Each matrix command reads and solves inside ``_naming(args.matrix)``, so an
-# error of the matrix names its file; a flag's rule is checked outside it.
+def _matrix(path, center, solve, flag=None, rule=None):
+    """``solve(fm)`` of the matrix file ``path``, read centred, or taken as
+    centred without ``center``.  The read and the solve name ``path``.  A
+    flag's ``rule(d)`` names ``flag``: it runs with ``d=None`` before the
+    read and with the matrix's d before the solve."""
+    from .io import _read_features
+
+    if rule:
+        with _naming(flag):
+            rule(None)
+    with _naming(path):
+        fm = _read_features(path, center)
+    if rule:
+        with _naming(flag):
+            rule(fm.d)
+    with _naming(path):
+        return solve(fm)
+
 
 def _cmd_spectrum(args) -> int:
-    from .io import _read_features
     from .spectral import covariance_spectrum
 
-    with _naming(args.matrix):
-        fm = _read_features(args.matrix, not args.no_center)
-        spec = covariance_spectrum(fm)
-    vals = spec.values.tolist()
-    _emit(args, {"eigenvalues": vals, "m": fm.m, "d": fm.d},
-          lambda: "\n".join(map(repr, vals)))
+    vals, m, d = _matrix(args.matrix, not args.no_center,
+                         lambda fm: (covariance_spectrum(fm).values.tolist(), fm.m, fm.d))
+    _emit(args, {"eigenvalues": vals, "m": m, "d": d}, lambda: "\n".join(map(repr, vals)))
     return 0
 
 
 def _cmd_rankme(args) -> int:
-    from .io import _read_features
     from .spectral import covariance_spectrum, rankme
 
-    with _naming(args.matrix):
-        fm = _read_features(args.matrix, not args.no_center)
-        value = rankme(covariance_spectrum(fm))
+    value = _matrix(args.matrix, not args.no_center, lambda fm: rankme(covariance_spectrum(fm)))
     _emit(args, {"rankme": value}, f"rankme: {value!r}")
     return 0
 
 
 def _cmd_alphareq(args) -> int:
-    from .io import _read_features
     from .spectral import _check_window, spectral_metrics
 
     window = tuple(args.window) if args.window else None
-    if window:
-        with _naming("--window"):  # the rules that need no d before the read
-            _check_window(window)
-    with _naming(args.matrix):
-        fm = _read_features(args.matrix, not args.no_center)
-    if window:
-        with _naming("--window"):  # and hi <= d before the solve
-            _check_window(window, fm.d)
-    with _naming(args.matrix):
-        metrics = spectral_metrics(fm, window)
+    metrics = _matrix(args.matrix, not args.no_center, lambda fm: spectral_metrics(fm, window),
+                      "--window", lambda d: window and _check_window(window, d))
     alpha, r2 = metrics.alpha_req, metrics.fit_r2
     _emit(
         args,
@@ -89,17 +89,11 @@ def _cmd_alphareq(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .io import _read_features, write_matrix
+    from .io import write_matrix
     from .spectral import _check_ablation, ablate_spectrum
 
-    with _naming("-k"):  # the rules that need no d before the read
-        _check_ablation(args.k, args.mode)
-    with _naming(args.matrix):
-        fm = _read_features(args.matrix, center=True)
-    with _naming("-k"):  # and k <= d before the solve
-        _check_ablation(args.k, args.mode, fm.d)
-    with _naming(args.matrix):
-        out = ablate_spectrum(fm, args.k, args.mode)
+    out = _matrix(args.matrix, True, lambda fm: ablate_spectrum(fm, args.k, args.mode),
+                  "-k", lambda d: _check_ablation(args.k, args.mode, d))
     write_matrix(out, args.output)
     _emit(args, {"written": str(args.output), "k": args.k, "mode": args.mode},
           f"wrote {args.output}")

@@ -104,9 +104,12 @@ def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:
         softmax = np.logaddexp(r_w, r_l) - r_w
     if not np.isfinite(gap).all():
         raise ValueError("reward gap overflows float64")
-    n = sigmoid.size  # losses summed scaled by 2^-k; k = 0 unless the sum could overflow
-    k = 0 if sigmoid.max() < np.finfo(np.float64).max / n else n.bit_length()
-    loss = math.fsum((sigmoid * 2.0**-k).tolist()) / n * 2.0**k
+    n = sigmoid.size
+    try:
+        loss = math.fsum(sigmoid.tolist()) / n
+    except OverflowError:  # a sum beyond float64: summed scaled by 2^-k, 2^k > n
+        k = n.bit_length()
+        loss = math.fsum((sigmoid * 2.0**-k).tolist()) / n * 2.0**k
     return loss, float(np.abs(sigmoid - softmax).max())
 
 

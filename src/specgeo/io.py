@@ -167,8 +167,9 @@ class ManifestEntry:
 class SweepOptions:
     """How ``sweep`` treats each entry.  A value that no matrix allows (an
     ablation ``mode`` or ``k`` below 1, a window whose ``lo`` is below 1 or
-    above its ``hi``) is refused here, before any entry is read; the width
-    rules (k and the window's ``hi`` at most d) wait for each entry's d."""
+    above its ``hi``, or that holds fewer than 3 ranks) is refused here,
+    before any entry is read; the width rules (k and the window's ``hi`` at
+    most d) wait for each entry's d."""
 
     center: bool = True
     alpha_window: Optional[tuple[int, int]] = None

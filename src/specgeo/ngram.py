@@ -356,14 +356,8 @@ def joint_loglik(
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the average of their positions."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    new_run = np.concatenate([[True], sx[1:] != sx[:-1]])
-    starts = np.flatnonzero(new_run)
-    ends = np.append(starts[1:], x.size) - 1
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(new_run) - 1]
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman_rho(pairs: ProbTrace) -> float:

@@ -15,7 +15,7 @@ the top-k eigenvectors, keeping the ambient dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -120,14 +120,7 @@ class SpectralMetrics:
     d: int
 
     def to_record(self) -> dict:
-        return {
-            "rankme": self.rankme,
-            "alpha_req": self.alpha_req,
-            "fit_window": list(self.fit_window),
-            "fit_r2": self.fit_r2,
-            "m": self.m,
-            "d": self.d,
-        }
+        return {**asdict(self), "fit_window": list(self.fit_window)}
 
 
 def center_features(f: FeatureMatrix) -> FeatureMatrix:
@@ -260,11 +253,15 @@ def _fit_power_law(values: np.ndarray, window) -> tuple:
 
 def _check_window(window, d: Optional[int] = None) -> tuple[int, int]:
     """The 1-based inclusive rank range ``window`` as ints, refused unless
-    1 <= lo <= hi, and, given ``d``, hi <= d of a d-value spectrum."""
+    1 <= lo <= hi, and, given ``d``, hi <= d of a d-value spectrum; and
+    refused if it holds fewer ranks than a power-law fit needs."""
     lo, hi = int(window[0]), int(window[1])
     if lo < 1 or lo > hi or (d is not None and hi > d):
         raise ValueError(f"window {window} out of range for "
                          f"{'any d' if d is None else f'd={d}'}")
+    if hi - lo < 2:
+        raise ValueError(f"window {window} holds {hi - lo + 1} ranks; a power-law fit "
+                         "needs 3")
     return lo, hi
 
 

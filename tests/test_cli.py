@@ -21,11 +21,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import specgeo
-from specgeo import _naming, cli
+from specgeo import cli
 from specgeo.cli import cli_dispatch
 from specgeo.io import load_manifest, read_matrix, write_matrix
 from specgeo.ngram import TokenCorpus, build_index
-from specgeo.spectral import FeatureMatrix
+from specgeo.spectral import FeatureMatrix, covariance_spectrum, rankme
 
 from oracles import doc_end_array, read_columns_csv, trajectory_csv_rows
 from test_dynamics import DIVERGING
@@ -91,8 +91,10 @@ class TestSpectralCommands:
     @pytest.mark.parametrize("argv, err", [
         (["alphareq", "{matrix}", "--window", "5", "2"],
          "--window: window (5, 2) out of range for any d"),
+        (["alphareq", "{matrix}", "--window", "2", "3"],
+         "--window: window (2, 3) holds 2 ranks; a power-law fit needs 3"),
         (["ablate", "{matrix}", "-k", "0", "-o", "{out}"], "-k: k must be in [1, d], got 0"),
-    ], ids=["alphareq-window", "ablate-k"])
+    ], ids=["alphareq-window", "alphareq-narrow", "ablate-k"])
     @pytest.mark.parametrize("name", ["feat.mat", "missing.mat"])
     def test_rules_that_need_no_d_are_checked_before_the_read(
             self, matrix_file, tmp_path, capsys, monkeypatch, argv, err, name):
@@ -580,6 +582,11 @@ class TestToyCommands:
         assert cli_dispatch(["toy-verify", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_no_config_is_the_defaults(self):
+        from specgeo.dynamics import ToyConfig
+
+        assert cli._toy_config(None) == ToyConfig()  # its 50,000 steps are not run
+
     def test_every_field_round_trips(self, tmp_path, capsys):
         from dataclasses import asdict, fields
 
@@ -833,6 +840,19 @@ def test_bad_row_is_found_by_halving(tmp_path, capsys, monkeypatch, case):
     assert (code, capsys.readouterr().err) == (
         1, f"specgeo: error: {path}: line {line}: {text}\n")
     assert len(sizes) <= 14 and sum(sizes) < 8193, (len(sizes), sum(sizes))
+
+
+def test_rule_of_rows_together_names_the_path_only():
+    """A rule that rejects two rows together but passes each alone breaks
+    ``_by_row``'s contract: the row it ends on passes, so its error on the
+    whole columns is raised again, naming the path and no line."""
+    def together(col):
+        if len(col) > 1:
+            raise ValueError("rows clash")
+
+    with pytest.raises(ValueError) as caught:
+        cli._by_row("in.csv", [2, 3], together, np.array([1.0, 2.0]))
+    assert str(caught.value) == "in.csv: rows clash"
 
 
 TRACE = (str, np.int64, np.float64)
@@ -1128,6 +1148,7 @@ _MANIFEST_HOLES = {
     "window-bools": {"options": {"alpha_window": [True, 5]}},
     "window-three": {"options": {"alpha_window": [1, 5, 9]}},
     "window-number": {"options": {"alpha_window": 5}},
+    "window-narrow": {"options": {"alpha_window": [2, 3]}},
     "ablation-number": {"options": {"ablation": 5}},
     "ablation-null": {"options": {"ablation": None}},
     "ablation-k-bool": {"options": {"ablation": {"k": True}}},
@@ -1376,11 +1397,12 @@ def _contract_case(case: str, tmp_path) -> tuple:
         (tmp_path / "model.csv").write_text(model, encoding="utf-8")
         return ["memorize", "--ref", str(tmp_path / "ref.csv"),
                 "--model", str(tmp_path / "model.csv"), *flags], 1
-    if kind in ("alphareq", "ablate-k"):  # a fit window from rank 0, or k = 0
+    if kind in ("alphareq", "ablate-k"):  # a fit window from rank 0 or of 2 ranks, or k = 0
         write_matrix(synthetic_power_law_matrix(np.random.default_rng(0), 1.0),
                      tmp_path / "a.mat")
-        flags = {"alphareq": ["--window", "0", "5"], "ablate-k": ["-k", "0", "-o", out]}
-        return [kind.split("-")[0], str(tmp_path / "a.mat"), *flags[kind]], 1
+        flags = {"window": ["--window", "0", "5"], "narrow": ["--window", "2", "3"],
+                 "0": ["-k", "0", "-o", out]}
+        return [kind.split("-")[0], str(tmp_path / "a.mat"), *flags[name]], 1
     if kind == "ngram-build":  # a corpus id at --vocab-size, or a vocabulary no
         # query can use: negative, from 2^63, or too large for each query's tally
         corpus, vocab = {"vocab-size": ("0 1 2", "2"),
@@ -1400,6 +1422,7 @@ def _contract_case(case: str, tmp_path) -> tuple:
 # each is a case of the contract.
 _RUN_ERRORS = {
     "alphareq:window": "--window: window (0, 5) out of range for any d",
+    "alphareq:narrow": "--window: window (2, 3) holds 2 ranks; a power-law fit needs 3",
     "ablate-k:0": "-k: k must be in [1, d], got 0",
     "ngram-build:vocab-10^15": f"--vocab-size: {_NO_TALLY}",
     "ngram-build:vocab-2^61": "--vocab-size: vocab_size 2305843009213693952 is too "
@@ -1484,6 +1507,8 @@ _NAMED_SOURCES = {
     "ngram-build:vocab-size": "error: {dir}/corpus.txt: token id 2 >= vocab_size 2\n",
     "manifest:entries-string": "error: {dir}/m.json: manifest.entries must be a list, "
                                "got a string\n",
+    "manifest:window-narrow": "error: {dir}/m.json: manifest.options: window (2, 3) holds "
+                              "2 ranks; a power-law fit needs 3\n",
     "text-corpus:float": "error: {dir}/corpus.txt: line 3: token '1.5' is not",
     "text-corpus:negative": "error: {dir}/corpus.txt: line 3: negative token id -1",
     "text-corpus:max-id": "error: {dir}/corpus.txt: vocab_size has value "
@@ -1634,14 +1659,6 @@ def _index_bytes() -> bytes:
     return buf.getvalue()
 
 
-def _named_features(path):
-    """The matrix file ``path`` as the matrix commands read it."""
-    from specgeo.io import _read_features
-
-    with _naming(path):
-        return _read_features(path, True)
-
-
 # Each file-reading subcommand: its input file, the input's bytes, the argv
 # (inputs and outputs under the working directory) and its reader, the
 # function the subcommand reads that input with.
@@ -1662,7 +1679,9 @@ _READERS = {
     "index": ("index.npz", _index_bytes(),
               ["ngram-query", "--index", "index.npz", "--context", "1 2"], cli._load_index),
     "matrix": ("a.mat", _matrix_bytes(np.arange(24.0).reshape(6, 4) % 5),
-               ["rankme", "a.mat"], _named_features),
+               ["rankme", "a.mat"],
+               lambda path: cli._matrix(path, True,
+                                        lambda fm: rankme(covariance_spectrum(fm)))),
     "text-corpus": ("corpus.txt", b"0 1 2 1\n2 0 1\n",
                     ["ngram-build", "--corpus", "corpus.txt", "-o", "out.npz"],
                     cli._read_corpus),

@@ -185,13 +185,14 @@ class TestDpoLoss:
             assert dpo_loss(triples) in means
             assert dpo_nce_identity(triples) == 0.0
 
-    @given(st.lists(st.floats(-700.0, _MAX), min_size=1, max_size=40))
-    @example([0.75 * _MAX, 0.2 * _MAX])  # a finite sum from losses that are scaled
-    @example([-744.0, -739.5])  # subnormal losses: summed unscaled, as scaling rounds them
+    @given(st.lists(st.floats(-_MAX, _MAX), min_size=1, max_size=40))
+    @example([0.75 * _MAX, 0.2 * _MAX])  # a finite sum of losses near float64's max
+    @example([-744.0, -739.5])  # subnormal losses
+    @example([2.0**1023, 2.0**970, -744.0])  # a subnormal loss that decides a rounding tie
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_mean_is_fsum_over_n_where_that_is_finite(self, gaps):
-        # a generated loss is at least e^-700, so scaling it by 2^-k (here
-        # k <= 6) is exact, and the mean must be fsum / n where that exists
+        # the mean is fsum / n wherever that exists, for zero and subnormal
+        # losses too; a sum beyond float64 still has a finite mean
         r_l = np.array(gaps)
         losses = np.logaddexp(0.0, r_l).tolist()
         mean = _dpo_loss_and_gap(np.zeros_like(r_l), r_l)[0]

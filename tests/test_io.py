@@ -386,7 +386,9 @@ class TestManifest:
          "mode must be retain_top or remove_top, got 'keep_top'"),
         ({"alpha_window": [5, 2]}, "window (5, 2) out of range for any d"),
         ({"alpha_window": [0, 5]}, "window (0, 5) out of range for any d"),
-    ], ids=["ablation-k-0", "ablation-mode", "window-reversed", "window-from-0"])
+        ({"alpha_window": [2, 3]}, "window (2, 3) holds 2 ranks; a power-law fit needs 3"),
+    ], ids=["ablation-k-0", "ablation-mode", "window-reversed", "window-from-0",
+            "window-narrow"])
     def test_option_no_matrix_allows_is_refused_at_load(self, tmp_path, monkeypatch,
                                                         capsys, options, error):
         """Before any entry is read: ``load_manifest`` raises, naming the

@@ -86,6 +86,21 @@ def test_imports_only_declared_dependencies():
     assert len(files) > 10 and not undeclared, sorted(undeclared)
 
 
+def test_sources_parse_as_the_declared_python_floor():
+    """Every module of ``src/`` and ``tests/`` parses with the grammar of the
+    oldest Python that pyproject.toml declares.  This checks the grammar
+    only (``except*`` fails it, say): a library function newer than that
+    Python passes."""
+    repo = Path(__file__).resolve().parent.parent
+    pyproject = (repo / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                     pyproject).groups()))
+    files = sorted([*repo.glob("src/specgeo/*.py"), *repo.glob("tests/*.py")])
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+    assert floor == (3, 10) and len(files) > 10
+
+
 def test_benchmark_trace_patch_finds_and_restores_every_name(monkeypatch):
     # the benchmark's traced run wraps package functions by name, so a
     # renamed or dropped name breaks it; build its patch, then undo it
@@ -111,7 +126,7 @@ _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds mu
                 r"need at least 3 records", r"cannot balance", r"seed must be >= 0",
                 r"vocab_size must be >= 0", r"window \{window\} out of range for",
                 r"mode must be retain_top or remove_top", r"k must be in \[1, ",
-                r"reward gap overflows float64")
+                r"reward gap overflows float64", r"ranks; a power-law fit needs 3")
 
 
 def _sites(match) -> list:

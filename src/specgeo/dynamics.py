@@ -115,8 +115,7 @@ class ToyConfig:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if len(self.class_counts) != self.vocab:
             raise ValueError("class_counts must have one entry per class")
-        if any(c < 0 for c in self.class_counts):
-            raise ValueError("class counts must be nonnegative")
+        target_matrix((), self.class_counts, self.label_odds)  # no labels: no row rules
         if self.batch_size < 1:
             raise ValueError("batch must be nonempty")
         if self.batch_size > self.d_in:
@@ -128,7 +127,6 @@ class ToyConfig:
             raise ValueError("learning rate must be positive")
         if self.steps < 1 or self.record_every < 1:
             raise ValueError("steps and record_every must be >= 1")
-        target_matrix((), self.class_counts, self.label_odds)  # checks label_odds
         r = min(self.batch_size, self.d)  # rank(f) of f = S theta
         if r > self.vocab:
             raise ValueError(
@@ -252,12 +250,20 @@ def target_matrix(
 
     i.e. the unigram distribution of ``class_counts`` with the odds of
     the row's own token multiplied by ``label_odds``.  ``label_odds``
-    = inf returns the one-hot label matrix exactly.
+    = inf returns the one-hot label matrix exactly.  Refuses negative
+    counts, a label outside [0, vocab), and labels with all counts zero.
     """
+    counts = np.asarray(class_counts, dtype=np.float64)
+    if np.any(counts < 0):
+        raise ValueError("class counts must be nonnegative")
     if not label_odds >= 1.0:  # also rejects NaN
         raise ValueError(f"label_odds must be in [1, inf], got {label_odds!r}")
     labels = np.asarray(labels, dtype=np.int64)
-    counts = np.asarray(class_counts, dtype=np.float64)
+    outside = labels[(labels < 0) | (labels >= counts.size)]
+    if outside.size:
+        raise ValueError(f"labels must be in [0, {counts.size}), got {outside[0]}")
+    if labels.size and not counts.any():
+        raise ValueError("class counts are all zero: the targets have no distribution")
     onehot = _onehot(labels, counts.size)
     if np.isinf(label_odds):
         return onehot
@@ -574,10 +580,9 @@ def check_growth_law(traj: TrajectoryRecord, sigma_floor_rel: float = 1e-6) -> d
 
     def _rel(fd, pred, mask):
         scale = np.abs(fd).max(axis=0, keepdims=True)  # per-index peak rate
-        denom = np.maximum(
-            np.maximum(np.abs(fd), np.abs(pred)), _RATE_FLOOR_REL * scale
-        )
-        err = np.where(denom > 0, np.abs(fd - pred) / denom, 0.0)
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(pred)), _RATE_FLOOR_REL * scale)
+        err = np.divide(np.abs(fd - pred), denom, out=np.zeros_like(denom),
+                        where=denom > 0)
         return err[mask]
 
     err_f = _rel(fd_f, pred_f, keep)
@@ -620,8 +625,13 @@ def primacy_selection_probe(
     """Per-class margin crossing times plus the selection-bias correlation.
 
     Crossing time is the first recorded step at which a class's mean
-    logit margin exceeds ``margin_threshold`` (None if never).  The
-    selection correlation is the Pearson correlation across directions
+    logit margin exceeds ``margin_threshold`` (None if never; a class
+    without rows never crosses).  Classes with equal counts are
+    unordered: ``frequent_classes_cross_first`` is True exactly when, for
+    every pair a, b with count_a > count_b, class a crosses, and no later
+    than class b.
+
+    The selection correlation is the Pearson correlation across directions
     between sigma_i and its per-step increment delta sigma_i, averaged over
     the steps of the compression window, from the record the smoothed
     RankMe peak is centred on to the end, or of the final quarter when
@@ -631,12 +641,10 @@ def primacy_selection_probe(
     value is the mean sign of (sigma_1 - sigma_2)(delta sigma_1 - delta
     sigma_2).
     """
-    vocab = traj.cfg.vocab
-    crossings = {}
-    for c in range(vocab):
-        series = traj.margins[:, c]
-        hit = np.nonzero(series > margin_threshold)[0]
-        crossings[c] = int(traj.steps[hit[0]]) if hit.size else None
+    hit = traj.margins > margin_threshold  # a NaN margin never crosses
+    crossed = hit.any(axis=0)
+    first = traj.steps[hit.argmax(axis=0)]
+    when = np.where(crossed, first, np.inf)
 
     late_start = 3 * len(traj) // 4  # the late phase
     summary = phase_summary(traj.rankme)
@@ -656,27 +664,17 @@ def primacy_selection_probe(
     r = np.sum(x * y, axis=1) / np.sqrt(np.sum(x * x, axis=1) * np.sum(y * y, axis=1))
     corr = float(np.mean(np.clip(r, -1.0, 1.0))) if r.size else None
 
-    # classes with equal counts are unordered; compare only across strict
-    # frequency drops
     counts = np.asarray(traj.cfg.class_counts)
-    order = np.argsort(-counts, kind="stable")
-    frequent_first = True
-    for a, b in zip(order[:-1], order[1:]):
-        if counts[a] == counts[b]:
-            continue
-        ta, tb = crossings[int(a)], crossings[int(b)]
-        if ta is None or (tb is not None and ta > tb):
-            frequent_first = False
-            break
+    drop = counts[:, None] > counts  # pairs (a, b) with count_a > count_b
+    frequent_first = np.all((crossed[:, None] & (when[:, None] <= when)) | ~drop)
 
     late = traj.sigma_f[late_start:]  # one row at least: phase_summary needs 3
     growth = late[-1] - late[0]
-    crossed = [v for v in crossings.values() if v is not None]
-    crossing_spread = float(max(crossed) - min(crossed)) if len(crossed) >= 2 else None
+    times = first[crossed]
     return {
-        "margin_crossing_step": crossings,
+        "margin_crossing_step": dict(enumerate(np.where(crossed, first, None).tolist())),
         "frequent_classes_cross_first": bool(frequent_first),
         "selection_correlation": corr,
         "late_sigma_growth": [float(v) for v in growth],
-        "crossing_spread": crossing_spread,
+        "crossing_spread": float(times.max() - times.min()) if times.size >= 2 else None,
     }

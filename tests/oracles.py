@@ -256,6 +256,15 @@ def selection_correlation_loop(sig: np.ndarray) -> float:
     return float(np.mean(per_step)) if per_step else float("nan")
 
 
+def frequent_first_pairs(counts, crossings: dict) -> bool:
+    """The primacy order rule, one pair of classes at a time: every class
+    that outnumbers another crosses, and no later than it (None = never)."""
+    return all(crossings[a] is not None
+               and (crossings[b] is None or crossings[a] <= crossings[b])
+               for a, b in itertools.permutations(range(len(counts)), 2)
+               if counts[a] > counts[b])
+
+
 def min_norm_margin_rankme(counts, d: int, starts: int = 20, seed: int = 0) -> float:
     """RankMe of the lowest KKT point found for the one-hot max-margin limit:
     minimise sum_c n_c |f_c|^2 + |W|^2 over class features f_c (rows of F)

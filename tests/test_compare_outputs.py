@@ -1,0 +1,50 @@
+"""The file comparison of ``tools/compare_outputs.py``."""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ARRAYS = {"tokens": np.arange(10), "sa": np.array([3, 1, 2], dtype=np.int32)}
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    return importlib.import_module("compare_outputs")
+
+
+def test_archives_compare_by_their_arrays(tool, tmp_path):
+    np.savez(tmp_path / "plain.npz", **ARRAYS)
+    np.savez_compressed(tmp_path / "packed.npz", **ARRAYS)
+    assert (tmp_path / "plain.npz").read_bytes() != (tmp_path / "packed.npz").read_bytes()
+    plain = tool.read_output(tmp_path / "plain.npz")
+    assert tool.differences(plain, tool.read_output(tmp_path / "packed.npz")) == []
+
+
+@pytest.mark.parametrize("changed, found", [
+    ({**ARRAYS, "sa": np.array([3, 2, 1], dtype=np.int32)},
+     ["entry 'sa': shape (3,) vs (3,), values differ"]),
+    ({**ARRAYS, "sa": ARRAYS["sa"].astype(np.int64)}, ["entry 'sa': dtype int32 vs int64"]),
+    ({"tokens": ARRAYS["tokens"], "extra": np.zeros(1)},
+     ["entry 'sa' only in A", "entry 'extra' only in B"]),
+], ids=["values", "dtype", "names"])
+def test_a_changed_array_is_reported(tool, tmp_path, changed, found):
+    np.savez(tmp_path / "a.npz", **ARRAYS)
+    np.savez_compressed(tmp_path / "b.npz", **changed)
+    a, b = (tool.read_output(tmp_path / name) for name in ("a.npz", "b.npz"))
+    assert tool.differences(a, b) == found
+
+
+def test_other_files_compare_byte_for_byte(tool, tmp_path):
+    (tmp_path / "a.json").write_bytes(b'{"x": 1.5}\n')
+    (tmp_path / "b.json").write_bytes(b'{"x": 1.6}\n')
+    a, b = (tool.read_output(tmp_path / name) for name in ("a.json", "b.json"))
+    assert tool.differences(a, a) == []
+    assert tool.differences(a, b) == ["11 bytes vs 11 bytes, first difference at byte 8"]
+    assert tool.differences(a, a[:-1]) == [
+        "11 bytes vs 10 bytes, first difference at byte 10"]
+    assert tool.differences(a, tool.read_output(tmp_path / "gone.json")) == [
+        "11 bytes vs no file"]
+    assert tool.differences(0, 1) == ["0 vs 1"]  # exit codes

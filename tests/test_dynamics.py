@@ -26,8 +26,8 @@ from specgeo.dynamics import (
 )
 from specgeo.spectral import EigenSpectrum, rankme
 
-from oracles import (min_norm_margin_rankme, selection_correlation_loop, softmax_mp,
-                     trajectory_reference)
+from oracles import (frequent_first_pairs, min_norm_margin_rankme,
+                     selection_correlation_loop, softmax_mp, trajectory_reference)
 
 
 SHORT = ToyConfig(steps=400)
@@ -148,6 +148,25 @@ class TestTargetMatrix:
         for bad in (0.5, float("nan")):
             with pytest.raises(ValueError, match=r"label_odds must be in \[1, inf\]"):
                 target_matrix(self.LABELS, self.COUNTS, bad)
+
+    @pytest.mark.parametrize("labels, counts, text", [
+        ([0], (1, -1), "class counts must be nonnegative"),
+        ([-1], (1, 1), "labels must be in [0, 2), got -1"),
+        ([0, 1, 2], (1, 1), "labels must be in [0, 2), got 2"),
+        ([0], (0, 0), "class counts are all zero: the targets have no distribution"),
+    ], ids=["negative-count", "negative-label", "label-past-vocab", "zero-counts"])
+    @pytest.mark.parametrize("odds", [2.0, INF])
+    def test_bad_input_rejected(self, labels, counts, text, odds):
+        with pytest.raises(ValueError) as err:
+            target_matrix(labels, counts, odds)
+        assert str(err.value) == text
+
+    def test_no_labels_no_rows(self):
+        """Without labels there are no rows: all-zero counts are no error,
+        so ToyConfig reports the empty batch."""
+        assert target_matrix((), (0, 0), 2.0).shape == (0, 2)
+        with pytest.raises(ValueError, match="^batch must be nonempty$"):
+            ToyConfig(class_counts=(0, 0, 0, 0))
 
     def test_own_token_odds_scaled_by_beta(self):
         beta = 100.0
@@ -419,6 +438,18 @@ class TestRunTrajectory:
         traj = run_trajectory(SHORT)
         assert traj.loss[-1] < traj.loss[0]
 
+    def test_observables_do_not_depend_on_the_block_size(self, monkeypatch):
+        from specgeo import dynamics
+
+        cfg = ToyConfig(steps=300, seed=5)
+        whole = run_trajectory(cfg)
+        monkeypatch.setattr(dynamics, "_BLOCK", 7)
+        blocked = run_trajectory(cfg)
+        for field in dataclasses.fields(whole):
+            if field.name != "cfg":
+                np.testing.assert_array_equal(getattr(blocked, field.name),
+                                              getattr(whole, field.name), strict=True)
+
     def test_record_every(self):
         traj = run_trajectory(ToyConfig(steps=100, record_every=10))
         assert traj.steps.tolist() == list(range(0, 101, 10))
@@ -615,6 +646,15 @@ class TestGrowthLaw:
         cfg = ToyConfig(steps=steps, record_every=record_every)
         assert _record_count(cfg) == len(run_trajectory(cfg))
 
+    def test_singular_value_that_never_moves(self):
+        # one class: the softmax is 1 and matches its target, so A = 0 and
+        # every velocity and prediction is 0, an error of 0 and no 0 / 0
+        traj = run_trajectory(ToyConfig(steps=100, vocab=1, class_counts=(3,), d=1))
+        report = check_growth_law(traj)
+        zero = {"max": 0.0, "p95": 0.0, "count": 99}
+        assert [report[key] for key in ("f_side", "w_side", "rate_identity",
+                                        "rate_identity_fd")] == [zero] * 4
+
     def test_short_and_sparse_runs_rejected(self):
         with pytest.raises(ValueError, match="need at least 3 records"):
             check_growth_law(run_trajectory(ToyConfig(steps=1)))
@@ -635,6 +675,52 @@ class TestPrimacyProbe:
         traj = run_trajectory(ToyConfig(steps=2500))
         probe = primacy_selection_probe(traj, margin_threshold=0.5)
         assert probe["frequent_classes_cross_first"]
+
+    @staticmethod
+    def _crossing_at(counts, crossings):
+        """A 60-step run whose class c has margin 1 from step crossings[c]
+        on (never if None) and -1 before, under the given class counts."""
+        traj = run_trajectory(ToyConfig(steps=60))
+        at = np.array([INF if t is None else t for t in crossings])
+        return dataclasses.replace(
+            traj, cfg=ToyConfig(vocab=len(counts), class_counts=tuple(counts), d_in=12,
+                                steps=60),
+            margins=np.where(traj.steps[:, None] >= at, 1.0, -1.0))
+
+    @pytest.mark.parametrize("counts, crossings, want", [
+        # a tie group meets the group above it through each of its classes
+        ((3, 2, 2, 1), (1, 50, 3, 10), False),
+        ((4, 2, 1, 1), (50, 50, 60, 0), False),
+        ((4, 2, 1, 1), (50, 50, 60, 55), True),
+        ((3, 2, 2, 1), (1, 3, 50, 50), True),
+        ((2, 2, 2, 2), (30, None, 1, 0), True),
+        ((3, 1, 0), (5, None, None), False),
+        ((3, 1, 0), (5, 7, None), True),
+        ((3, 1, 0), (None, 7, None), False),
+    ])
+    def test_frequency_order_is_pairwise(self, counts, crossings, want):
+        probe = primacy_selection_probe(self._crossing_at(counts, crossings))
+        assert probe["margin_crossing_step"] == dict(enumerate(crossings))
+        assert probe["frequent_classes_cross_first"] is want
+        assert frequent_first_pairs(counts, dict(enumerate(crossings))) is want
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           crossings=st.lists(st.none() | st.integers(0, 60), min_size=4, max_size=4))
+    def test_frequency_order_matches_pair_loop(self, counts, crossings):
+        if sum(counts) == 0:
+            return
+        probe = primacy_selection_probe(self._crossing_at(counts, crossings))
+        assert probe["frequent_classes_cross_first"] is frequent_first_pairs(
+            counts, dict(enumerate(crossings)))
+
+    def test_tied_class_crossing_before_a_frequent_one(self):
+        # crossings {0: 3, 1: 28, 2: 235, 3: 0}: class 3 (count 1) crosses
+        # before classes 0 and 1, which a scan of count-order neighbours
+        # never compares with it
+        probe = primacy_selection_probe(run_trajectory(ToyConfig(steps=2500, seed=6)))
+        assert probe["margin_crossing_step"] == {0: 3, 1: 28, 2: 235, 3: 0}
+        assert probe["frequent_classes_cross_first"] is False
 
     def test_uniform_spread_reported(self):
         cfg = ToyConfig(class_counts=(2, 2, 2, 2), steps=2500)

@@ -126,7 +126,9 @@ _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds mu
                 r"need at least 3 records", r"cannot balance", r"seed must be >= 0",
                 r"vocab_size must be >= 0", r"window \{window\} out of range for",
                 r"mode must be retain_top or remove_top", r"k must be in \[1, ",
-                r"reward gap overflows float64", r"ranks; a power-law fit needs 3")
+                r"reward gap overflows float64", r"ranks; a power-law fit needs 3",
+                r"class counts must be nonnegative", r"labels must be in \[0, ",
+                r"class counts are all zero")
 
 
 def _sites(match) -> list:

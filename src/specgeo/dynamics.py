@@ -251,14 +251,24 @@ def target_matrix(
     i.e. the unigram distribution of ``class_counts`` with the odds of
     the row's own token multiplied by ``label_odds``.  ``label_odds``
     = inf returns the one-hot label matrix exactly.  Refuses negative
-    counts, a label outside [0, vocab), and labels with all counts zero.
+    counts, counts that are not finite whole numbers, labels that are not
+    whole numbers, a label outside [0, vocab), and labels with all counts
+    zero.
     """
     counts = np.asarray(class_counts, dtype=np.float64)
     if np.any(counts < 0):
         raise ValueError("class counts must be nonnegative")
+    whole = np.isfinite(counts) & (np.trunc(counts) == counts)
+    if not whole.all():
+        raise ValueError(f"class counts must be finite whole numbers, "
+                         f"got {counts[~whole][0]}")
     if not label_odds >= 1.0:  # also rejects NaN
         raise ValueError(f"label_odds must be in [1, inf], got {label_odds!r}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    whole = np.isfinite(labels) & (np.trunc(labels) == labels)
+    if not whole.all():
+        raise ValueError(f"labels must be whole numbers, got {labels[~whole][0]}")
+    labels = labels.astype(np.int64)
     outside = labels[(labels < 0) | (labels >= counts.size)]
     if outside.size:
         raise ValueError(f"labels must be in [0, {counts.size}), got {outside[0]}")
@@ -622,7 +632,8 @@ def check_growth_law(traj: TrajectoryRecord, sigma_floor_rel: float = 1e-6) -> d
 def primacy_selection_probe(
     traj: TrajectoryRecord, margin_threshold: float = 0.0
 ) -> dict:
-    """Per-class margin crossing times plus the selection-bias correlation.
+    """Per-class margin crossing times, and how sigma changes over one
+    window of records.
 
     Crossing time is the first recorded step at which a class's mean
     logit margin exceeds ``margin_threshold`` (None if never; a class
@@ -631,50 +642,44 @@ def primacy_selection_probe(
     every pair a, b with count_a > count_b, class a crosses, and no later
     than class b.
 
-    The selection correlation is the Pearson correlation across directions
-    between sigma_i and its per-step increment delta sigma_i, averaged over
-    the steps of the compression window, from the record the smoothed
-    RankMe peak is centred on to the end, or of the final quarter when
-    no interior peak exists; steps where either side is constant are
-    skipped, and the correlation is None when every step is (always at
-    d = 1).  At d = 2 each step's correlation is +-1, so the
-    value is the mean sign of (sigma_1 - sigma_2)(delta sigma_1 - delta
-    sigma_2).
+    The window is the compression window, from the record the smoothed
+    RankMe peak is centred on to the end, or the final quarter when no
+    interior peak exists (where sigma has converged); it holds the last
+    two records at least, and ``window_start_step`` is the step of its
+    first.  ``late_sigma_growth`` is each sigma_i's change over the
+    window, and ``selection_correlation`` the Pearson correlation across
+    directions of sigma_i at the window's start with that change:
+    positive means growth lands preferentially on already-dominant
+    directions.  It is None unless both vary across directions (always
+    at d = 1); at d = 2 it is +-1 up to rounding.
     """
     hit = traj.margins > margin_threshold  # a NaN margin never crosses
     crossed = hit.any(axis=0)
     first = traj.steps[hit.argmax(axis=0)]
     when = np.where(crossed, first, np.inf)
 
-    late_start = 3 * len(traj) // 4  # the late phase
     summary = phase_summary(traj.rankme)
     if summary.has_interior_maximum:
-        # compression window; smoothed entry i is centred on record i + window // 2
+        # smoothed entry i is centred on record i + window // 2
         start = summary.peak_index + summary.smooth_window // 2
     else:
-        start = late_start
-    sig = traj.sigma_f[min(start, len(traj) - 2):]
-    # per-step correlation ACROSS directions between sigma_i and its
-    # increment, averaged over the window: positive means growth lands
-    # preferentially on already-dominant directions
-    x, y = sig[:-1], np.diff(sig, axis=0)
-    spread = (np.std(x, axis=1) > 0) & (np.std(y, axis=1) > 0)
-    x = x[spread] - x[spread].mean(axis=1, keepdims=True)
-    y = y[spread] - y[spread].mean(axis=1, keepdims=True)
-    r = np.sum(x * y, axis=1) / np.sqrt(np.sum(x * x, axis=1) * np.sum(y * y, axis=1))
-    corr = float(np.mean(np.clip(r, -1.0, 1.0))) if r.size else None
+        start = 3 * len(traj) // 4
+    start = min(start, len(traj) - 2)
+    sig = traj.sigma_f[start:]
+    growth = sig[-1] - sig[0]
+    varies = np.ptp(sig[0]) > 0 and np.ptp(growth) > 0
+    corr = float(np.corrcoef(sig[0], growth)[0, 1]) if varies else None
 
     counts = np.asarray(traj.cfg.class_counts)
     drop = counts[:, None] > counts  # pairs (a, b) with count_a > count_b
     frequent_first = np.all((crossed[:, None] & (when[:, None] <= when)) | ~drop)
 
-    late = traj.sigma_f[late_start:]  # one row at least: phase_summary needs 3
-    growth = late[-1] - late[0]
     times = first[crossed]
     return {
         "margin_crossing_step": dict(enumerate(np.where(crossed, first, None).tolist())),
         "frequent_classes_cross_first": bool(frequent_first),
         "selection_correlation": corr,
         "late_sigma_growth": [float(v) for v in growth],
+        "window_start_step": int(traj.steps[start]),
         "crossing_spread": float(times.max() - times.min()) if times.size >= 2 else None,
     }

@@ -245,15 +245,21 @@ def dpo_mean_mp(r_w, r_l, dps: int = 30) -> float:
 
 # ------------------------------------------------------------ dynamics
 
-def selection_correlation_loop(sig: np.ndarray) -> float:
-    """Mean over steps of np.corrcoef(sigma_t, sigma_{t+1} - sigma_t), one
-    step at a time, skipping steps where either side is constant."""
-    per_step = []
-    for t in range(sig.shape[0] - 1):
-        x, y = sig[t], sig[t + 1] - sig[t]
-        if x.size >= 2 and np.std(x) > 0 and np.std(y) > 0:
-            per_step.append(float(np.corrcoef(x, y)[0, 1]))
-    return float(np.mean(per_step)) if per_step else float("nan")
+def window_selection(sig: np.ndarray) -> tuple:
+    """sigma_i's change over a window of records (the rows of ``sig``), and
+    the Pearson correlation across directions of sigma_i at the window's
+    first record with that change, by the textbook formula in plain
+    Python; the correlation is None unless both take two values at least."""
+    first = [float(v) for v in sig[0]]
+    growth = [float(b) - a for a, b in zip(first, sig[-1])]
+    if len(set(first)) < 2 or len(set(growth)) < 2:
+        return growth, None
+    n = len(first)
+    mx, my = math.fsum(first) / n, math.fsum(growth) / n
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(first, growth))
+    sxx = math.fsum((x - mx) ** 2 for x in first)
+    syy = math.fsum((y - my) ** 2 for y in growth)
+    return growth, sxy / math.sqrt(sxx * syy)
 
 
 def frequent_first_pairs(counts, crossings: dict) -> bool:

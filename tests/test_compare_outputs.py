@@ -42,9 +42,27 @@ def test_other_files_compare_byte_for_byte(tool, tmp_path):
     (tmp_path / "b.json").write_bytes(b'{"x": 1.6}\n')
     a, b = (tool.read_output(tmp_path / name) for name in ("a.json", "b.json"))
     assert tool.differences(a, a) == []
-    assert tool.differences(a, b) == ["11 bytes vs 11 bytes, first difference at byte 8"]
+    assert tool.differences(a, b) == [
+        "11 bytes vs 11 bytes, first difference at byte 8 (x: 1.5 vs 1.6)"]
     assert tool.differences(a, a[:-1]) == [
         "11 bytes vs 10 bytes, first difference at byte 10"]
     assert tool.differences(a, tool.read_output(tmp_path / "gone.json")) == [
         "11 bytes vs no file"]
     assert tool.differences(0, 1) == ["0 vs 1"]  # exit codes
+
+
+@pytest.mark.parametrize("b, where", [
+    (b'{"a": {"g": [0.5, 2.0], "z": 1}, "b": 0}', "a.g[1]: 1.0 vs 2.0"),
+    (b'{"a": {"g": [0.5], "z": 2}, "b": 0}', "a.g[1]: 1.0 vs absent"),
+    (b'{"a": {"g": [0.5, 1.0], "z": 1}, "b": 0, "c": null}', "c: absent vs null"),
+    (b'{"a": {"g": [0.5, 1.0], "z": 1.0}, "b": 0}', "a.z: 1 vs 1.0"),
+    (b'[1]', 'top level: {"a": {"g": [0.5, 1.0], "z": 1}, "b": 0} vs [1]'),
+    (b'{"a":{"g":[0.5,1.0],"z":1},"b":0}', None),
+    (b'{"a": {"g": [0.5, 1.0], "z": 1}, "b": 0', None),
+], ids=["item", "missing-item", "missing-key", "int-vs-float", "top-level",
+        "same-json", "not-json"])
+def test_json_outputs_name_the_first_differing_path(tool, b, where):
+    a = b'{"a": {"g": [0.5, 1.0], "z": 1}, "b": 0}'
+    (line,) = tool.differences(a, b)
+    assert line.startswith(f"{len(a)} bytes vs {len(b)} bytes, first difference at byte ")
+    assert line.endswith(f" ({where})") if where else "(" not in line

@@ -26,8 +26,8 @@ from specgeo.dynamics import (
 )
 from specgeo.spectral import EigenSpectrum, rankme
 
-from oracles import (frequent_first_pairs, min_norm_margin_rankme,
-                     selection_correlation_loop, softmax_mp, trajectory_reference)
+from oracles import (frequent_first_pairs, min_norm_margin_rankme, softmax_mp,
+                     trajectory_reference, window_selection)
 
 
 SHORT = ToyConfig(steps=400)
@@ -154,11 +154,28 @@ class TestTargetMatrix:
         ([-1], (1, 1), "labels must be in [0, 2), got -1"),
         ([0, 1, 2], (1, 1), "labels must be in [0, 2), got 2"),
         ([0], (0, 0), "class counts are all zero: the targets have no distribution"),
-    ], ids=["negative-count", "negative-label", "label-past-vocab", "zero-counts"])
+        ([0], (float("nan"), 1), "class counts must be finite whole numbers, got nan"),
+        ([0], (INF, 1), "class counts must be finite whole numbers, got inf"),
+        ([0], (1.5, 1), "class counts must be finite whole numbers, got 1.5"),
+        ([1.5], (1, 1), "labels must be whole numbers, got 1.5"),
+        ([float("nan")], (1, 1), "labels must be whole numbers, got nan"),
+    ], ids=["negative-count", "negative-label", "label-past-vocab", "zero-counts",
+            "nan-count", "infinite-count", "fractional-count", "fractional-label",
+            "nan-label"])
     @pytest.mark.parametrize("odds", [2.0, INF])
     def test_bad_input_rejected(self, labels, counts, text, odds):
         with pytest.raises(ValueError) as err:
             target_matrix(labels, counts, odds)
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("counts, text", [
+        ((1.5, 2.5), "class counts must be finite whole numbers, got 1.5"),
+        ((float("nan"), 1), "class counts must be finite whole numbers, got nan"),
+        ((INF, 1), "class counts must be finite whole numbers, got inf"),
+    ], ids=["fractional", "nan", "infinite"])
+    def test_config_refuses_counts_that_are_not_whole(self, counts, text):
+        with pytest.raises(ValueError) as err:
+            ToyConfig(vocab=2, class_counts=counts)
         assert str(err.value) == text
 
     def test_no_labels_no_rows(self):
@@ -732,36 +749,45 @@ class TestPrimacyProbe:
         assert set(never["margin_crossing_step"].values()) == {None}
         assert never["crossing_spread"] is None
 
-    @pytest.mark.parametrize("cfg, ties", [
-        (ToyConfig(steps=2500), False),
-        (ToyConfig(d=3, steps=2500, seed=4), False),
-        (ToyConfig(d=3, steps=2500, seed=4), True),
-        (ToyConfig(d=1, steps=200), False),
+    @pytest.mark.parametrize("cfg, tie", [
+        (ToyConfig(steps=2500), None),
+        (ToyConfig(d=3, steps=2500, seed=4), None),
+        (ToyConfig(d=3, steps=2500, seed=4), "start"),
+        (ToyConfig(d=3, steps=2500, seed=4), "frozen"),
+        (ToyConfig(d=1, steps=200), None),
         # RankMe has an interior maximum: the window starts past the peak
-        (ToyConfig(steps=30_000, record_every=10), False),
-    ], ids=["d2", "d3", "d3_ties", "one_direction", "interior_peak"])
-    def test_selection_correlation_matches_per_step_loop(self, cfg, ties):
+        (ToyConfig(steps=30_000, record_every=10), None),
+    ], ids=["d2", "d3", "d3_ties", "d3_frozen", "one_direction", "interior_peak"])
+    def test_window_statistics_match_formula(self, cfg, tie):
         traj = run_trajectory(cfg)
-        if ties:  # steps whose directions are equal, then steps with no increment
-            sig = traj.sigma_f.copy()
-            sig[-80:-60] = sig[-80:-60].mean(axis=1, keepdims=True)
-            sig[-40:] = sig[-40]
-            traj = dataclasses.replace(traj, sigma_f=sig)
         summary = phase_summary(traj.rankme)
         start = (summary.peak_index + summary.smooth_window // 2
                  if summary.has_interior_maximum else 3 * len(traj) // 4)
         start = min(start, len(traj) - 2)
-        got = primacy_selection_probe(traj)["selection_correlation"]
-        want = selection_correlation_loop(traj.sigma_f[start:])
-        if np.isnan(want):  # no step to average: the probe has no value
-            assert got is None
+        sig = traj.sigma_f.copy()
+        if tie == "start":  # two directions equal at the window's first record
+            sig[start, 1:] = sig[start, 1:].mean()
+        elif tie == "frozen":  # no direction moves over the window: no value
+            sig[start:] = sig[start]
+        probe = primacy_selection_probe(dataclasses.replace(traj, sigma_f=sig))
+        growth, corr = window_selection(sig[start:])
+        assert probe["window_start_step"] == traj.steps[start]
+        assert probe["late_sigma_growth"] == growth
+        if corr is None:
+            assert probe["selection_correlation"] is None
         else:
-            assert got == pytest.approx(want, abs=1e-12)
+            assert probe["selection_correlation"] == pytest.approx(corr, abs=1e-12)
+        if sig.shape[1] == 2:  # two points: the correlation is +-1
+            assert abs(probe["selection_correlation"]) == pytest.approx(1, abs=1e-12)
 
     def test_selection_positive_late_default_seed(self):
         traj = run_trajectory(ToyConfig(steps=30_000, record_every=10))
         probe = primacy_selection_probe(traj)
         assert probe["selection_correlation"] > 0
+        # over the compression window the dominant direction grows and the
+        # other contracts
+        growth = probe["late_sigma_growth"]
+        assert growth[0] > 0.1 and growth[1] < 0
 
 
 class TestPhaseSummary:

@@ -128,7 +128,8 @@ _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds mu
                 r"mode must be retain_top or remove_top", r"k must be in \[1, ",
                 r"reward gap overflows float64", r"ranks; a power-law fit needs 3",
                 r"class counts must be nonnegative", r"labels must be in \[0, ",
-                r"class counts are all zero")
+                r"class counts are all zero", r"class counts must be finite whole numbers",
+                r"labels must be whole numbers")
 
 
 def _sites(match) -> list:

@@ -13,7 +13,8 @@ run in the same directory, one after the other, so a path in an output
 reads the same.  The exit code, stdout, stderr and each file the
 operation writes are compared: a ``.npz`` file by its entry names and the
 dtype and values of each array (a zip's own bytes hold timestamps), any
-other file byte for byte.
+other file byte for byte.  Where both sides of a byte difference parse as
+JSON, the line also names the first key path whose values differ.
 
 Prints one line per difference and exits 1 if there is any, else 0.
 Run from anywhere; ``bench/`` is read, never written.
@@ -22,6 +23,7 @@ Run from anywhere; ``bench/`` is read, never written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -69,6 +71,38 @@ def _what(content) -> str:
     return repr(content)
 
 
+_ABSENT = object()  # a key or item one side lacks; also: not JSON
+
+
+def first_json_difference(a, b, path: str = ""):
+    """``path: x vs y`` at the first place, in sorted-key order, where two
+    parsed JSON values differ (``absent`` for a missing key or item); None
+    where they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        parts = [(f"{path}.{key}" if path else key, a.get(key, _ABSENT), b.get(key, _ABSENT))
+                 for key in sorted(a.keys() | b.keys())]
+    elif isinstance(a, list) and isinstance(b, list):
+        parts = [(f"{path}[{i}]", a[i] if i < len(a) else _ABSENT,
+                  b[i] if i < len(b) else _ABSENT) for i in range(max(len(a), len(b)))]
+    elif type(a) is type(b) and a == b:
+        return None
+    else:
+        return f"{path or 'top level'}: {_json_what(a)} vs {_json_what(b)}"
+    return next(filter(None, (first_json_difference(x, y, where)
+                              for where, x, y in parts)), None)
+
+
+def _json_what(value) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value, sort_keys=True)
+
+
+def _parsed(content: bytes):
+    try:
+        return json.loads(content)
+    except ValueError:  # not JSON, or not UTF-8
+        return _ABSENT
+
+
 def differences(a, b) -> list:
     """What differs between two contents (``read_output`` values or exit
     codes), one text each; empty when they are the same."""
@@ -89,6 +123,9 @@ def differences(a, b) -> list:
     if isinstance(a, bytes) and isinstance(b, bytes):
         first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
         text += f", first difference at byte {first}"
+        parsed = _parsed(a), _parsed(b)
+        if _ABSENT not in parsed and (where := first_json_difference(*parsed)):
+            text += f" ({where})"
     return [text]
 
 

@@ -629,57 +629,58 @@ def check_growth_law(traj: TrajectoryRecord, sigma_floor_rel: float = 1e-6) -> d
     }
 
 
-def primacy_selection_probe(
-    traj: TrajectoryRecord, margin_threshold: float = 0.0
-) -> dict:
-    """Per-class margin crossing times, and how sigma changes over one
-    window of records.
+def primacy_selection_probe(traj: TrajectoryRecord) -> dict:
+    """Per-class margin crossing times, and how sigma changes over the
+    compression window.
 
-    Crossing time is the first recorded step at which a class's mean
-    logit margin exceeds ``margin_threshold`` (None if never; a class
-    without rows never crosses).  Classes with equal counts are
+    A class crosses at the first recorded step at which its mean logit
+    margin exceeds half the log of ``label_odds``: each row's target
+    multiplies its own token's odds by ``label_odds``, so a class has
+    crossed once its margin has made half of that boost.  The threshold
+    is the same for every class: 0 at ``label_odds = 1``, and at inf no
+    class crosses.  A crossing is None if the class never crosses (a
+    class without rows never does).  Classes with equal counts are
     unordered: ``frequent_classes_cross_first`` is True exactly when, for
     every pair a, b with count_a > count_b, class a crosses, and no later
     than class b.
 
-    The window is the compression window, from the record the smoothed
-    RankMe peak is centred on to the end, or the final quarter when no
-    interior peak exists (where sigma has converged); it holds the last
-    two records at least, and ``window_start_step`` is the step of its
-    first.  ``late_sigma_growth`` is each sigma_i's change over the
-    window, and ``selection_correlation`` the Pearson correlation across
-    directions of sigma_i at the window's start with that change:
-    positive means growth lands preferentially on already-dominant
-    directions.  It is None unless both vary across directions (always
-    at d = 1); at d = 2 it is +-1 up to rounding.
+    The compression window runs from the record the smoothed RankMe peak
+    is centred on to the end, and holds the last two records at least;
+    ``window_start_step`` is the step of its first.  ``late_sigma_growth``
+    is each sigma_i's change over the window, and
+    ``selection_correlation`` the Pearson correlation across directions
+    of sigma_i at the window's start with that change: positive means
+    growth lands preferentially on already-dominant directions.  It is
+    None unless both vary across directions (always at d = 1); at d = 2
+    it is +-1 up to rounding.  Without an interior RankMe maximum there
+    is no compression window, and all three are None.
     """
-    hit = traj.margins > margin_threshold  # a NaN margin never crosses
+    hit = traj.margins > 0.5 * np.log(traj.cfg.label_odds)  # a NaN margin never crosses
     crossed = hit.any(axis=0)
     first = traj.steps[hit.argmax(axis=0)]
     when = np.where(crossed, first, np.inf)
 
-    summary = phase_summary(traj.rankme)
-    if summary.has_interior_maximum:
-        # smoothed entry i is centred on record i + window // 2
-        start = summary.peak_index + summary.smooth_window // 2
-    else:
-        start = 3 * len(traj) // 4
-    start = min(start, len(traj) - 2)
-    sig = traj.sigma_f[start:]
-    growth = sig[-1] - sig[0]
-    varies = np.ptp(sig[0]) > 0 and np.ptp(growth) > 0
-    corr = float(np.corrcoef(sig[0], growth)[0, 1]) if varies else None
-
     counts = np.asarray(traj.cfg.class_counts)
     drop = counts[:, None] > counts  # pairs (a, b) with count_a > count_b
     frequent_first = np.all((crossed[:, None] & (when[:, None] <= when)) | ~drop)
+
+    growth = corr = start_step = None
+    summary = phase_summary(traj.rankme)
+    if summary.has_interior_maximum:
+        # smoothed entry i is centred on record i + window // 2
+        start = min(summary.peak_index + summary.smooth_window // 2, len(traj) - 2)
+        sig = traj.sigma_f[start:]
+        growth = sig[-1] - sig[0]
+        if np.ptp(sig[0]) > 0 and np.ptp(growth) > 0:
+            corr = float(np.corrcoef(sig[0], growth)[0, 1])
+        growth, start_step = growth.tolist(), int(traj.steps[start])
 
     times = first[crossed]
     return {
         "margin_crossing_step": dict(enumerate(np.where(crossed, first, None).tolist())),
         "frequent_classes_cross_first": bool(frequent_first),
         "selection_correlation": corr,
-        "late_sigma_growth": [float(v) for v in growth],
-        "window_start_step": int(traj.steps[start]),
+        "late_sigma_growth": growth,
+        "window_start_step": start_step,
         "crossing_spread": float(times.max() - times.min()) if times.size >= 2 else None,
     }

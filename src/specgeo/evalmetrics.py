@@ -109,7 +109,12 @@ def _dpo_loss_and_gap(r_w: np.ndarray, r_l: np.ndarray) -> tuple[float, float]:
         loss = math.fsum(sigmoid.tolist()) / n
     except OverflowError:  # a sum beyond float64: summed scaled by 2^-k, 2^k > n
         k = n.bit_length()
-        loss = math.fsum((sigmoid * 2.0**-k).tolist()) / n * 2.0**k
+        # a loss below 2^(k-1022) would lose bits to scaling; far below half
+        # an ulp of the total, it goes in unscaled, to break a rounding tie
+        # as its true value does
+        big = sigmoid >= 2.0 ** (k - 1022)
+        parts = [*(sigmoid[big] * 2.0**-k).tolist(), *sigmoid[~big].tolist()]
+        loss = math.fsum(parts) / n * 2.0**k
     return loss, float(np.abs(sigmoid - softmax).max())
 
 

@@ -512,8 +512,8 @@ class TestToyCommands:
         assert doc["growth_law"]["f_side"]["max"] <= 0.05
         assert doc["conservation"]["residual_step0"] <= 1e-12
         assert doc["primacy"]["margin_crossing_step"] is not None
-        # no interior RankMe peak in 1500 steps: the window is the final quarter
-        assert doc["primacy"]["window_start_step"] == 1125
+        # no interior RankMe peak in 1500 steps: no compression window
+        assert doc["primacy"]["window_start_step"] is None
 
     def test_toy_verify_without_a_correlation_writes_null(self, tmp_path, capsys):
         # at d = 1 no step has spread across directions: strict JSON, and null

@@ -53,7 +53,7 @@ def test_other_files_compare_byte_for_byte(tool, tmp_path):
 
 @pytest.mark.parametrize("b, where", [
     (b'{"a": {"g": [0.5, 2.0], "z": 1}, "b": 0}', "a.g[1]: 1.0 vs 2.0"),
-    (b'{"a": {"g": [0.5], "z": 2}, "b": 0}', "a.g[1]: 1.0 vs absent"),
+    (b'{"a": {"g": [0.5], "z": 2}, "b": 0}', "a.g[1]: 1.0 vs absent; a.z: 1 vs 2"),
     (b'{"a": {"g": [0.5, 1.0], "z": 1}, "b": 0, "c": null}', "c: absent vs null"),
     (b'{"a": {"g": [0.5, 1.0], "z": 1.0}, "b": 0}', "a.z: 1 vs 1.0"),
     (b'[1]', 'top level: {"a": {"g": [0.5, 1.0], "z": 1}, "b": 0} vs [1]'),
@@ -62,7 +62,8 @@ def test_other_files_compare_byte_for_byte(tool, tmp_path):
 ], ids=["item", "missing-item", "missing-key", "int-vs-float", "top-level",
         "same-json", "not-json"])
 def test_json_outputs_name_the_first_differing_path(tool, b, where):
-    a = b'{"a": {"g": [0.5, 1.0], "z": 1}, "b": 0}'
+    # every differing path is named, in sorted-key order: the first one first
+    a =b'{"a": {"g": [0.5, 1.0], "z": 1}, "b": 0}'
     (line,) = tool.differences(a, b)
     assert line.startswith(f"{len(a)} bytes vs {len(b)} bytes, first difference at byte ")
     assert line.endswith(f" ({where})") if where else "(" not in line

@@ -32,6 +32,14 @@ from oracles import (frequent_first_pairs, min_norm_margin_rankme, softmax_mp,
 
 SHORT = ToyConfig(steps=400)
 INF = float("inf")
+_WINDOW_KEYS = ("late_sigma_growth", "selection_correlation", "window_start_step")
+
+
+def _vocab8(d, counts=(8, 4, 3, 2, 2, 1, 1, 1)):
+    """A 20 000-step config at |V| = 8, by default with Zipf class counts;
+    d_in is the larger of the batch and 8."""
+    return ToyConfig(d_in=max(sum(counts), 8), d=d, vocab=8, class_counts=counts,
+                     steps=20_000, record_every=10)
 
 # configs that diverge within a few dozen steps, one under a loss with a
 # softmax and one without
@@ -689,20 +697,21 @@ class TestPrimacyProbe:
         assert cross[0] < cross[1]  # frequent class strictly earlier
 
     def test_default_config_frequency_order(self):
-        traj = run_trajectory(ToyConfig(steps=2500))
-        probe = primacy_selection_probe(traj, margin_threshold=0.5)
+        # crossings at steps 355, 516, 1199 and 606
+        probe = primacy_selection_probe(run_trajectory(ToyConfig(steps=2500)))
         assert probe["frequent_classes_cross_first"]
 
     @staticmethod
     def _crossing_at(counts, crossings):
-        """A 60-step run whose class c has margin 1 from step crossings[c]
-        on (never if None) and -1 before, under the given class counts."""
+        """A 60-step run whose class c has a margin 1 above the crossing
+        threshold from step crossings[c] on (never if None) and 1 below it
+        before, under the given class counts."""
         traj = run_trajectory(ToyConfig(steps=60))
+        cfg = ToyConfig(vocab=len(counts), class_counts=tuple(counts), d_in=12, steps=60)
         at = np.array([INF if t is None else t for t in crossings])
+        threshold = 0.5 * np.log(cfg.label_odds)
         return dataclasses.replace(
-            traj, cfg=ToyConfig(vocab=len(counts), class_counts=tuple(counts), d_in=12,
-                                steps=60),
-            margins=np.where(traj.steps[:, None] >= at, 1.0, -1.0))
+            traj, cfg=cfg, margins=threshold + np.where(traj.steps[:, None] >= at, 1.0, -1.0))
 
     @pytest.mark.parametrize("counts, crossings, want", [
         # a tie group meets the group above it through each of its classes
@@ -731,39 +740,35 @@ class TestPrimacyProbe:
         assert probe["frequent_classes_cross_first"] is frequent_first_pairs(
             counts, dict(enumerate(crossings)))
 
-    def test_tied_class_crossing_before_a_frequent_one(self):
-        # crossings {0: 3, 1: 28, 2: 235, 3: 0}: class 3 (count 1) crosses
-        # before classes 0 and 1, which a scan of count-order neighbours
-        # never compares with it
-        probe = primacy_selection_probe(run_trajectory(ToyConfig(steps=2500, seed=6)))
-        assert probe["margin_crossing_step"] == {0: 3, 1: 28, 2: 235, 3: 0}
-        assert probe["frequent_classes_cross_first"] is False
-
     def test_uniform_spread_reported(self):
         cfg = ToyConfig(class_counts=(2, 2, 2, 2), steps=2500)
-        traj = run_trajectory(cfg)
-        probe = primacy_selection_probe(traj, margin_threshold=0.5)
+        probe = primacy_selection_probe(run_trajectory(cfg))
         assert probe["crossing_spread"] is not None
         assert probe["crossing_spread"] >= 0
-        never = primacy_selection_probe(traj, margin_threshold=np.inf)
+        # one-hot targets: the threshold is infinite, and no class crosses
+        never = primacy_selection_probe(run_trajectory(dataclasses.replace(cfg, label_odds=INF)))
         assert set(never["margin_crossing_step"].values()) == {None}
         assert never["crossing_spread"] is None
 
-    @pytest.mark.parametrize("cfg, tie", [
-        (ToyConfig(steps=2500), None),
-        (ToyConfig(d=3, steps=2500, seed=4), None),
-        (ToyConfig(d=3, steps=2500, seed=4), "start"),
-        (ToyConfig(d=3, steps=2500, seed=4), "frozen"),
-        (ToyConfig(d=1, steps=200), None),
-        # RankMe has an interior maximum: the window starts past the peak
-        (ToyConfig(steps=30_000, record_every=10), None),
-    ], ids=["d2", "d3", "d3_ties", "d3_frozen", "one_direction", "interior_peak"])
-    def test_window_statistics_match_formula(self, cfg, tie):
+    @pytest.mark.parametrize("cfg, tie, peak", [
+        (_vocab8(d=2), None, True),
+        (_vocab8(d=3), None, True),
+        (_vocab8(d=3), "start", True),
+        (_vocab8(d=3), "frozen", True),
+        (ToyConfig(d=1, steps=200), None, False),
+        (ToyConfig(steps=30_000, record_every=10), None, True),
+        (ToyConfig(steps=2500), None, False),
+    ], ids=["d2", "d3", "d3_ties", "d3_frozen", "one_direction", "interior_peak",
+            "no_peak"])
+    def test_window_statistics_match_formula(self, cfg, tie, peak):
         traj = run_trajectory(cfg)
         summary = phase_summary(traj.rankme)
-        start = (summary.peak_index + summary.smooth_window // 2
-                 if summary.has_interior_maximum else 3 * len(traj) // 4)
-        start = min(start, len(traj) - 2)
+        assert summary.has_interior_maximum is peak
+        if not peak:  # no compression window: no statistics
+            probe = primacy_selection_probe(traj)
+            assert [probe[key] for key in _WINDOW_KEYS] == [None] * 3
+            return
+        start = min(summary.peak_index + summary.smooth_window // 2, len(traj) - 2)
         sig = traj.sigma_f.copy()
         if tie == "start":  # two directions equal at the window's first record
             sig[start, 1:] = sig[start, 1:].mean()
@@ -788,6 +793,17 @@ class TestPrimacyProbe:
         # other contracts
         growth = probe["late_sigma_growth"]
         assert growth[0] > 0.1 and growth[1] < 0
+
+    def test_zipf_counts_compress_and_select_where_uniform_do_not(self):
+        # at |V| = 8 and d = 2 or 3, Zipf counts give RankMe an interior
+        # maximum and sigma growth on the dominant directions; uniform
+        # counts give no compression window, so no window statistics
+        for d in (2, 3):
+            zipf = primacy_selection_probe(run_trajectory(_vocab8(d=d)))
+            assert zipf["window_start_step"] is not None
+            assert zipf["selection_correlation"] > 0
+            uniform = primacy_selection_probe(run_trajectory(_vocab8(d=d, counts=(2,) * 8)))
+            assert [uniform[key] for key in _WINDOW_KEYS] == [None] * 3
 
 
 class TestPhaseSummary:

@@ -189,19 +189,23 @@ class TestDpoLoss:
     @example([0.75 * _MAX, 0.2 * _MAX])  # a finite sum of losses near float64's max
     @example([-744.0, -739.5])  # subnormal losses
     @example([2.0**1023, 2.0**970, -744.0])  # a subnormal loss that decides a rounding tie
+    # a sum beyond float64 whose scaled rounding tie a subnormal loss decides
+    @example([2.0**1023, 2.0**1023, 2.0**971, -744.0])
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_mean_is_fsum_over_n_where_that_is_finite(self, gaps):
         # the mean is fsum / n wherever that exists, for zero and subnormal
-        # losses too; a sum beyond float64 still has a finite mean
+        # losses too; a sum beyond float64 is the exact sum scaled by 2^-k,
+        # 2^k > n, rounded once, then / n * 2^k
         r_l = np.array(gaps)
         losses = np.logaddexp(0.0, r_l).tolist()
         mean = _dpo_loss_and_gap(np.zeros_like(r_l), r_l)[0]
+        n = len(losses)
         try:
-            expected = math.fsum(losses) / len(losses)
+            expected = math.fsum(losses) / n
         except OverflowError:
-            assert 0.0 < mean <= max(losses)
-        else:
-            assert mean.hex() == expected.hex()
+            k = n.bit_length()
+            expected = float(sum(map(Fraction, losses)) * Fraction(1, 2**k)) / n * 2.0**k
+        assert mean.hex() == expected.hex()
 
 
 class TestNceIdentity:

@@ -14,7 +14,7 @@ reads the same.  The exit code, stdout, stderr and each file the
 operation writes are compared: a ``.npz`` file by its entry names and the
 dtype and values of each array (a zip's own bytes hold timestamps), any
 other file byte for byte.  Where both sides of a byte difference parse as
-JSON, the line also names the first key path whose values differ.
+JSON, the line also names every key path whose values differ.
 
 Prints one line per difference and exits 1 if there is any, else 0.
 Run from anywhere; ``bench/`` is read, never written.
@@ -74,9 +74,9 @@ def _what(content) -> str:
 _ABSENT = object()  # a key or item one side lacks; also: not JSON
 
 
-def first_json_difference(a, b, path: str = ""):
-    """``path: x vs y`` at the first place, in sorted-key order, where two
-    parsed JSON values differ (``absent`` for a missing key or item); None
+def json_differences(a, b, path: str = "") -> list:
+    """``path: x vs y`` at each place, in sorted-key order, where two
+    parsed JSON values differ (``absent`` for a missing key or item); empty
     where they are equal."""
     if isinstance(a, dict) and isinstance(b, dict):
         parts = [(f"{path}.{key}" if path else key, a.get(key, _ABSENT), b.get(key, _ABSENT))
@@ -85,11 +85,10 @@ def first_json_difference(a, b, path: str = ""):
         parts = [(f"{path}[{i}]", a[i] if i < len(a) else _ABSENT,
                   b[i] if i < len(b) else _ABSENT) for i in range(max(len(a), len(b)))]
     elif type(a) is type(b) and a == b:
-        return None
+        return []
     else:
-        return f"{path or 'top level'}: {_json_what(a)} vs {_json_what(b)}"
-    return next(filter(None, (first_json_difference(x, y, where)
-                              for where, x, y in parts)), None)
+        return [f"{path or 'top level'}: {_json_what(a)} vs {_json_what(b)}"]
+    return [line for where, x, y in parts for line in json_differences(x, y, where)]
 
 
 def _json_what(value) -> str:
@@ -124,8 +123,8 @@ def differences(a, b) -> list:
         first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
         text += f", first difference at byte {first}"
         parsed = _parsed(a), _parsed(b)
-        if _ABSENT not in parsed and (where := first_json_difference(*parsed)):
-            text += f" ({where})"
+        if _ABSENT not in parsed and (where := json_differences(*parsed)):
+            text += f" ({'; '.join(where)})"
     return [text]
 
 

@@ -30,7 +30,7 @@ record points, and computes every observable afterwards from the stacked
 snapshots, a block of records at a time; a run from theta_0 ends at
 theta_0 + S^T (f - f_0).  ``gd_step`` takes the same step and rebuilds
 theta + S^T (f' - f).  ``DivergenceError`` names the first record step
-whose parameters or logits are not finite.
+with a non-finite parameter, logit or observable, whatever the horizon.
 
 With the balanced initialization f^T f = W W^T, the continuous flow keeps
 the right singular vectors of f equal to the left singular vectors of W
@@ -433,28 +433,28 @@ def run_trajectory(cfg: ToyConfig) -> TrajectoryRecord:
     f, w = state.features(), state.w
     fs, ws = np.empty((steps.size,) + f.shape), np.empty((steps.size,) + w.shape)
     args = (state.targets, cfg.loss_kind, cfg.lr, state.alpha0)
-    done = 0
-    # a diverging run overflows to inf and NaN (in its parameters, or only in
-    # an observable of finite ones); the record checks report it
+    done = n = 0
+    # a diverging run overflows; the record pass names its first non-finite record
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(steps.tolist()):
+        for t in steps.tolist():
             for _ in range(t - done):
                 f, w = _step(f, w, *args)
             done = t
             # non-finite parameters make the logits non-finite too
             if not np.isfinite(f.dot(w)).all():
-                raise _diverged(f"parameters or logits at record step {t}", cfg.lr)
-            fs[k], ws[k] = f, w
-        blocks = [
-            _observables(fs[i:i + _BLOCK], ws[i:i + _BLOCK], state, cfg.loss_kind)
-            for i in range(0, steps.size, _BLOCK)
-        ]
+                break  # and so are those of every later record
+            fs[n], ws[n] = f, w
+            n += 1
+        blocks = [_observables(fs[i:min(i + _BLOCK, n)], ws[i:min(i + _BLOCK, n)],
+                               state, cfg.loss_kind) for i in range(0, n, _BLOCK)]
     cols = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     # the margins are NaN for a class without rows; every other column is finite
-    finite = np.all([np.isfinite(col).reshape(steps.size, -1).all(axis=1)
+    finite = np.all([np.isfinite(col).reshape(n, -1).all(axis=1)
                      for name, col in cols.items() if name != "margins"], axis=0)
-    if not finite.all():
-        raise _diverged(f"observables at record step {steps[np.argmin(finite)]}", cfg.lr)
+    bad = int(np.argmin(np.append(finite, False)))  # record n, the loop's stop, if none
+    if bad < steps.size:
+        what = "observables" if bad < n else "parameters or logits"
+        raise _diverged(f"{what} at record step {steps[bad]}", cfg.lr)
     return TrajectoryRecord(cfg=cfg, steps=steps, **cols)
 
 
@@ -493,10 +493,14 @@ def phase_summary(rank_series: np.ndarray) -> PhaseSummary:
     rising; its minimum if it never rises).  An interior maximum requires
     the post-warmup peak to sit strictly before the final 2% of the
     smoothed series and to exceed both the preceding minimum and the
-    final value by more than ``_PHASE_TOL`` = 0.01.
+    final value by more than ``_PHASE_TOL`` = 0.01.  Refuses a series
+    holding a NaN or an infinity.
     """
     x = np.asarray(rank_series, dtype=np.float64)
     _check_records(x.size)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"RankMe series must be finite, got {x[~finite][0]}")
     window = int(round(_SMOOTH_FRAC * x.size)) | 1  # odd: centred, >= 1
     s = smooth_series(x, window)
 
@@ -571,8 +575,11 @@ def check_growth_law(traj: TrajectoryRecord, sigma_floor_rel: float = 1e-6) -> d
     law, and the rate identity |sigma_dot| / sigma = eta * |g|.  The p95
     entries of the floored errors move by about 1e-7 relative under
     round-off alone (e.g. a reordered matrix product in the step), so
-    compare them across versions to that tolerance.
+    compare them across versions to that tolerance.  ``sigma_floor_rel``
+    must be finite and nonnegative.
     """
+    if not 0.0 <= sigma_floor_rel < np.inf:  # also refuses NaN
+        raise ValueError(f"sigma_floor_rel must be finite and >= 0, got {sigma_floor_rel!r}")
     _check_records(len(traj))
     if traj.cfg.record_every != 1:
         raise ValueError("growth-law check needs per-step records")

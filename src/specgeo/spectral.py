@@ -89,6 +89,9 @@ class EigenSpectrum:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-D array")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"eigenvalues must be finite, got {values[~finite][0]}")
         if np.any(np.diff(values) > 0):
             raise ValueError("eigenvalues must be nonincreasing")
         if values[-1] < 0:
@@ -196,10 +199,16 @@ def rankme(spec: EigenSpectrum) -> float:
     """exp of the Shannon entropy of the normalized spectrum, in (0, d].
 
     Zero eigenvalues contribute nothing (0 * ln 0 = 0 limit convention).
+    A spectrum whose sum overflows float64 is scaled by a power of two
+    first, which leaves every normalized value that stays normal exact.
     """
-    if spec.values.sum() <= 0.0:
+    values = spec.values
+    with np.errstate(over="ignore"):
+        if np.isinf(values.sum()):  # scaled, d values below 2**1024 sum below it
+            values = np.ldexp(values, -values.size.bit_length())
+    if values.sum() <= 0.0:
         raise ValueError("rankme undefined for an all-zero spectrum")
-    return float(_entropy_rank(spec.values))
+    return float(_entropy_rank(values))
 
 
 def _entropy_rank(values: np.ndarray) -> np.ndarray:
@@ -254,7 +263,12 @@ def _fit_power_law(values: np.ndarray, window) -> tuple:
 def _check_window(window, d: Optional[int] = None) -> tuple[int, int]:
     """The 1-based inclusive rank range ``window`` as ints, refused unless
     1 <= lo <= hi, and, given ``d``, hi <= d of a d-value spectrum; and
-    refused if it holds fewer ranks than a power-law fit needs."""
+    refused if it holds fewer ranks than a power-law fit needs, or a rank
+    that is not a whole number."""
+    with np.errstate(invalid="ignore"):  # inf % 1 is NaN; an int of any size is whole
+        whole = all(rank % 1 == 0 for rank in window)
+    if not whole:
+        raise ValueError(f"window {window} ranks must be whole numbers")
     lo, hi = int(window[0]), int(window[1])
     if lo < 1 or lo > hi or (d is not None and hi > d):
         raise ValueError(f"window {window} out of range for "

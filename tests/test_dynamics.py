@@ -1,6 +1,7 @@
 """Linear-model gradient dynamics: init, gradients, conservation laws."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -493,6 +494,30 @@ class TestRunTrajectory:
             with pytest.raises(DivergenceError, match=r"at record step \d+ "):
                 run_trajectory(ToyConfig(**DIVERGING[name]))
 
+    @pytest.mark.parametrize("name", [*sorted(DIVERGING), "xent_linearized"])
+    def test_divergence_step_does_not_depend_on_the_horizon(self, name):
+        # the linearized run's conserve_err overflows thousands of steps
+        # before its parameters do
+        config = DIVERGING.get(name, dict(loss_kind="xent_linearized"))
+
+        def cut(steps):
+            return ToyConfig(**{**config, "steps": steps})
+
+        def diverges_at(cfg):
+            with pytest.raises(DivergenceError) as exc:
+                run_trajectory(cfg)
+            return int(re.search(r"at record step (\d+) ", str(exc.value))[1])
+
+        step = diverges_at(ToyConfig(**config))
+        assert diverges_at(cut(step)) == step
+        assert len(run_trajectory(cut(step - 1))) == step  # records 0 .. step - 1
+
+    def test_divergence_between_records_names_the_record_after(self):
+        # record 0 is finite and the logits overflow before record 100
+        with pytest.raises(DivergenceError,
+                           match=r"^non-finite parameters or logits at record step 100 "):
+            run_trajectory(ToyConfig(**DIVERGING["mse"], record_every=100))
+
     def test_mse_and_linearized_kinds_run(self):
         for kind in ("mse", "xent_linearized"):
             traj = run_trajectory(ToyConfig(steps=200, loss_kind=kind))
@@ -653,6 +678,13 @@ class TestGrowthLaw:
         g_big = check_growth_law(big)["g_abs_max_step0"]
         # growth of the coupling is bounded by the dominant-count ratio
         assert g_big / g_small <= 20 / 4 + 1e-9
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1e-6])
+    def test_floor_must_be_finite_and_nonnegative(self, floor):
+        traj = run_trajectory(ToyConfig(steps=50))
+        with pytest.raises(ValueError, match=f"sigma_floor_rel must be finite and >= 0, "
+                                             f"got {floor!r}"):
+            check_growth_law(traj, sigma_floor_rel=floor)
 
     def test_zero_sigma_skipped(self):
         traj = run_trajectory(ToyConfig(steps=50))
@@ -823,6 +855,11 @@ class TestPhaseSummary:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="need at least 3 records"):
             phase_summary(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [INF, float("nan")])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"RankMe series must be finite, got {bad}"):
+            phase_summary(np.array([1, 2, 3, bad, 2, 1.0]))
 
     def test_collapse_then_rise(self):
         t = np.linspace(0, 1, 500)

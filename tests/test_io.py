@@ -380,6 +380,13 @@ class TestManifest:
         path = self.write_manifest(tmp_path, [{"label": "x", "path": "a.mat"}])
         assert load_manifest(path).options == SweepOptions()
 
+    def test_fractional_window_refused(self):
+        with pytest.raises(ValueError, match=r"window \(1.5, 4.7\) ranks must be whole"):
+            SweepOptions(alpha_window=(1.5, 4.7))
+        assert SweepOptions(alpha_window=(2.0, 5.0)).alpha_window == (2.0, 5.0)
+        # too large for a float, but whole: the width rule refuses it per entry
+        assert SweepOptions(alpha_window=(1, 10**400)).alpha_window[1] == 10**400
+
     @pytest.mark.parametrize("options, error", [
         ({"ablation": {"k": 0}}, "k must be in [1, d], got 0"),
         ({"ablation": {"k": 3, "mode": "keep_top"}},

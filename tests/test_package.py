@@ -129,7 +129,9 @@ _OWNED_RULES = (r"rewards must be finite", r"negative token id", r"label_odds mu
                 r"reward gap overflows float64", r"ranks; a power-law fit needs 3",
                 r"class counts must be nonnegative", r"labels must be in \[0, ",
                 r"class counts are all zero", r"class counts must be finite whole numbers",
-                r"labels must be whole numbers")
+                r"labels must be whole numbers", r"eigenvalues must be finite",
+                r"ranks must be whole numbers", r"RankMe series must be finite",
+                r"sigma_floor_rel must be finite")
 
 
 def _sites(match) -> list:

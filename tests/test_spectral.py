@@ -31,7 +31,10 @@ class TestEigenSpectrum:
         ([1.0, -0.5], None, "nonnegative"),
         ([1.0, 0.5], np.eye(3), "must be 2x2"),
         ([1.0, 0.5], [[1.0, 1.0], [0.0, 1.0]], "not orthonormal"),
-    ], ids=["2-D", "empty", "increasing", "negative", "vector-shape", "skewed"])
+        ([np.inf, 1.0, 0.5], None, "eigenvalues must be finite, got inf"),
+        ([np.nan, 1.0, 0.5], None, "eigenvalues must be finite, got nan"),
+    ], ids=["2-D", "empty", "increasing", "negative", "vector-shape", "skewed", "inf",
+            "nan"])
     def test_rules(self, values, vectors, message):
         with pytest.raises(ValueError, match=message):
             EigenSpectrum(values=values, vectors=vectors)
@@ -206,6 +209,12 @@ class TestRankme:
         with pytest.raises(ValueError):
             rankme(spec_of([0.0, 0.0]))
 
+    def test_sum_that_overflows(self):
+        # scaled by a power of two, with no overflow warning (warnings are errors)
+        assert rankme(spec_of([1e308, 1e308])) == 2.0
+        values = [1.7e308, 1e308, 5e307, 1.0]
+        assert rankme(spec_of(values)) == pytest.approx(rankme_mp(values), rel=1e-14)
+
     @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=32),
            st.floats(0.01, 1000.0))
     @settings(max_examples=200, deadline=None)
@@ -262,6 +271,16 @@ class TestAlphaReq:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             alpha_req(spec_of([1.0, 0.5]))
+
+    def test_fractional_window_refused(self):
+        message = r"window \(1.5, 4.7\) ranks must be whole numbers"
+        with pytest.raises(ValueError, match=message):
+            alpha_req(spec_of(np.arange(10, 0, -1.0)), (1.5, 4.7))
+        fm = center_features(FeatureMatrix(np.random.default_rng(4).normal(size=(40, 10))))
+        with pytest.raises(ValueError, match=message):
+            spectral_metrics(fm, (1.5, 4.7))
+        # a whole-number float is a rank
+        assert spectral_metrics(fm, (2.0, 5.0)).fit_window == (2, 5)
 
     def test_metrics_record_keys(self):
         rng = np.random.default_rng(4)
